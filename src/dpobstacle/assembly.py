@@ -11,7 +11,8 @@ exponents are handled by the regularized gradient magnitude
 derivative of the regularized energy  ``sum_e |e| (g_e^p / p + mu_e g_e^q / q)``.
 
 Lower-order terms use vertex-lumped quadrature: the obstacle penalty
-``(w_i / rho) (u_i - phi_i)^+`` (derivative taken as zero at the kink), the
+``(w_i / rho) (u_i - phi_i)^+`` (derivative taken as zero at the kink; in the
+lumped metric this is also the Moreau-Yosida envelope gradient), the
 reaction selection evaluated at nodes with a volume-averaged nodal gradient,
 and the smoothed boundary flux on the natural boundary part.  Dirichlet rows
 of the assembled system are replaced by the identity.
@@ -160,9 +161,7 @@ def operator_residual(spec: ProblemSpec, u, eps_grad=None) -> np.ndarray:
     coef = spec.mesh.element_volumes * _coef(spec, ge)
     # local vector |e| coef G^T grad
     local = np.einsum("ekv,ek->ev", spec.mesh.gradient_maps, grads) * coef[:, None]
-    r = np.zeros(spec.mesh.n_nodes)
-    np.add.at(r, spec.mesh.elements.ravel(), local.ravel())
-    return r
+    return spec.mesh.scatter_vector(local)
 
 
 def operator_jacobian(spec: ProblemSpec, u, eps_grad=None, frozen=False):
@@ -176,9 +175,7 @@ def operator_jacobian(spec: ProblemSpec, u, eps_grad=None, frozen=False):
     p, q = spec.phase.p, spec.phase.q
     mu = spec.phase.mu
     coef = _coef(spec, ge)
-    nv = mesh.dim + 1
-    GtG = np.einsum("eka,ekb->eab", mesh.gradient_maps, mesh.gradient_maps)
-    blocks = (mesh.element_volumes * coef)[:, None, None] * GtG
+    blocks = (mesh.element_volumes * coef)[:, None, None] * mesh.gradient_gram
     if not frozen:
         with np.errstate(divide="ignore", invalid="ignore"):
             fac = ((p - 2.0) * ge ** (p - 2.0) + mu * (q - 2.0) * ge ** (q - 2.0)) / g2
@@ -187,12 +184,7 @@ def operator_jacobian(spec: ProblemSpec, u, eps_grad=None, frozen=False):
         blocks = blocks + (mesh.element_volumes * fac)[:, None, None] * (
             Gg[:, :, None] * Gg[:, None, :]
         )
-    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nv)).ravel()
-    J = sp.csr_matrix(
-        (blocks.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-    )
-    return J
+    return mesh.scatter_blocks(blocks)
 
 
 def penalty_term(spec: ProblemSpec, u, rho):
@@ -282,9 +274,10 @@ def assemble_system(
 ) -> AssembledSystem:
     """Full masked system for one approximation mode.
 
-    ``penalty`` adds the lumped obstacle penalty at parameter ``rho``;
-    ``moreau_yosida`` adds the envelope gradient of the constraint-set
-    indicator at parameter ``rho``; ``unconstrained`` adds neither.
+    ``penalty`` adds the lumped obstacle penalty at parameter ``rho`` and
+    ``unconstrained`` leaves it out.  ``moreau_yosida`` is an alias of
+    ``penalty``: the lumped envelope gradient of the constraint-set indicator
+    is ``w (u - phi)^+ / rho`` on every free (non-Dirichlet) node.
     """
     vals = _values(u)
     r = operator_residual(spec, vals, eps_grad)
@@ -296,14 +289,10 @@ def assemble_system(
     r = r + bnd_vec
     diag_extra += bnd_diag
 
-    if mode == "penalty":
+    if mode in ("penalty", "moreau_yosida"):
         pen_vec, pen_diag = penalty_term(spec, vals, rho)
         r = r + pen_vec
         diag_extra += pen_diag
-    elif mode == "moreau_yosida":
-        K = constraint_set(spec)
-        r = r + K.envelope_grad(vals, rho)
-        diag_extra += K.envelope_hess_diag(vals, rho)
     elif mode != "unconstrained":
         raise ConfigurationError(f"unknown approximation mode {mode!r}")
 

@@ -18,9 +18,10 @@ Sections and keys (defaults in parentheses):
 * ``[reaction]`` — ``name`` (``constant``), ``selection`` (``midpoint``),
   ``blend`` (only for the blend rule), plus the entry's own parameters.
 * ``[boundary]`` — ``name`` (``zero``), ``delta`` (1e-6), plus parameters.
-* ``[solver]`` — ``mode`` (``penalty``), ``schedule`` (decades 1 .. 1e-8),
-  ``newton_tol`` (1e-10), ``max_newton`` (100), ``eps_grad`` (0 when both
-  exponents are >= 2, else 1e-8), ``picard_fallback`` (``true``).
+* ``[solver]`` — ``mode`` (``penalty``, its alias ``moreau_yosida``, or
+  ``unconstrained``), ``schedule`` (decades 1 .. 1e-8), ``newton_tol``
+  (1e-10), ``max_newton`` (100), ``eps_grad`` (0 when both exponents are
+  >= 2, else 1e-8), ``picard_fallback`` (``true``).
 * ``[study]`` — ``n_starts`` (5), ``seed`` (0), ``selection_rules``
   (the single configured rule), ``dedup_tol`` (1e-6), ``cauchy_factor``
   (0.5), ``cauchy_window`` (3), ``vi_tol`` (1e-8), ``probe_bump`` (0.01),
@@ -55,7 +56,7 @@ from .meshing import (
     build_rect_mesh,
 )
 from .musielak import PhaseConfig
-from .solver import SolverConfig
+from .solver import MODES, SolverConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -398,8 +399,7 @@ def build_schedule(cfg: ExperimentConfig):
 
 def build_solver_config(cfg: ExperimentConfig) -> SolverConfig:
     schedule = build_schedule(cfg)
-    mode = _choice(cfg, "solver", "mode",
-                   {"penalty", "moreau_yosida", "unconstrained"}, "penalty")
+    mode = _choice(cfg, "solver", "mode", MODES, "penalty")
     newton_tol = _const(cfg, "solver", "newton_tol", 1e-10)
     if newton_tol <= 0:
         _fail(cfg, "solver", "newton_tol", "tolerance must be positive")

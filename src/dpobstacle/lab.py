@@ -34,11 +34,11 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import ProblemSpec, constraint_set, operator_jacobian
-from .catalog import ReactionSpec
 from .errors import ConfigurationError, EmptySampleError, OracleFailure
 from .meshing import DiscreteFunction, boundary_lumped_weights
 from .musielak import luxemburg_norm
-from .solver import SolverConfig, SolveReport, continuation, solve_penalized, vi_residual
+from .solver import (SolverConfig, SolveReport, solve_penalized, stage_configs,
+                     vi_residual)
 
 __all__ = [
     "SampleMember",
@@ -326,11 +326,8 @@ def kuratowski_study(
     yield limit candidates, each certified by a variational-inequality
     residual over the documented probe set.
     """
-    schedule = [float(r) for r in schedule]
-    if any(b >= a for a, b in zip(schedule, schedule[1:])) or not schedule:
-        raise ConfigurationError("schedule must be nonempty and strictly decreasing")
-    if any(r <= 0 for r in schedule):
-        raise ConfigurationError("schedule must be positive")
+    stages = stage_configs(spec, schedule, cfg)
+    schedule = [stage_cfg.rho for stage_cfg in stages]
 
     rng = np.random.default_rng(seed)
     starts = _random_starts(spec, n_starts, rng)
@@ -343,17 +340,8 @@ def kuratowski_study(
                  "alive": True, "solutions": [], "etas": [], "reports": []}
             )
 
-    eps0 = spec.eps_grad if cfg.eps_grad is None else cfg.eps_grad
-    delta0 = cfg.delta_boundary
     samples = []
-    for stage, rho in enumerate(schedule):
-        factor = rho / schedule[0]
-        stage_cfg = replace(
-            cfg,
-            rho=rho,
-            eps_grad=eps0 * factor if eps0 > 0 else eps0,
-            delta_boundary=delta0 * factor if delta0 > 0 else delta0,
-        )
+    for stage_cfg in stages:
         live = [c for c in chains if c["alive"]]
         tasks = [
             (lambda ch=c: solve_penalized(ch["spec"], stage_cfg,
@@ -375,7 +363,8 @@ def kuratowski_study(
                 c["alive"] = False
         stage_members = _dedup(spec.mesh, stage_members, dedup_tol)
         samples.append(
-            SolutionSample(rho=rho, members=stage_members, dedup_tol=dedup_tol)
+            SolutionSample(rho=stage_cfg.rho, members=stage_members,
+                           dedup_tol=dedup_tol)
         )
 
     violation_sup = [max(m.report.obstacle_violation_sup for m in s.members)
@@ -661,15 +650,8 @@ class HypothesisReport:
 
 def _stiffness_mass(spec):
     mesh = spec.mesh
-    nv = mesh.dim + 1
-    GtG = np.einsum("eka,ekb->eab", mesh.gradient_maps, mesh.gradient_maps)
-    blocks = mesh.element_volumes[:, None, None] * GtG
-    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nv)).ravel()
-    S = sp.csr_matrix((blocks.ravel(), (rows, cols)),
-                      shape=(mesh.n_nodes, mesh.n_nodes))
-    M = mesh.node_volume_weights
-    return S, M
+    S = mesh.scatter_blocks(mesh.element_volumes[:, None, None] * mesh.gradient_gram)
+    return S, mesh.node_volume_weights
 
 
 def _p_norm_volume(mesh, u, p):
@@ -857,9 +839,7 @@ def _grad_p_norm_gradient(mesh, u, p):
         coef = np.where(gn > 0, gn ** (p - 2.0), 0.0)
     local = np.einsum("ekv,ek->ev", mesh.gradient_maps, g)
     local = local * (mesh.element_volumes * coef)[:, None]
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.elements.ravel(), local.ravel())
-    return norm ** (1 - p) * out
+    return norm ** (1 - p) * mesh.scatter_vector(local)
 
 
 def _grad_p_norm_boundary(mesh, u, p, bw):

@@ -168,6 +168,36 @@ class Mesh:
             self._cache["g2nodes"] = np.array(sorted(idx), dtype=int)
         return self._cache["g2nodes"]
 
+    @property
+    def gradient_gram(self):
+        """Per-element ``G_e^T G_e``, shape ``(n_elements, nv, nv)``."""
+        if "gtg" not in self._cache:
+            G = self.gradient_maps
+            self._cache["gtg"] = np.einsum("eka,ekb->eab", G, G)
+        return self._cache["gtg"]
+
+    def scatter_blocks(self, blocks):
+        """CSR sum of element blocks: ``blocks[e, a, b]`` adds to entry
+        ``(elements[e, a], elements[e, b])`` through a cached pattern."""
+        if "block_pattern" not in self._cache:
+            nv = self.dim + 1
+            elements = self.elements.astype(np.int32)
+            self._cache["block_pattern"] = (
+                np.repeat(elements, nv, axis=1).ravel(),
+                np.tile(elements, (1, nv)).ravel(),
+            )
+        rows, cols = self._cache["block_pattern"]
+        return sp.csr_matrix(
+            (np.ravel(blocks), (rows, cols)), shape=(self.n_nodes, self.n_nodes)
+        )
+
+    def scatter_vector(self, local):
+        """Nodal sum of element vectors: ``local[e, a]`` adds to node
+        ``elements[e, a]``."""
+        out = np.zeros(self.n_nodes)
+        np.add.at(out, self.elements.ravel(), np.ravel(local))
+        return out
+
     def nodal_gradient_matrices(self):
         """Sparse maps from nodal values to volume-averaged nodal gradients.
 
@@ -176,24 +206,16 @@ class Mesh:
         """
         if "nodal_grad" not in self._cache:
             nv = self.dim + 1
-            nel = self.n_elements
-            patch_vol = np.zeros(self.n_nodes)
-            np.add.at(patch_vol, self.elements.ravel(),
-                      np.repeat(self.element_volumes, nv))
+            patch_vol = self.scatter_vector(np.repeat(self.element_volumes, nv))
             # entry (i=elements[e,a], j=elements[e,b]): |e| * G_e[k, b]
-            rows = np.repeat(self.elements, nv, axis=1).ravel()
-            cols = np.tile(self.elements, (1, nv)).ravel()
             mats = []
             for k in range(self.dim):
-                vals = np.broadcast_to(
+                blocks = np.broadcast_to(
                     self.element_volumes[:, None, None]
                     * self.gradient_maps[:, k, None, :],
-                    (nel, nv, nv),
-                ).ravel()
-                D = sp.csr_matrix(
-                    (vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes)
+                    (self.n_elements, nv, nv),
                 )
-                D = sp.diags(1.0 / patch_vol) @ D
+                D = sp.diags(1.0 / patch_vol) @ self.scatter_blocks(blocks)
                 mats.append(D.tocsr())
             self._cache["nodal_grad"] = mats
         return self._cache["nodal_grad"]

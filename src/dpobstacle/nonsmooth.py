@@ -13,6 +13,10 @@ with ``||d||_w^2 = sum_i w_i d_i^2``.  Using the lumped-weight metric in place
 of the full energy-space norm is a deliberate simplification; the envelope it
 induces has the same monotone/limit structure but can select a different
 approximating path than the energy-space envelope would.
+
+On the free nodes ``u_i - proj(u)_i = (u_i - phi_i)^+``, so the gradient is
+the lumped obstacle penalty and the solver's ``moreau_yosida`` mode is an
+alias of ``penalty``.
 """
 
 from __future__ import annotations
@@ -87,18 +91,6 @@ class ConstraintSet:
             raise ConfigurationError("envelope parameter eps must be positive")
         d = np.asarray(values, dtype=float) - self.project_values(values)
         return self.mesh.node_volume_weights * d / eps
-
-    def envelope_hess_diag(self, values, eps):
-        """Generalized derivative of the envelope gradient (diagonal).
-
-        At the kink ``u = obstacle`` the zero branch is chosen, matching the
-        penalty assembly convention.
-        """
-        if eps <= 0:
-            raise ConfigurationError("envelope parameter eps must be positive")
-        values = np.asarray(values, dtype=float)
-        active = (values > self.obstacle) | self.dirichlet_mask
-        return np.where(active, self.mesh.node_volume_weights / eps, 0.0)
 
 
 def project(u: DiscreteFunction, K: ConstraintSet) -> DiscreteFunction:

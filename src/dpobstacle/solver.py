@@ -1,11 +1,13 @@
-"""Damped Newton solver for the penalized/enveloped obstacle system.
+"""Damped Newton solver for the penalized obstacle system.
 
-One approximating problem (penalty or envelope at parameter ``rho``) is solved
-by a semismooth Newton iteration with Armijo backtracking on the squared
-residual norm; a fixed-point (Picard) direction with frozen diffusion
+One approximating problem (the obstacle penalty at parameter ``rho``) is
+solved by a semismooth Newton iteration with Armijo backtracking on the
+squared residual norm; a fixed-point (Picard) direction with frozen diffusion
 coefficient serves as fallback when Newton steps are rejected repeatedly.  A
 decreasing ``rho`` schedule is handled by warm-started continuation that
-co-reduces the gradient regularization and the boundary smoothing.
+co-reduces the gradient regularization and the boundary smoothing.  The
+``moreau_yosida`` mode is an alias of ``penalty``, because the lumped envelope
+gradient ``w (u - phi)^+ / rho`` is the penalty vector; reports echo the name.
 
 Residuals are measured in the lumped-weight-scaled Euclidean norm
 ``||r||_* = sqrt(sum_i r_i^2 / w_i)`` (Dirichlet rows enter unscaled), a
@@ -40,7 +42,7 @@ from .meshing import DiscreteFunction
 from .nonsmooth import plus_part
 
 __all__ = ["SolverConfig", "SolveReport", "TraceEntry", "solve_penalized",
-           "continuation", "vi_residual", "residual_norm"]
+           "stage_configs", "continuation", "vi_residual", "residual_norm"]
 
 MODES = ("penalty", "moreau_yosida", "unconstrained")
 
@@ -102,7 +104,7 @@ def residual_norm(mesh, r):
 
 
 def _fp_floor(spec, cfg):
-    """Attainable scaled-residual accuracy of the penalty/envelope rows."""
+    """Attainable scaled-residual accuracy of the penalty rows."""
     if cfg.mode == "unconstrained":
         return 0.0
     phi = spec.obstacle.values
@@ -240,14 +242,10 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
     )
 
 
-def continuation(spec: ProblemSpec, schedule, cfg: SolverConfig, initial=None):
-    """Warm-started solves along a strictly decreasing approximation schedule.
-
-    The gradient regularization and boundary smoothing are reduced by the same
-    geometric factor as ``rho`` wherever they are positive.  A stage that fails
-    to converge aborts the schedule; the partial list (ending with the failed
-    report) is returned.
-    """
+def stage_configs(spec: ProblemSpec, schedule, cfg: SolverConfig):
+    """One configuration per stage of a nonempty, positive, strictly
+    decreasing schedule; the gradient regularization and boundary smoothing
+    shrink by the factor ``rho / schedule[0]`` wherever they are positive."""
     schedule = [float(r) for r in schedule]
     if not schedule:
         raise ConfigurationError("empty continuation schedule")
@@ -258,16 +256,24 @@ def continuation(spec: ProblemSpec, schedule, cfg: SolverConfig, initial=None):
 
     eps0 = spec.eps_grad if cfg.eps_grad is None else cfg.eps_grad
     delta0 = cfg.delta_boundary
-    reports = []
-    state = initial
+    stages = []
     for rho in schedule:
         factor = rho / schedule[0]
-        stage_cfg = replace(
-            cfg,
-            rho=rho,
-            eps_grad=eps0 * factor if eps0 > 0 else eps0,
-            delta_boundary=delta0 * factor if delta0 > 0 else delta0,
-        )
+        stages.append(replace(cfg, rho=rho,
+                              eps_grad=eps0 * factor if eps0 > 0 else eps0,
+                              delta_boundary=delta0 * factor if delta0 > 0 else delta0))
+    return stages
+
+
+def continuation(spec: ProblemSpec, schedule, cfg: SolverConfig, initial=None):
+    """Warm-started solves along the stages of :func:`stage_configs`.
+
+    A stage that fails to converge aborts the schedule; the partial list
+    (ending with the failed report) is returned.
+    """
+    reports = []
+    state = initial
+    for stage_cfg in stage_configs(spec, schedule, cfg):
         report = solve_penalized(spec, stage_cfg, initial=state)
         reports.append(report)
         if not report.converged:

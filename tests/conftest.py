@@ -82,6 +82,26 @@ def reference_element_gradient(mesh, vals, e):
     return np.linalg.solve(edges, rhs)
 
 
+def reference_scatter_blocks(mesh, blocks):
+    """Dense sum of element blocks, accumulated entry by entry."""
+    out = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for e in range(mesh.n_elements):
+        conn = [int(i) for i in mesh.elements[e]]
+        for a, i in enumerate(conn):
+            for b, j in enumerate(conn):
+                out[i, j] += blocks[e][a][b]
+    return out
+
+
+def reference_scatter_vector(mesh, local):
+    """Nodal sum of element vectors, accumulated entry by entry."""
+    out = [0.0] * mesh.n_nodes
+    for e in range(mesh.n_elements):
+        for a, i in enumerate(mesh.elements[e]):
+            out[int(i)] += local[e][a]
+    return np.array(out)
+
+
 def reference_energy(spec, vals, eps=None):
     """Two-phase Dirichlet energy sum_e |e| (g^p/p + mu g^q/q), looped."""
     mesh = spec.mesh

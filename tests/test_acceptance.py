@@ -24,7 +24,8 @@ from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.cli import main
 from dpobstacle.lab import kuratowski_study, nearest_point_trace, qp_oracle, validate_hypotheses
 from dpobstacle.musielak import luxemburg_norm, modular
-from dpobstacle.assembly import apply_operator, operator_energy, operator_jacobian, operator_residual
+from dpobstacle.assembly import (apply_operator, operator_energy, operator_jacobian,
+                                 operator_residual, reaction_term)
 from dpobstacle.solver import SolverConfig, continuation
 
 DESCRIPTIONS = {
@@ -44,8 +45,9 @@ DESCRIPTIONS = {
         "nonlinear two-phase chain: every stage converges, limit certified "
         "at 1e-6 and capped by the obstacle",
     "test_criterion_6_nonsmooth_boundary":
-        "penalty and smoothed-envelope limits agree at 1e-5; directional "
-        "derivative subadditivity exact on dyadic samples",
+        "abs-boundary continuation limits: recovered flux in the Clarke "
+        "interval (alpha sign(trace) at 1e-8 off the kink, within alpha at "
+        "it); directional derivative subadditivity exact on dyadic samples",
     "test_criterion_7_hypothesis_validator":
         "first Poincare constant within 2 percent; smallness arithmetic "
         "cases pass/fail exactly",
@@ -225,17 +227,31 @@ def _check_exact_subadditivity(entry, interval_of, rng):
         assert Fraction(float(rv)) == exact_r
 
 
-def test_criterion_6_nonsmooth_boundary(tmp_path):
-    start = time.perf_counter()
+def _abs_boundary_limit(alpha):
+    """Trace and recovered boundary flux at the free right end of the 1D
+    contact continuation limit with the potential ``alpha |s|``.  The flux is
+    whatever the operator and the load leave unbalanced in the last row."""
     spec = make_spec(interval(64, gamma2=("right",)), p=2.0, q=2.0, mu=0.0,
                      phi=0.1, react=reaction("constant", value=4.0),
-                     bnd=boundary_potential("abs", alpha=0.1))
-    pen = continuation(spec, SCHEDULE_9, SolverConfig(mode="penalty"))[-1]
-    smo = continuation(spec, SCHEDULE_9,
-                       SolverConfig(mode="moreau_yosida"))[-1]
-    assert pen.converged and smo.converged
-    gap = np.max(np.abs(pen.solution.values - smo.solution.values))
-    assert gap <= 1e-5
+                     bnd=boundary_potential("abs", alpha=alpha))
+    rep = continuation(spec, SCHEDULE_9, SolverConfig())[-1]
+    assert rep.converged and rep.rho == SCHEDULE_9[-1]
+    u = rep.solution.values
+    flux = -(operator_residual(spec, u) + reaction_term(spec, u)[0])[-1]
+    return u[-1], flux
+
+
+def test_criterion_6_nonsmooth_boundary(tmp_path):
+    start = time.perf_counter()
+    # off the kink the generalized gradient is the single value alpha sign(s)
+    trace, flux = _abs_boundary_limit(0.1)
+    assert abs(trace) > 1e-2
+    assert abs(flux - 0.1 * np.sign(trace)) <= 1e-8
+    # a large alpha pins the trace at the kink, where the flux may lie
+    # anywhere in the Clarke interval [-alpha, alpha]
+    trace, flux = _abs_boundary_limit(10.0)
+    assert abs(trace) <= 1e-8
+    assert abs(flux) <= 10.0
 
     alpha = Fraction(1, 4)
     center = Fraction(1, 2)

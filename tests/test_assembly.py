@@ -1,5 +1,7 @@
 """Weak-form assembly: operator, penalty, reaction, boundary, masking."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,6 +20,7 @@ from dpobstacle.assembly import (
     assemble_system,
     boundary_term,
     clarke_directional,
+    constraint_set,
     operator_energy,
     operator_jacobian,
     operator_residual,
@@ -317,15 +320,24 @@ class TestAssembleSystem:
             row[i] = 1.0
             assert np.array_equal(J[i], row)
 
-    def test_penalty_and_envelope_agree_at_matched_parameters(self, rng):
-        # the lumped penalty IS the envelope gradient when eps = rho
-        mesh = interval(8)
-        spec = make_spec(mesh, phi=0.3)
-        u = rng.uniform(-0.5, 1.0, mesh.n_nodes)
-        a = assemble_system(spec, u, mode="penalty", rho=1e-2)
-        b = assemble_system(spec, u, mode="moreau_yosida", rho=1e-2)
-        assert np.array_equal(a.residual, b.residual)
-        assert (a.jacobian - b.jacobian).nnz == 0
+    def test_penalty_vector_is_envelope_gradient_on_free_nodes(self, rng):
+        # in the lumped metric the Moreau-Yosida envelope gradient of the
+        # constraint-set indicator is w (u - phi)^+ / rho on every free node,
+        # which is why "moreau_yosida" assembles the penalty term
+        mesh = rectangle(6, 5)
+        phi = rng.uniform(0.0, 0.5, mesh.n_nodes)
+        phi[rng.random(mesh.n_nodes) < 0.3] = np.inf
+        spec = dataclasses.replace(
+            make_spec(mesh),
+            obstacle=DiscreteFunction(mesh, phi, allow_infinite=True))
+        K = constraint_set(spec)
+        free = ~mesh.dirichlet_mask
+        assert np.any(np.isinf(phi[free])) and np.any(np.isfinite(phi[free]))
+        for rho in (1.0, 1e-2, 1e-7):
+            u = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+            pen = penalty_term(spec, u, rho)[0]
+            assert np.any(pen[free] > 0.0)
+            assert np.array_equal(pen[free], K.envelope_grad(u, rho)[free])
 
     def test_without_jacobian(self):
         mesh = interval(4)

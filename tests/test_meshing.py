@@ -4,8 +4,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from conftest import interval, rectangle, reference_element_gradient
+from conftest import (
+    interval,
+    rectangle,
+    reference_element_gradient,
+    reference_scatter_blocks,
+    reference_scatter_vector,
+)
 from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import (
     BoundaryPartition,
@@ -133,6 +140,46 @@ class TestGeometryInvariants:
         v = 2.0 * mesh2.nodes[:, 0] - mesh2.nodes[:, 1]
         assert np.allclose(D2[0] @ v, 2.0, atol=1e-13)
         assert np.allclose(D2[1] @ v, -1.0, atol=1e-13)
+
+
+_SCATTER_MESHES = [
+    lambda: interval(7, a=0.25, b=1.75),
+    lambda: rectangle(3, 2, lx=2.0, ly=1.0),
+]
+
+
+class TestScatter:
+    # dyadic entries make every summation order exact, so equality with the
+    # loop reference tests the pattern rather than the rounding order
+    @staticmethod
+    def _dyadic(rng, shape):
+        return rng.integers(-2**20, 2**20, size=shape) * 2.0**-10
+
+    @pytest.mark.parametrize("mesh_fn", _SCATTER_MESHES)
+    def test_blocks_match_loop_reference(self, mesh_fn):
+        mesh = mesh_fn()
+        nv = mesh.dim + 1
+        blocks = self._dyadic(np.random.default_rng(5), (mesh.n_elements, nv, nv))
+        S = mesh.scatter_blocks(blocks)
+        assert isinstance(S, sp.csr_matrix)
+        assert S.shape == (mesh.n_nodes, mesh.n_nodes)
+        assert np.array_equal(S.toarray(), reference_scatter_blocks(mesh, blocks))
+        # the cached pattern serves later calls with other blocks
+        assert np.array_equal(mesh.scatter_blocks(-blocks).toarray(), -S.toarray())
+
+    @pytest.mark.parametrize("mesh_fn", _SCATTER_MESHES)
+    def test_vector_matches_loop_reference(self, mesh_fn):
+        mesh = mesh_fn()
+        local = self._dyadic(np.random.default_rng(6), (mesh.n_elements, mesh.dim + 1))
+        assert np.array_equal(mesh.scatter_vector(local),
+                              reference_scatter_vector(mesh, local))
+
+    @pytest.mark.parametrize("mesh_fn", _SCATTER_MESHES)
+    def test_gradient_gram(self, mesh_fn):
+        mesh = mesh_fn()
+        for e in range(mesh.n_elements):
+            G = mesh.gradient_maps[e]
+            assert np.allclose(mesh.gradient_gram[e], G.T @ G, rtol=1e-15, atol=0)
 
 
 class TestBoundaryWeights:

@@ -188,12 +188,6 @@ class TestEnvelope:
                              u - v)
                 assert gap >= -1e-12
 
-    def test_hess_diag_active_set(self):
-        mesh, K = self._middle_node_setup()
-        u = np.array([0.0, 3.0, 0.0])
-        d = K.envelope_hess_diag(u, eps=0.5)
-        assert d[1] == pytest.approx(1.0 / 0.5, abs=1e-14)
-
     def test_positive_eps_required(self):
         mesh, K = self._middle_node_setup()
         u = np.zeros(mesh.n_nodes)
@@ -202,8 +196,6 @@ class TestEnvelope:
                 K.envelope_value(u, bad)
             with pytest.raises(ConfigurationError):
                 K.envelope_grad(u, bad)
-            with pytest.raises(ConfigurationError):
-                K.envelope_hess_diag(u, bad)
 
     def test_function_wrappers(self):
         mesh, K = self._middle_node_setup()
