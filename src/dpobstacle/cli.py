@@ -234,10 +234,7 @@ def cmd_norm_tool(args) -> int:
             f"variable(s) {sorted(extra)} not available on a {mesh.dim}D mesh"
         )
     spec = cfgmod.build_problem(cfg)
-    if mesh.dim == 1:
-        f = DiscreteFunction.from_callable(spec.mesh, lambda x: expr(x))
-    else:
-        f = DiscreteFunction.from_callable(spec.mesh, lambda x, y: expr(x, y))
+    f = DiscreteFunction.from_callable(spec.mesh, expr)
     value = modular(f, spec.phase, of_gradient=False)
     print(f"modular          = {value.value!r}")
     print(f"  power-p part   = {value.p_part!r}")
@@ -329,7 +326,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="seed override for sampling")
         p.add_argument("--threads", type=int, default=1,
-                       help="concurrent solves in studies")
+                       help="concurrent chains in studies")
 
     p_solve = sub.add_parser("solve", help="one solve at the first schedule entry")
     common(p_solve)

@@ -285,9 +285,7 @@ def _build_phase(cfg, mesh):
     q = _const(cfg, "phase", "q")
     mu_expr = _expression(cfg, "phase", "mu", mesh.dim, "0")
     try:
-        if mesh.dim == 1:
-            return PhaseConfig.for_mesh(mesh, p, q, lambda x: mu_expr(x))
-        return PhaseConfig.for_mesh(mesh, p, q, lambda x, y: mu_expr(x, y))
+        return PhaseConfig.for_mesh(mesh, p, q, mu_expr)
     except (ConfigurationError, EvaluationError) as exc:
         raise ConfigFileError(
             f"[phase]: {exc}", line=cfg.line_of("phase", None)
@@ -300,11 +298,7 @@ def _build_obstacle(cfg, mesh):
         return DiscreteFunction.constant(mesh, np.inf, allow_infinite=True)
     expr = _expression(cfg, "obstacle", "phi", mesh.dim, raw)
     try:
-        if mesh.dim == 1:
-            fn = lambda x: expr(x)  # noqa: E731
-        else:
-            fn = lambda x, y: expr(x, y)  # noqa: E731
-        return DiscreteFunction.from_callable(mesh, fn, allow_infinite=True)
+        return DiscreteFunction.from_callable(mesh, expr, allow_infinite=True)
     except (ConfigurationError, EvaluationError) as exc:
         _fail(cfg, "obstacle", "phi", str(exc))
 

@@ -270,10 +270,8 @@ class DiscreteFunction:
 
     @classmethod
     def from_callable(cls, mesh, fn, allow_infinite=False):
-        if mesh.dim == 1:
-            vals = np.asarray(fn(mesh.nodes[:, 0]), dtype=float)
-        else:
-            vals = np.asarray(fn(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
+        """Sample ``fn(x)`` (1D) or ``fn(x, y)`` (2D) at the nodes."""
+        vals = np.asarray(fn(*mesh.nodes.T), dtype=float)
         vals = np.broadcast_to(vals, (mesh.n_nodes,)).copy()
         return cls(mesh, vals, allow_infinite=allow_infinite)
 

@@ -66,13 +66,11 @@ class PhaseConfig:
 
     @classmethod
     def for_mesh(cls, mesh, p, q, mu=0.0):
-        """Build from a constant or a callable sampled at element barycenters."""
+        """Build from a constant or a callable ``mu(x)`` / ``mu(x, y)`` sampled
+        at element barycenters."""
         if callable(mu):
             bary = mesh.nodes[mesh.elements].mean(axis=1)
-            if mesh.dim == 1:
-                vals = np.asarray(mu(bary[:, 0]), dtype=float)
-            else:
-                vals = np.asarray(mu(bary[:, 0], bary[:, 1]), dtype=float)
+            vals = np.asarray(mu(*bary.T), dtype=float)
             vals = np.broadcast_to(vals, (mesh.n_elements,)).copy()
         else:
             vals = np.full(mesh.n_elements, float(mu))

@@ -1,6 +1,9 @@
 """Solution-set sampling, set-convergence study, reference oracle,
 hypothesis checks."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,8 @@ from dpobstacle.lab import (
     sample_solution_set,
     validate_hypotheses,
 )
+from dpobstacle.meshing import DiscreteFunction
+from dpobstacle.musielak import luxemburg_norm
 from dpobstacle.solver import SolverConfig, solve_penalized
 
 SCHEDULE = [10.0 ** -k for k in range(11)]
@@ -28,6 +33,29 @@ def _contact_spec(n=64, source=8.0, phi=0.5):
     mesh = interval(n)
     return make_spec(mesh, p=2.0, q=2.0, mu=0.0, phi=phi,
                      react=reaction("constant", value=source))
+
+
+def _interval_load_spec(n=24):
+    # a genuinely multivalued load: each selection rule is its own problem
+    return make_spec(interval(n), p=2.0, q=2.0, mu=0.0, phi=0.3,
+                     react=reaction("interval", lo=0.5, hi=12.0))
+
+
+def _energy_distance(spec, diff):
+    f = DiscreteFunction(spec.mesh, diff)
+    return (luxemburg_norm(f, spec.phase, of_gradient=False)
+            + luxemburg_norm(f, spec.phase, of_gradient=True))
+
+
+def _assert_same_sample(a, b):
+    assert a.rho == b.rho
+    assert len(a.members) == len(b.members)
+    for m, k in zip(a.members, b.members):
+        assert (m.rule, m.start) == (k.rule, k.start)
+        assert np.array_equal(m.solution.values, k.solution.values)
+        assert np.array_equal(m.eta, k.eta)
+        assert m.report.iterations == k.report.iterations
+        assert m.report.residual_norm == k.report.residual_norm
 
 
 class TestSampling:
@@ -69,6 +97,22 @@ class TestSampling:
         with pytest.raises(EmptySampleError):
             sample_solution_set(spec, cfg, n_starts=2, seed=0)
 
+    def test_threads_do_not_change_the_sample(self):
+        spec = _interval_load_spec()
+        kw = dict(n_starts=2, seed=2, selection_rules=["upper", "lower"])
+        one = sample_solution_set(spec, SolverConfig(rho=1e-3), threads=1, **kw)
+        two = sample_solution_set(spec, SolverConfig(rho=1e-3), threads=2, **kw)
+        assert len(one.members) == 2
+        _assert_same_sample(one, two)
+
+    def test_sample_is_the_first_stage_of_a_study(self):
+        spec = _interval_load_spec()
+        cfg = SolverConfig()
+        kw = dict(n_starts=2, seed=5, selection_rules=["upper", "midpoint"])
+        sample = sample_solution_set(spec, replace(cfg, rho=1e-2), **kw)
+        diag = kuratowski_study(spec, [1e-2], cfg, **kw)
+        _assert_same_sample(sample, diag.samples[0])
+
 
 class TestKuratowskiStudy:
     def test_unconstrained_chain_is_constant(self):
@@ -96,6 +140,39 @@ class TestKuratowskiStudy:
         gap = np.max(np.abs(cand.solution.values - oracle.values))
         assert gap <= 1e-6
         assert cand.probe_count == 1 + 2 * spec.mesh.n_nodes + 32
+
+    def test_threads_do_not_change_the_study(self):
+        # max_newton=3 aborts the upper and midpoint chains at 1e-4, so the
+        # stage samples shrink and only the lower chains stay complete
+        spec = _interval_load_spec(48)
+        schedule = [1.0, 0.1, 0.01, 1e-4, 1e-6, 1e-9]
+        kw = dict(n_starts=3, seed=2, cauchy_window=2,
+                  selection_rules=["upper", "lower", "midpoint"])
+        one = kuratowski_study(spec, schedule, SolverConfig(max_newton=3),
+                               threads=1, **kw)
+        two = kuratowski_study(spec, schedule, SolverConfig(max_newton=3),
+                               threads=2, **kw)
+        assert [len(s.members) for s in one.samples] == [3, 3, 3, 1, 1, 1]
+        for a, b in zip(one.samples, two.samples):
+            _assert_same_sample(a, b)
+        assert np.array_equal(one.chain_distances, two.chain_distances,
+                              equal_nan=True)
+        # the chain distances follow the principal candidate's chain, not the
+        # first chain (which aborts)
+        cand = one.candidates[0]
+        for n in range(len(schedule) - 1):
+            nxt = next(m.solution.values for m in one.samples[n + 1].members
+                       if (m.rule, m.start) == (cand.rule, cand.start))
+            assert one.chain_distances[n] == min(
+                _energy_distance(spec, nxt - m.solution.values)
+                for m in one.samples[n].members)
+        assert len(one.candidates) == len(two.candidates)
+        for a, b in zip(one.candidates, two.candidates):
+            assert (a.rule, a.start) == (b.rule, b.start) == ("lower", a.start)
+            assert np.array_equal(a.solution.values, b.solution.values)
+            assert np.array_equal(a.eta, b.eta)
+            assert a.step_distances == b.step_distances
+            assert a.vi_value == b.vi_value
 
     def test_schedule_must_decrease(self):
         spec = _contact_spec(16)
@@ -272,12 +349,26 @@ class TestHypothesisChecks:
         assert any("exceeds" in n or "above" in n for n in report.notes)
 
     def test_nonlinear_case_is_estimate_only(self):
-        mesh = interval(32)
+        mesh = interval(32, gamma2=("right",))
         spec = make_spec(mesh, p=2.5, q=3.0, mu=0.5, eps=1e-8,
-                         react=reaction("constant", value=1.0))
+                         react=reaction("constant", value=1.0),
+                         bnd=boundary_potential("abs", alpha=0.1))
         report = validate_hypotheses(spec)
         assert not report.lambda1_certified
         assert report.lambda1_est > 0.0
+        assert not report.lambda2_certified
+        assert report.lambda2_est > 0.0
+        assert any("lambda2 estimated" in n for n in report.notes)
+        again = validate_hypotheses(spec)
+        assert (again.lambda1_est, again.lambda2_est) == (report.lambda1_est,
+                                                          report.lambda2_est)
+
+    def test_report_is_json_serialisable(self):
+        # lambda1 from the eigenvalue solve is a numpy scalar
+        report = validate_hypotheses(_contact_spec(16))
+        data = json.loads(json.dumps(report.to_json_dict()))
+        assert data["passes"] is True
+        assert data["lambda1_certified"] is True
 
     def test_admissibility_note_always_present(self):
         report = validate_hypotheses(_contact_spec(16))
