@@ -78,9 +78,8 @@ class ReactionSpec:
     """An interval reaction together with a selection rule.
 
     ``bounds(x, s, g)`` returns ``(lo, hi)``; ``select`` applies the rule;
-    ``select_with_partials`` additionally returns the state and gradient
-    partial derivatives of the selection (closed-form when the entry provides
-    them, central finite differences otherwise).
+    ``select_with_partials`` additionally returns the closed-form state and
+    gradient partial derivatives of the selection.
     """
 
     name: str
@@ -90,7 +89,7 @@ class ReactionSpec:
     growth: GrowthConstants
     state_dependent: bool
     _bounds: callable = field(repr=False)
-    _partials: callable | None = field(repr=False, default=None)
+    _partials: callable = field(repr=False)
 
     def __post_init__(self):
         if self.rule not in SELECTION_RULES:
@@ -119,21 +118,10 @@ class ReactionSpec:
         s = np.asarray(s, float)
         g = np.atleast_2d(np.asarray(g, float).T).T  # (n, dim)
         eta = self.select(x, s, g)
-        if self._partials is not None:
-            t = self._weight
-            dlo_ds, dhi_ds, dlo_dg, dhi_dg = self._partials(dict(self.params), x, s, g)
-            deta_ds = np.asarray(dlo_ds + t * (dhi_ds - dlo_ds), float)
-            deta_dg = np.asarray(dlo_dg + t * (dhi_dg - dlo_dg), float)
-            return eta, deta_ds, deta_dg
-        hs = 1e-7 * (1.0 + np.abs(s))
-        deta_ds = (self.select(x, s + hs, g) - self.select(x, s - hs, g)) / (2 * hs)
-        deta_dg = np.zeros_like(g)
-        for k in range(g.shape[1]):
-            hg = 1e-7 * (1.0 + np.abs(g[:, k]))
-            gp, gm = g.copy(), g.copy()
-            gp[:, k] += hg
-            gm[:, k] -= hg
-            deta_dg[:, k] = (self.select(x, s, gp) - self.select(x, s, gm)) / (2 * hg)
+        t = self._weight
+        dlo_ds, dhi_ds, dlo_dg, dhi_dg = self._partials(dict(self.params), x, s, g)
+        deta_ds = np.asarray(dlo_ds + t * (dhi_ds - dlo_ds), float)
+        deta_dg = np.asarray(dlo_dg + t * (dhi_dg - dlo_dg), float)
         return eta, deta_ds, deta_dg
 
     def with_growth(self, **kwargs):
@@ -177,12 +165,6 @@ def _step_bounds(params, x, s, g):
     lo = np.where(s <= 0.0, lo_v, hi_v)
     hi = np.where(s < 0.0, lo_v, hi_v)
     return lo.astype(float), hi.astype(float)
-
-
-def _step_partials(params, x, s, g):
-    z = np.zeros(np.shape(s))
-    zg = np.zeros(g.shape)
-    return z, z, zg, zg
 
 
 def _convective_bounds(params, x, s, g):
@@ -239,7 +221,7 @@ _REACTIONS = {
     "step": (
         {"lo": 0.0, "hi": 1.0},
         _step_bounds,
-        _step_partials,
+        _constant_partials,
         lambda p: _growth_constant(max(abs(p["lo"]), abs(p["hi"]))),
         True,
     ),

@@ -40,7 +40,8 @@ from .errors import (
     OracleFailure,
 )
 from .expressions import compile_expression
-from .lab import kuratowski_study, nearest_point_trace, qp_oracle, validate_hypotheses
+from .lab import (MAX_ENUM_NODES, kuratowski_study, nearest_point_trace,
+                  qp_oracle, validate_hypotheses)
 from .meshing import DiscreteFunction
 from .musielak import luxemburg_norm, modular, weighted_seminorm
 from .nonsmooth import plus_part
@@ -80,11 +81,6 @@ def _write_csv(path, rows):
     lines = [",".join(_csv_cell(v) for v in row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _no_nan(value):
-    v = float(value)
-    return None if not np.isfinite(v) else v
 
 
 def _ensure_out(args, cfg):
@@ -196,23 +192,21 @@ def cmd_study(args) -> int:
         **params,
     )
     out_dir, formats = _ensure_out(args, cfg)
+    traces = [nearest_point_trace(diag, cand.solution) for cand in diag.candidates]
     payload = {
         "config_sha256": digest,
         "seed": seed,
         "vi_tol": cfgmod.vi_tolerance(cfg),
         "diagnostics": diag.to_json_dict(include_solutions=True),
         "nearest_point_traces": [
-            [
-                {"rho": r, "member": m, "distance": d}
-                for r, m, d in nearest_point_trace(diag, cand.solution)
-            ]
-            for cand in diag.candidates
+            [{"rho": r, "member": m, "distance": d} for r, m, d in trace]
+            for trace in traces
         ],
     }
     if "json" in formats:
         _write_json(os.path.join(out_dir, "study.json"), payload)
     if "csv" in formats:
-        rows = diag.csv_rows()
+        rows = diag.csv_rows(traces)
         cooked = [["config_sha256", digest], ["seed", str(seed)]] + rows
         _write_csv(os.path.join(out_dir, "study.csv"), cooked)
     n_cand = len(diag.candidates)
@@ -268,7 +262,7 @@ def cmd_oracle(args) -> int:
     phi = spec.obstacle.values
     free = ~spec.mesh.dirichlet_mask
     n_constrained = int(np.count_nonzero(np.isfinite(phi) & free))
-    mode = "enumeration" if n_constrained <= 14 else "projected_gradient"
+    mode = "enumeration" if n_constrained <= MAX_ENUM_NODES else "projected_gradient"
     sol = qp_oracle(spec, mode=mode)
     out_dir, formats = _ensure_out(args, cfg)
     payload = {

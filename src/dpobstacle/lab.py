@@ -59,6 +59,9 @@ __all__ = [
     "validate_hypotheses",
 ]
 
+# largest number of constrained nodes the enumeration oracle walks
+MAX_ENUM_NODES = 14
+
 
 # --- samples ----------------------------------------------------------------
 
@@ -252,16 +255,17 @@ class KuratowskiDiagnostics:
         }
         return out
 
-    def csv_rows(self):
+    def csv_rows(self, traces):
         """Rows (rho, violation_sup, violation_l1, chain_distance, vi_residual,
         nearest_point_distance[, clarke_gap]); the boundary column appears only
-        when the natural boundary part is nonempty."""
-        have_candidate = bool(self.candidates)
-        if have_candidate:
-            cand = self.candidates[0]
-            trace = nearest_point_trace(self, cand.solution)
-            near = [t[2] for t in trace]
-            vi = cand.vi_value
+        when the natural boundary part is nonempty.
+
+        ``traces`` holds :func:`nearest_point_trace` of each candidate, in
+        candidate order; the first candidate's trace fills the distance column.
+        """
+        if self.candidates:
+            near = [t[2] for t in traces[0]]
+            vi = self.candidates[0].vi_value
         else:
             near = [float("nan")] * len(self.rhos)
             vi = float("nan")
@@ -493,7 +497,7 @@ def _qp_data(spec):
 def qp_oracle(
     spec: ProblemSpec,
     mode="enumeration",
-    max_enum_nodes=14,
+    max_enum_nodes=MAX_ENUM_NODES,
     pg_tol=1e-12,
     pg_max_iter=2_000_000,
 ) -> QPSolution:

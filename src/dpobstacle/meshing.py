@@ -125,25 +125,13 @@ class Mesh:
         return self.elements.shape[0]
 
     @property
-    def lump_matrix(self):
-        """Sparse (n_nodes, n_elements) map scattering |e|/(dim+1) to vertices."""
-        if "lump" not in self._cache:
-            nv = self.dim + 1
-            rows = self.elements.ravel()
-            cols = np.repeat(np.arange(self.n_elements), nv)
-            vals = np.repeat(self.element_volumes / nv, nv)
-            self._cache["lump"] = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self.n_nodes, self.n_elements)
-            )
-        return self._cache["lump"]
-
-    @property
     def node_volume_weights(self):
-        """Vertex-lumped quadrature weights; sums to meas(domain)."""
+        """Vertex-lumped quadrature weights: |e|/(dim+1) scattered to the
+        vertices of each element; sums to meas(domain)."""
         if "weights" not in self._cache:
-            self._cache["weights"] = np.asarray(
-                self.lump_matrix @ np.ones(self.n_elements)
-            )
+            nv = self.dim + 1
+            self._cache["weights"] = self.scatter_vector(
+                np.repeat(self.element_volumes / nv, nv))
         return self._cache["weights"]
 
     @property

@@ -79,7 +79,9 @@ class PhaseConfig:
     @property
     def mu_node_weights(self):
         """Lumped weights for the mu-part: sum_e (|e|/nverts) mu_e per vertex."""
-        return np.asarray(self.mesh.lump_matrix @ self.mu)
+        mesh = self.mesh
+        nv = mesh.dim + 1
+        return mesh.scatter_vector(np.repeat(mesh.element_volumes / nv * self.mu, nv))
 
 
 @dataclass(frozen=True)

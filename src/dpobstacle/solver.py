@@ -2,10 +2,12 @@
 
 One approximating problem (the obstacle penalty at parameter ``rho``) is
 solved by a semismooth Newton iteration with Armijo backtracking on the
-squared residual norm; a fixed-point (Picard) direction with frozen diffusion
-coefficient serves as fallback when Newton steps are rejected repeatedly.  A
-decreasing ``rho`` schedule is handled by warm-started continuation that
-co-reduces the gradient regularization and the boundary smoothing.  The
+squared residual norm (module constants: step factor ``DAMPING_FACTOR`` = 0.5,
+at most ``MAX_HALVINGS`` = 40 halvings, Armijo constant ``ARMIJO`` = 1e-4); a
+fixed-point (Picard) direction with frozen diffusion coefficient serves as
+fallback when Newton steps are rejected repeatedly.  A decreasing ``rho``
+schedule is handled by warm-started continuation that co-reduces the
+gradient regularization and the boundary smoothing.  The
 ``moreau_yosida`` mode is an alias of ``penalty``, because the lumped envelope
 gradient ``w (u - phi)^+ / rho`` is the penalty vector; reports echo the name.
 
@@ -46,6 +48,13 @@ __all__ = ["SolverConfig", "SolveReport", "TraceEntry", "solve_penalized",
 
 MODES = ("penalty", "moreau_yosida", "unconstrained")
 
+# backtracking: step factor, halvings per line search, Armijo constant
+DAMPING_FACTOR = 0.5
+MAX_HALVINGS = 40
+ARMIJO = 1e-4
+# membership tolerance for the probes of :func:`vi_residual`
+TOL_MEMBERSHIP = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -55,9 +64,6 @@ class SolverConfig:
     mode: str = "penalty"
     newton_tol: float = 1e-10
     max_newton: int = 100
-    damping_factor: float = 0.5
-    max_halvings: int = 40
-    armijo: float = 1e-4
     picard_fallback: bool = True
     delta_boundary: float = 1e-6
     eps_grad: float | None = None  # None: use the problem's value
@@ -67,8 +73,6 @@ class SolverConfig:
             raise ConfigurationError(f"unknown solver mode {self.mode!r}")
         if self.mode != "unconstrained" and not self.rho > 0:
             raise ConfigurationError("approximation parameter rho must be positive")
-        if not (0 < self.damping_factor < 1) or self.max_halvings < 0:
-            raise ConfigurationError("invalid backtracking parameters")
 
 
 @dataclass(frozen=True)
@@ -116,37 +120,37 @@ def _fp_floor(spec, cfg):
     return 4.0 * np.finfo(float).eps * scale / cfg.rho * np.sqrt(mass)
 
 
-def _try_spsolve(J, r):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        with np.errstate(all="ignore"):
-            try:
-                return spla.spsolve(J.tocsc(), -r)
-            except RuntimeError:
-                return np.full_like(r, np.nan)
-
-
 def _solve_direction(J, r):
-    """Solve J d = -r, regularizing the diagonal once if the solve breaks."""
-    d = _try_spsolve(J, r)
-    if np.all(np.isfinite(d)):
-        return d, ""
-    J_reg = J + sp.diags(1e-12 * (1.0 + np.abs(J.diagonal())))
-    d = _try_spsolve(J_reg, r)
-    if np.all(np.isfinite(d)):
-        return d, "regularized"
-    return None, "regularized"
+    """Solve J d = -r; if the solve breaks (error or non-finite entries),
+    retry once with the diagonal lifted by ``1e-12 (1 + |J_ii|)``."""
+    for note in ("", "regularized"):
+        if note:
+            J = J + sp.diags(1e-12 * (1.0 + np.abs(J.diagonal())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            with np.errstate(all="ignore"):
+                try:
+                    d = spla.spsolve(J.tocsc(), -r)
+                except RuntimeError:
+                    continue
+        if np.all(np.isfinite(d)):
+            return d, note
+    return None, note
 
 
 def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> SolveReport:
     """Solve one approximating problem; non-convergence yields a report, not
     an exception.
 
-    The initial state is projected onto the Dirichlet mask.  Newton steps are
-    damped by Armijo backtracking on the squared scaled residual norm; after
-    five rejected Newton steps the iteration switches to the frozen-coefficient
-    fixed-point direction (if enabled), and a totally rejected backtracking
-    line search takes one full fixed-point step unconditionally.
+    The initial state is projected onto the Dirichlet mask.  Every iteration
+    solves for a direction and backtracks on the squared scaled residual
+    norm: the step length starts at 1 and is multiplied by
+    ``DAMPING_FACTOR`` (0.5) at most ``MAX_HALVINGS`` (40) times until the
+    Armijo test with ``ARMIJO`` (1e-4) holds.  After five rejected line
+    searches the direction switches from Newton to the frozen-coefficient
+    fixed point (if ``picard_fallback``); every rejected line search is
+    followed by one full fixed-point step, taken unconditionally and traced
+    as ``picard`` with a ``forced`` note.
     """
     mesh = spec.mesh
     if initial is None:
@@ -156,75 +160,67 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
                      else initial, dtype=float)
     u[mesh.dirichlet_mask] = 0.0
 
-    delta = cfg.delta_boundary
     eff_tol = max(cfg.newton_tol, _fp_floor(spec, cfg))
 
     def assemble(vals, with_jacobian, frozen=False):
         return assemble_system(
-            spec, vals, mode=cfg.mode, rho=cfg.rho, delta=delta,
+            spec, vals, mode=cfg.mode, rho=cfg.rho, delta=cfg.delta_boundary,
             eps_grad=cfg.eps_grad, with_jacobian=with_jacobian, frozen=frozen,
         )
 
-    sys0 = assemble(u, with_jacobian=False)
-    r, eta = sys0.residual, sys0.eta
-    rnorm = residual_norm(mesh, r)
-    trace = [TraceEntry(0, rnorm, 0.0, "init")]
-    converged = rnorm <= eff_tol
-    iterations = 0
-    failed_newton = 0
-    direction_mode = "newton"
-
-    while not converged and iterations < cfg.max_newton:
-        frozen = direction_mode == "picard"
+    def direction(frozen):
         system = assemble(u, with_jacobian=True, frozen=frozen)
         d, note = _solve_direction(system.jacobian, system.residual)
         if d is not None:
             # keep the Dirichlet values exactly zero (direct-solve roundoff
             # can leak through fill-in)
             d[mesh.dirichlet_mask] = -u[mesh.dirichlet_mask]
+        return d, note
+
+    def trial(d, alpha):
+        vals = u + alpha * d
+        system = assemble(vals, with_jacobian=False)
+        return vals, system, residual_norm(mesh, system.residual)
+
+    system = assemble(u, with_jacobian=False)
+    eta = system.eta
+    rnorm = residual_norm(mesh, system.residual)
+    trace = [TraceEntry(0, rnorm, 0.0, "init")]
+    iterations = 0
+    failed_newton = 0
+    direction_mode = "newton"
+
+    while not rnorm <= eff_tol and iterations < cfg.max_newton:
+        kind = direction_mode
+        d, note = direction(frozen=kind == "picard")
         accepted = False
         if d is not None:
             alpha = 1.0
-            for _ in range(cfg.max_halvings + 1):
-                u_try = u + alpha * d
-                sys_try = assemble(u_try, with_jacobian=False)
-                rnorm_try = residual_norm(mesh, sys_try.residual)
-                if rnorm_try**2 <= (1.0 - 2.0 * cfg.armijo * alpha) * rnorm**2:
-                    u, r, eta, rnorm = u_try, sys_try.residual, sys_try.eta, rnorm_try
+            for _ in range(MAX_HALVINGS + 1):
+                vals, system, rnorm_new = trial(d, alpha)
+                if rnorm_new**2 <= (1.0 - 2.0 * ARMIJO * alpha) * rnorm**2:
                     accepted = True
                     break
-                alpha *= cfg.damping_factor
-            if accepted:
-                iterations += 1
-                trace.append(TraceEntry(iterations, rnorm, alpha,
-                                        direction_mode, note))
-                converged = rnorm <= eff_tol
-                continue
-
-        # rejected line search (or unsolvable system)
-        failed_newton += 1
-        if not cfg.picard_fallback:
-            trace.append(TraceEntry(iterations, rnorm, 0.0, direction_mode,
-                                    "rejected: no fallback"))
-            break
-        if failed_newton >= 5:
-            direction_mode = "picard"
-        # one unconditional full fixed-point step
-        system = assemble(u, with_jacobian=True, frozen=True)
-        d, note2 = _solve_direction(system.jacobian, system.residual)
-        if d is None:
-            trace.append(TraceEntry(iterations, rnorm, 0.0, "picard",
-                                    "fixed-point system unsolvable"))
-            break
-        d[mesh.dirichlet_mask] = -u[mesh.dirichlet_mask]
-        u = u + d
-        sys_new = assemble(u, with_jacobian=False)
-        r, eta = sys_new.residual, sys_new.eta
-        rnorm = residual_norm(mesh, r)
+                alpha *= DAMPING_FACTOR
+        if not accepted:
+            # rejected line search (or unsolvable system)
+            failed_newton += 1
+            if not cfg.picard_fallback:
+                trace.append(TraceEntry(iterations, rnorm, 0.0, kind,
+                                        "rejected: no fallback"))
+                break
+            if failed_newton >= 5:
+                direction_mode = "picard"
+            d, note = direction(frozen=True)
+            if d is None:
+                trace.append(TraceEntry(iterations, rnorm, 0.0, "picard",
+                                        "fixed-point system unsolvable"))
+                break
+            kind, alpha, note = "picard", 1.0, ("forced " + note).strip()
+            vals, system, rnorm_new = trial(d, alpha)
+        u, eta, rnorm = vals, system.eta, rnorm_new
         iterations += 1
-        trace.append(TraceEntry(iterations, rnorm, 1.0, "picard",
-                                ("forced " + note2).strip()))
-        converged = rnorm <= eff_tol
+        trace.append(TraceEntry(iterations, rnorm, alpha, kind, note))
 
     violation = plus_part(DiscreteFunction(mesh, u), spec.obstacle.values).values
     return SolveReport(
@@ -232,7 +228,7 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
         eta=eta,
         residual_norm=rnorm,
         iterations=iterations,
-        converged=bool(converged),
+        converged=bool(rnorm <= eff_tol),
         obstacle_violation_sup=float(np.max(violation)) if violation.size else 0.0,
         obstacle_violation_l1=float(np.dot(mesh.node_volume_weights, violation)),
         iteration_trace=trace,
@@ -282,7 +278,7 @@ def continuation(spec: ProblemSpec, schedule, cfg: SolverConfig, initial=None):
     return reports
 
 
-def vi_residual(spec: ProblemSpec, u, eta, probes, tol_membership=1e-12) -> float:
+def vi_residual(spec: ProblemSpec, u, eta, probes) -> float:
     """Variational-inequality certificate against a finite probe set.
 
     For each admissible probe ``v`` the value
@@ -290,7 +286,8 @@ def vi_residual(spec: ProblemSpec, u, eta, probes, tol_membership=1e-12) -> floa
     the minimum over probes is returned.  A nonnegative minimum (above a small
     negative tolerance chosen by the caller) is a necessary certificate for
     ``u`` solving the obstacle inequality with selection ``eta``.  Probes
-    outside the admissible set raise :class:`ConfigurationError`.
+    outside the admissible set (beyond ``TOL_MEMBERSHIP``, 1e-12) raise
+    :class:`ConfigurationError`.
     """
     K = constraint_set(spec)
     u_vals = u.values if isinstance(u, DiscreteFunction) else np.asarray(u, float)
@@ -299,7 +296,7 @@ def vi_residual(spec: ProblemSpec, u, eta, probes, tol_membership=1e-12) -> floa
     best = np.inf
     for v in probes:
         v_vals = v.values if isinstance(v, DiscreteFunction) else np.asarray(v, float)
-        if not K.contains(v_vals, tol=tol_membership):
+        if not K.contains(v_vals, tol=TOL_MEMBERSHIP):
             raise ConfigurationError("a probe direction is not admissible")
         dv = v_vals - u_vals
         value = (

@@ -6,10 +6,15 @@ coordinates, integrals are accumulated in plain Python loops), so that
 agreement between package and reference is meaningful evidence.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
+from dpobstacle import assembly
 from dpobstacle.assembly import ProblemSpec
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.meshing import (
@@ -19,6 +24,8 @@ from dpobstacle.meshing import (
     build_rect_mesh,
 )
 from dpobstacle.musielak import PhaseConfig
+from dpobstacle.nonsmooth import plus_part
+from dpobstacle.solver import SolveReport, TraceEntry, _fp_floor, residual_norm
 
 # --- builders ---------------------------------------------------------------
 
@@ -175,6 +182,123 @@ def reference_luxemburg(p_part, q_part, p, q):
 
 def lumped_norm(mesh, vals):
     return float(np.sqrt(np.dot(mesh.node_volume_weights, vals * vals)))
+
+
+def _reference_solve_direction(J, r):
+    """Solve J d = -r, regularizing the diagonal once if the solve breaks."""
+
+    def attempt(M):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            with np.errstate(all="ignore"):
+                try:
+                    return spla.spsolve(M.tocsc(), -r)
+                except RuntimeError:
+                    return np.full_like(r, np.nan)
+
+    d = attempt(J)
+    if np.all(np.isfinite(d)):
+        return d, ""
+    d = attempt(J + sp.diags(1e-12 * (1.0 + np.abs(J.diagonal()))))
+    if np.all(np.isfinite(d)):
+        return d, "regularized"
+    return None, "regularized"
+
+
+def reference_solve_penalized(spec, cfg, initial=None):
+    """The damped Newton / Picard loop as two separate step paths, with the
+    backtracking constants (0.5, 40 halvings, Armijo 1e-4) written inline.
+
+    Calls ``assembly.assemble_system`` and ``scipy.sparse.linalg.spsolve``
+    through their module attributes, so a test can record the call sequence.
+    """
+    mesh = spec.mesh
+    if initial is None:
+        u = np.zeros(mesh.n_nodes)
+    else:
+        u = np.array(initial.values if isinstance(initial, DiscreteFunction)
+                     else initial, dtype=float)
+    u[mesh.dirichlet_mask] = 0.0
+
+    eff_tol = max(cfg.newton_tol, _fp_floor(spec, cfg))
+
+    def assemble(vals, with_jacobian, frozen=False):
+        return assembly.assemble_system(
+            spec, vals, mode=cfg.mode, rho=cfg.rho, delta=cfg.delta_boundary,
+            eps_grad=cfg.eps_grad, with_jacobian=with_jacobian, frozen=frozen,
+        )
+
+    sys0 = assemble(u, with_jacobian=False)
+    eta = sys0.eta
+    rnorm = residual_norm(mesh, sys0.residual)
+    trace = [TraceEntry(0, rnorm, 0.0, "init")]
+    converged = rnorm <= eff_tol
+    iterations = 0
+    failed_newton = 0
+    direction_mode = "newton"
+
+    while not converged and iterations < cfg.max_newton:
+        frozen = direction_mode == "picard"
+        system = assemble(u, with_jacobian=True, frozen=frozen)
+        d, note = _reference_solve_direction(system.jacobian, system.residual)
+        if d is not None:
+            d[mesh.dirichlet_mask] = -u[mesh.dirichlet_mask]
+        accepted = False
+        if d is not None:
+            alpha = 1.0
+            for _ in range(40 + 1):
+                u_try = u + alpha * d
+                sys_try = assemble(u_try, with_jacobian=False)
+                rnorm_try = residual_norm(mesh, sys_try.residual)
+                if rnorm_try**2 <= (1.0 - 2.0 * 1e-4 * alpha) * rnorm**2:
+                    u, eta, rnorm = u_try, sys_try.eta, rnorm_try
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if accepted:
+                iterations += 1
+                trace.append(TraceEntry(iterations, rnorm, alpha,
+                                        direction_mode, note))
+                converged = rnorm <= eff_tol
+                continue
+
+        failed_newton += 1
+        if not cfg.picard_fallback:
+            trace.append(TraceEntry(iterations, rnorm, 0.0, direction_mode,
+                                    "rejected: no fallback"))
+            break
+        if failed_newton >= 5:
+            direction_mode = "picard"
+        system = assemble(u, with_jacobian=True, frozen=True)
+        d, note2 = _reference_solve_direction(system.jacobian, system.residual)
+        if d is None:
+            trace.append(TraceEntry(iterations, rnorm, 0.0, "picard",
+                                    "fixed-point system unsolvable"))
+            break
+        d[mesh.dirichlet_mask] = -u[mesh.dirichlet_mask]
+        u = u + d
+        sys_new = assemble(u, with_jacobian=False)
+        eta = sys_new.eta
+        rnorm = residual_norm(mesh, sys_new.residual)
+        iterations += 1
+        trace.append(TraceEntry(iterations, rnorm, 1.0, "picard",
+                                ("forced " + note2).strip()))
+        converged = rnorm <= eff_tol
+
+    violation = plus_part(DiscreteFunction(mesh, u), spec.obstacle.values).values
+    return SolveReport(
+        solution=DiscreteFunction(mesh, u),
+        eta=eta,
+        residual_norm=rnorm,
+        iterations=iterations,
+        converged=bool(converged),
+        obstacle_violation_sup=float(np.max(violation)) if violation.size else 0.0,
+        obstacle_violation_l1=float(np.dot(mesh.node_volume_weights, violation)),
+        iteration_trace=trace,
+        effective_tol=eff_tol,
+        mode=cfg.mode,
+        rho=cfg.rho,
+    )
 
 
 # --- acceptance-summary reporting -------------------------------------------

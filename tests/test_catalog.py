@@ -9,6 +9,7 @@ from dpobstacle.catalog import (
     BOUNDARY_NAMES,
     REACTION_NAMES,
     SELECTION_RULES,
+    ReactionSpec,
     boundary_potential,
     reaction,
 )
@@ -160,16 +161,23 @@ class TestSelectionPartials:
         _, de_ds, de_dg = r.select_with_partials(x, s, g)
         assert np.all(de_ds == 0.0) and np.all(de_dg == 0.0)
 
-    def test_fd_fallback_matches_closed_form(self):
-        r = reaction("sign_band", slope=0.7, offset=0.4, rule="upper")
-        fallback = dataclasses.replace(r, _partials=None)
+    def test_every_entry_supplies_closed_form_partials(self):
+        # there is no finite-difference fallback: a spec without partials
+        # cannot be built, and every catalog entry's partials match FD
+        r = reaction("sign_band")
+        fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)
+                  if f.name != "_partials"}
+        with pytest.raises(TypeError):
+            ReactionSpec(**fields)
         x, s, g = _probe(n=20, seed=9)
         s = np.sign(s) * (np.abs(s) + 0.2)
-        eta, de_ds, de_dg = r.select_with_partials(x, s, g)
-        eta2, fb_ds, fb_dg = fallback.select_with_partials(x, s, g)
-        assert np.array_equal(eta, eta2)
-        assert np.allclose(de_ds, fb_ds, atol=1e-6)
-        assert np.allclose(de_dg, fb_dg, atol=1e-6)
+        g = np.sign(g) * (np.abs(g) + 0.2)
+        for name in REACTION_NAMES:
+            r = reaction(name, rule="upper")
+            _, de_ds, de_dg = r.select_with_partials(x, s, g)
+            fd_s, fd_g = self._fd_partials(r, x, s, g)
+            assert np.allclose(de_ds, fd_s, atol=1e-5), name
+            assert np.allclose(de_dg, fd_g, atol=1e-5), name
 
 
 class TestGrowthConstants:

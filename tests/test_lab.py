@@ -208,7 +208,8 @@ class TestKuratowskiStudy:
         spec = _contact_spec(16)
         diag = kuratowski_study(spec, [1.0, 0.1], SolverConfig(),
                                 n_starts=1, seed=0)
-        rows = diag.csv_rows()
+        traces = [nearest_point_trace(diag, c.solution) for c in diag.candidates]
+        rows = diag.csv_rows(traces)
         header = rows[0]
         assert header == ["rho", "violation_sup", "violation_l1",
                           "chain_distance", "vi_residual",
@@ -222,7 +223,8 @@ class TestKuratowskiStudy:
                          bnd=boundary_potential("abs", alpha=0.1))
         diag = kuratowski_study(spec, [1.0, 0.1], SolverConfig(),
                                 n_starts=1, seed=0)
-        assert diag.csv_rows()[0][-1] == "clarke_gap"
+        traces = [nearest_point_trace(diag, c.solution) for c in diag.candidates]
+        assert diag.csv_rows(traces)[0][-1] == "clarke_gap"
 
     def test_nearest_point_trace_of_candidate(self):
         spec = _contact_spec(32)

@@ -1,13 +1,16 @@
 """Damped semismooth Newton solver, continuation, inequality residual."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from conftest import interval, make_spec
+from conftest import interval, make_spec, rectangle, reference_solve_penalized
+from dpobstacle import assembly, solver
 from dpobstacle.assembly import constraint_set
-from dpobstacle.catalog import reaction
+from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import ConfigurationError
 from dpobstacle.solver import (
     SolveReport,
@@ -22,6 +25,15 @@ def _poisson_spec(n=64, source=1.0, phi=None):
     mesh = interval(n)
     return make_spec(mesh, p=2.0, q=2.0, mu=0.0, phi=phi,
                      react=reaction("constant", value=source))
+
+
+def _singular_spec():
+    # one free node whose reaction slope exactly cancels the stiffness
+    # diagonal: the first linear solve is singular and gets lifted
+    mesh = interval(2)
+    c1 = -(2.0 / 0.5) / 0.5  # stiffness diag 2/h, lumped weight 1/2
+    return make_spec(mesh, p=2.0, q=2.0, mu=0.0,
+                     react=reaction("convective_linear", c0=1.0, c1=c1, c2=0.0))
 
 
 class TestNewtonSolve:
@@ -84,14 +96,7 @@ class TestNewtonSolve:
         assert tight.effective_tol > 1e-10
 
     def test_singular_jacobian_regularized_and_noted(self):
-        # one free node whose reaction slope exactly cancels the stiffness
-        # diagonal: the first linear solve is singular and gets lifted
-        mesh = interval(2)
-        c1 = -(2.0 / 0.5) / 0.5  # stiffness diag 2/h, lumped weight 1/2
-        spec = make_spec(mesh, p=2.0, q=2.0, mu=0.0,
-                         react=reaction("convective_linear", c0=1.0, c1=c1,
-                                        c2=0.0))
-        report = solve_penalized(spec, SolverConfig(max_newton=8))
+        report = solve_penalized(_singular_spec(), SolverConfig(max_newton=8))
         notes = " ".join(t.note for t in report.iteration_trace)
         assert "regularized" in notes
 
@@ -119,6 +124,75 @@ class TestNewtonSolve:
         spec = _poisson_spec(8)
         with pytest.raises(ConfigurationError):
             solve_penalized(spec, SolverConfig(mode="primal_dual"))
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _recorded(monkeypatch, solve, spec, cfg):
+    """Run ``solve`` and return its report with the sequence of
+    ``assemble_system`` and ``spsolve`` calls (flags and argument digests)."""
+    calls = []
+    assemble, spsolve = assembly.assemble_system, spla.spsolve
+
+    def assemble_rec(spec, u, *args, **kwargs):
+        calls.append(("assemble", kwargs["with_jacobian"], kwargs["frozen"],
+                      _digest(u)))
+        return assemble(spec, u, *args, **kwargs)
+
+    def spsolve_rec(A, b, *args, **kwargs):
+        calls.append(("spsolve", _digest(A.data, A.indices, A.indptr, b)))
+        return spsolve(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_system", assemble_rec)
+    monkeypatch.setattr(assembly, "assemble_system", assemble_rec)
+    monkeypatch.setattr(spla, "spsolve", spsolve_rec)
+    report = solve(spec, cfg)
+    monkeypatch.undo()
+    return report, calls
+
+
+def _picard_spec():
+    # a load far beyond what the p=3/q=4 operator balances from zero:
+    # Newton steps are rejected until the frozen fixed point takes over
+    mesh = rectangle(16, 16, gamma2=("right",))
+    return make_spec(mesh, p=3.0, q=4.0, mu=lambda x, y: 0.5 + 0.5 * x,
+                     phi=0.05, react=reaction("constant", value=100.0),
+                     bnd=boundary_potential("abs", alpha=0.1))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestLoopReference:
+    """``solve_penalized`` against the two-path loop in ``conftest``."""
+
+    @pytest.mark.parametrize("case,cfg,steps", [
+        ("picard", SolverConfig(rho=1.0),
+         {("picard", ""), ("picard", "forced"),
+          ("picard", "forced regularized"),
+          ("picard", "fixed-point system unsolvable")}),
+        ("picard", SolverConfig(rho=1.0, picard_fallback=False),
+         {("newton", "rejected: no fallback")}),
+        ("singular", SolverConfig(max_newton=8), {("newton", "regularized")}),
+    ])
+    def test_bitwise_equal_with_same_calls(self, monkeypatch, case, cfg, steps):
+        spec = _picard_spec() if case == "picard" else _singular_spec()
+        ref, ref_calls = _recorded(monkeypatch, reference_solve_penalized,
+                                   spec, cfg)
+        new, new_calls = _recorded(monkeypatch, solve_penalized, spec, cfg)
+        # the case reaches the branches it is meant to cover
+        assert steps <= {(t.direction, t.note) for t in ref.iteration_trace}
+        assert new.iteration_trace == ref.iteration_trace
+        assert new_calls == ref_calls
+        assert _digest(new.solution.values, new.eta) == _digest(
+            ref.solution.values, ref.eta)
+        for name in ("residual_norm", "iterations", "converged",
+                     "obstacle_violation_sup", "obstacle_violation_l1",
+                     "effective_tol", "mode", "rho"):
+            assert getattr(new, name) == getattr(ref, name), name
 
 
 class TestContinuation:
