@@ -20,7 +20,8 @@ of the assembled system are replaced by the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,7 +55,8 @@ class ProblemSpec:
     The obstacle is nodal with ``+inf`` marking unconstrained nodes and must
     be nonnegative where finite.  ``eps_grad`` must be positive whenever an
     exponent lies below 2, since the diffusion coefficient is then singular at
-    vanishing gradients.
+    vanishing gradients.  The lumped natural-boundary weights are computed on
+    first use and cached; a ``replace``-d spec starts with an empty cache.
     """
 
     mesh: Mesh
@@ -63,7 +65,6 @@ class ProblemSpec:
     reaction: ReactionSpec
     boundary: BoundaryPotentialSpec
     eps_grad: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.phase.mesh is not self.mesh:
@@ -81,21 +82,19 @@ class ProblemSpec:
                 "regularization eps_grad"
             )
 
-    @property
+    @cached_property
     def gamma2_weights(self):
-        if "bw" not in self._cache:
-            self._cache["bw"] = boundary_lumped_weights(self.mesh)
-        return self._cache["bw"]
+        return boundary_lumped_weights(self.mesh)
 
     @property
     def has_gamma2(self):
-        return bool(np.any(self.gamma2_weights > 0))
+        return self.mesh.gamma2_nodes.size > 0
 
     def with_reaction(self, reaction):
-        return replace(self, reaction=reaction, _cache={})
+        return replace(self, reaction=reaction)
 
     def with_eps_grad(self, eps_grad):
-        return replace(self, eps_grad=eps_grad, _cache={})
+        return replace(self, eps_grad=eps_grad)
 
 
 @dataclass
@@ -104,7 +103,6 @@ class AssembledSystem:
 
     residual: np.ndarray
     jacobian: sp.csr_matrix | None
-    dirichlet_mask: np.ndarray
     eta: np.ndarray
 
 
@@ -213,7 +211,7 @@ def reaction_term(spec: ProblemSpec, u):
     """
     mesh = spec.mesh
     vals = _values(u)
-    D = mesh.nodal_gradient_matrices()
+    D = mesh.nodal_gradient_matrices
     xi = np.column_stack([Dk @ vals for Dk in D])
     eta, de_ds, de_dg = spec.reaction.select_with_partials(mesh.nodes, vals, xi)
     w = mesh.node_volume_weights
@@ -232,7 +230,7 @@ def boundary_term(spec: ProblemSpec, u, delta):
     vec = np.zeros(n)
     diag = np.zeros(n)
     bw = spec.gamma2_weights
-    idx = np.flatnonzero(bw > 0)
+    idx = spec.mesh.gamma2_nodes
     if idx.size:
         s = _values(u)[idx]
         vec[idx] = bw[idx] * spec.boundary.smoothed_grad(s, delta)
@@ -244,7 +242,7 @@ def clarke_directional(spec: ProblemSpec, u, v) -> float:
     """Exact boundary term sum of weights times the generalized directional
     derivative of the potential at the trace of ``u`` in direction ``v``."""
     bw = spec.gamma2_weights
-    idx = np.flatnonzero(bw > 0)
+    idx = spec.mesh.gamma2_nodes
     if not idx.size:
         return 0.0
     s = _values(u)[idx]
@@ -304,6 +302,4 @@ def assemble_system(
             # the fixed-point linearization also freezes the selection
             J = J + react_jac
     r, J = _mask_system(spec.mesh, r, J, vals)
-    return AssembledSystem(
-        residual=r, jacobian=J, dirichlet_mask=spec.mesh.dirichlet_mask, eta=eta
-    )
+    return AssembledSystem(residual=r, jacobian=J, eta=eta)

@@ -29,6 +29,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -83,39 +84,39 @@ def _write_csv(path, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def _ensure_out(args, cfg):
-    out_dir, formats = cfgmod.output_parameters(cfg)
-    if args.out is not None:
-        out_dir = args.out
+def _ensure_out(args, exp):
+    out_dir = exp.out_dir if args.out is None else args.out
     os.makedirs(out_dir, exist_ok=True)
-    return out_dir, formats
+    return out_dir, exp.formats
 
 
-def _effective_seed(args, cfg):
-    if args.seed is not None:
-        return int(args.seed)
-    return cfgmod.study_parameters(cfg)["seed"]
+def _load(args):
+    """The built experiment, the SHA-256 of the config bytes and the
+    effective seed (``--seed`` overrides ``[study] seed``)."""
+    exp = cfgmod.load_config(args.config).experiment
+    seed = exp.study["seed"] if args.seed is None else int(args.seed)
+    return exp, _config_digest(args.config), seed
 
 
-def _coord_header(mesh):
-    return ["x"] if mesh.dim == 1 else ["x", "y"]
-
-
-def _coord_cols(mesh, i):
-    return [mesh.nodes[i, k] for k in range(mesh.dim)]
+def _node_rows(mesh, digest, seed, header, columns):
+    """Per-node table: digest and seed lines, a header, then each node's
+    coordinates followed by its entry of every column."""
+    rows = [
+        ["config_sha256", digest],
+        ["seed", str(seed)],
+        ["x", "y"][: mesh.dim] + header,
+    ]
+    rows.extend([*x, *vals] for x, *vals in zip(mesh.nodes, *columns))
+    return rows
 
 
 # --- subcommands ------------------------------------------------------------
 
 
 def cmd_solve(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    digest = _config_digest(args.config)
-    seed = _effective_seed(args, cfg)
-    spec = cfgmod.build_problem(cfg)
-    solver_cfg = cfgmod.build_solver_config(cfg)
-    report = solve_penalized(spec, solver_cfg)
-    out_dir, formats = _ensure_out(args, cfg)
+    exp, digest, seed = _load(args)
+    report = solve_penalized(exp.spec, exp.solver)
+    out_dir, formats = _ensure_out(args, exp)
 
     payload = {
         "config_sha256": digest,
@@ -128,38 +129,16 @@ def cmd_solve(args) -> int:
         "effective_tol": report.effective_tol,
         "obstacle_violation_sup": report.obstacle_violation_sup,
         "obstacle_violation_l1": report.obstacle_violation_l1,
-        "iteration_trace": [
-            {
-                "iteration": t.iteration,
-                "residual_norm": t.residual_norm,
-                "step_length": t.step_length,
-                "direction": t.direction,
-                "note": t.note,
-            }
-            for t in report.iteration_trace
-        ],
+        "iteration_trace": [asdict(t) for t in report.iteration_trace],
     }
     if "json" in formats:
         _write_json(os.path.join(out_dir, "report.json"), payload)
     if "csv" in formats:
-        mesh = spec.mesh
-        phi = spec.obstacle.values
+        phi = exp.spec.obstacle.values
         viol = plus_part(report.solution, phi).values
-        rows = [
-            ["config_sha256", digest],
-            ["seed", str(seed)],
-            _coord_header(mesh) + ["u", "phi", "eta", "violation"],
-        ]
-        for i in range(mesh.n_nodes):
-            rows.append(
-                _coord_cols(mesh, i)
-                + [
-                    report.solution.values[i],
-                    phi[i] if np.isfinite(phi[i]) else float("inf"),
-                    report.eta[i],
-                    viol[i],
-                ]
-            )
+        rows = _node_rows(exp.spec.mesh, digest, seed,
+                          ["u", "phi", "eta", "violation"],
+                          [report.solution.values, phi, report.eta, viol])
         _write_csv(os.path.join(out_dir, "solution.csv"), rows)
     if not report.converged:
         print(
@@ -176,27 +155,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    digest = _config_digest(args.config)
-    seed = _effective_seed(args, cfg)
-    spec = cfgmod.build_problem(cfg)
-    solver_cfg = cfgmod.build_solver_config(cfg)
-    schedule = cfgmod.build_schedule(cfg)
-    params = cfgmod.study_parameters(cfg)
-    params["seed"] = seed
+    exp, digest, seed = _load(args)
     diag = kuratowski_study(
-        spec,
-        schedule,
-        solver_cfg,
+        exp.spec,
+        exp.schedule,
+        exp.solver,
         threads=args.threads,
-        **params,
+        **{**exp.study, "seed": seed},
     )
-    out_dir, formats = _ensure_out(args, cfg)
+    out_dir, formats = _ensure_out(args, exp)
     traces = [nearest_point_trace(diag, cand.solution) for cand in diag.candidates]
     payload = {
         "config_sha256": digest,
         "seed": seed,
-        "vi_tol": cfgmod.vi_tolerance(cfg),
+        "vi_tol": exp.vi_tol,
         "diagnostics": diag.to_json_dict(include_solutions=True),
         "nearest_point_traces": [
             [{"rho": r, "member": m, "distance": d} for r, m, d in trace]
@@ -211,23 +183,21 @@ def cmd_study(args) -> int:
         _write_csv(os.path.join(out_dir, "study.csv"), cooked)
     n_cand = len(diag.candidates)
     print(
-        f"study finished: {len(schedule)} stages, {n_cand} limit "
+        f"study finished: {len(exp.schedule)} stages, {n_cand} limit "
         f"candidate(s); outputs in {out_dir}"
     )
     return EXIT_OK
 
 
 def cmd_norm_tool(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+    spec = _load(args)[0].spec
     expr = compile_expression(args.expression)
-    mesh = cfgmod.build_mesh(cfg)
-    allowed = {"x"} if mesh.dim == 1 else {"x", "y"}
+    allowed = {"x"} if spec.mesh.dim == 1 else {"x", "y"}
     extra = expr.variables - allowed
     if extra:
         raise ConfigurationError(
-            f"variable(s) {sorted(extra)} not available on a {mesh.dim}D mesh"
+            f"variable(s) {sorted(extra)} not available on a {spec.mesh.dim}D mesh"
         )
-    spec = cfgmod.build_problem(cfg)
     f = DiscreteFunction.from_callable(spec.mesh, expr)
     value = modular(f, spec.phase, of_gradient=False)
     print(f"modular          = {value.value!r}")
@@ -239,9 +209,7 @@ def cmd_norm_tool(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    spec = cfgmod.build_problem(cfg)
-    report = validate_hypotheses(spec)
+    report = validate_hypotheses(_load(args)[0].spec)
     print(f"lambda1_est    = {report.lambda1_est!r}"
           f"{' (certified)' if report.lambda1_certified else ' (estimate)'}")
     print(f"lambda2_est    = {report.lambda2_est!r}"
@@ -255,16 +223,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    digest = _config_digest(args.config)
-    seed = _effective_seed(args, cfg)
-    spec = cfgmod.build_problem(cfg)
+    exp, digest, seed = _load(args)
+    spec = exp.spec
     phi = spec.obstacle.values
     free = ~spec.mesh.dirichlet_mask
     n_constrained = int(np.count_nonzero(np.isfinite(phi) & free))
     mode = "enumeration" if n_constrained <= MAX_ENUM_NODES else "projected_gradient"
     sol = qp_oracle(spec, mode=mode)
-    out_dir, formats = _ensure_out(args, cfg)
+    out_dir, formats = _ensure_out(args, exp)
     payload = {
         "config_sha256": digest,
         "seed": seed,
@@ -278,21 +244,8 @@ def cmd_oracle(args) -> int:
     if "json" in formats:
         _write_json(os.path.join(out_dir, "oracle.json"), payload)
     if "csv" in formats:
-        mesh = spec.mesh
-        rows = [
-            ["config_sha256", digest],
-            ["seed", str(seed)],
-            _coord_header(mesh) + ["u", "phi", "multiplier"],
-        ]
-        for i in range(mesh.n_nodes):
-            rows.append(
-                _coord_cols(mesh, i)
-                + [
-                    sol.values[i],
-                    phi[i] if np.isfinite(phi[i]) else float("inf"),
-                    sol.multipliers[i],
-                ]
-            )
+        rows = _node_rows(spec.mesh, digest, seed, ["u", "phi", "multiplier"],
+                          [sol.values, phi, sol.multipliers])
         _write_csv(os.path.join(out_dir, "oracle.csv"), rows)
     print(
         f"oracle ({sol.mode}): objective {sol.objective!r}, "

@@ -28,6 +28,10 @@ Sections and keys (defaults in parentheses):
   ``n_random_probes`` (32).
 * ``[output]`` — ``dir`` (``out``), ``formats`` (``json,csv``).
 
+Parsing builds the whole experiment once (problem, solver config, schedule,
+study parameters, VI tolerance, output settings) as the cached
+``ExperimentConfig.experiment``, so every semantic error surfaces at parse
+time and callers read the built objects instead of building them again.
 Parsed configurations serialize back to a canonical text that re-parses to
 an equal structure.
 """
@@ -36,6 +40,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +65,7 @@ from .musielak import PhaseConfig
 from .solver import MODES, SolverConfig
 
 __all__ = [
+    "Experiment",
     "ExperimentConfig",
     "parse_config_text",
     "load_config",
@@ -94,9 +101,25 @@ _SECTION_ORDER = ("mesh", "phase", "obstacle", "reaction", "boundary",
 _REQUIRED_SECTIONS = ("mesh", "phase")
 
 
+class Experiment(NamedTuple):
+    """Everything one configuration builds, validated."""
+
+    spec: ProblemSpec
+    solver: SolverConfig
+    schedule: list
+    study: dict  # keyword arguments of ``kuratowski_study``
+    vi_tol: float
+    out_dir: str
+    formats: list
+
+
 @dataclass
 class ExperimentConfig:
-    """Parsed configuration: raw section/key strings plus line anchors."""
+    """Parsed configuration: raw section/key strings plus line anchors.
+
+    ``experiment`` is built on first use (``parse_config_text`` touches it)
+    and cached.
+    """
 
     sections: dict
     lines: dict = field(default_factory=dict, compare=False, repr=False)
@@ -119,6 +142,18 @@ class ExperimentConfig:
                 out.append(f"{key} = {value}")
             out.append("")
         return "\n".join(out)
+
+    @cached_property
+    def experiment(self) -> Experiment:
+        """Every block built and validated, in the order errors are reported."""
+        return Experiment(
+            build_problem(self),
+            build_solver_config(self),
+            build_schedule(self),
+            study_parameters(self),
+            vi_tolerance(self),
+            *output_parameters(self),
+        )
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -163,7 +198,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if sec not in sections:
             raise ConfigFileError(f"missing required section [{sec}]")
     cfg = ExperimentConfig(sections=sections, lines=lines, source=text)
-    _validate(cfg)
+    cfg.experiment  # parse-time semantic validation of every block
     return cfg
 
 
@@ -473,13 +508,3 @@ def output_parameters(cfg: ExperimentConfig):
         if fmt not in ("json", "csv"):
             _fail(cfg, "output", "formats", f"unknown format {fmt!r}")
     return cfg.get("output", "dir", "out"), formats
-
-
-def _validate(cfg: ExperimentConfig):
-    """Parse-time semantic validation of every block (builds everything)."""
-    build_problem(cfg)
-    build_solver_config(cfg)
-    build_schedule(cfg)
-    study_parameters(cfg)
-    vi_tolerance(cfg)
-    output_parameters(cfg)

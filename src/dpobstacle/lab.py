@@ -61,6 +61,10 @@ __all__ = [
 
 # largest number of constrained nodes the enumeration oracle walks
 MAX_ENUM_NODES = 14
+# projected-gradient oracle: stop when the sup-norm update is at most PG_TOL;
+# fail after PG_MAX_ITER iterations
+PG_TOL = 1e-12
+PG_MAX_ITER = 2_000_000
 
 
 # --- samples ----------------------------------------------------------------
@@ -494,20 +498,15 @@ def _qp_data(spec):
     return S[np.ix_(idx, idx)].toarray(), (mesh.node_volume_weights * eta)[idx], idx
 
 
-def qp_oracle(
-    spec: ProblemSpec,
-    mode="enumeration",
-    max_enum_nodes=MAX_ENUM_NODES,
-    pg_tol=1e-12,
-    pg_max_iter=2_000_000,
-) -> QPSolution:
+def qp_oracle(spec: ProblemSpec, mode="enumeration") -> QPSolution:
     """Reference solution of the linear-diffusion obstacle problem.
 
     ``enumeration`` walks all active sets of the nodes with finite obstacle
-    (at most ``max_enum_nodes``), keeping the candidates that satisfy primal
+    (at most ``MAX_ENUM_NODES``), keeping the candidates that satisfy primal
     and dual feasibility; ``projected_gradient`` iterates the box projection
     with step one over the operator norm until the update stalls below
-    ``pg_tol``.  Failure to certify yields :class:`OracleFailure`.
+    ``PG_TOL`` (at most ``PG_MAX_ITER`` iterations).  Failure to certify
+    yields :class:`OracleFailure`.
     """
     S_ff, b_f, idx = _qp_data(spec)
     phi_f = spec.obstacle.values[idx]
@@ -516,9 +515,9 @@ def qp_oracle(
 
     if mode == "enumeration":
         m = constrained.size
-        if m > max_enum_nodes:
+        if m > MAX_ENUM_NODES:
             raise ConfigurationError(
-                f"enumeration oracle limited to {max_enum_nodes} constrained "
+                f"enumeration oracle limited to {MAX_ENUM_NODES} constrained "
                 f"nodes, got {m}"
             )
         scale = max(1.0, float(np.abs(S_ff).max()), float(np.abs(b_f).max()))
@@ -566,12 +565,12 @@ def qp_oracle(
         step = 1.0 / lam_max
         u = np.zeros(nf)
         iterations = 0
-        while iterations < pg_max_iter:
+        while iterations < PG_MAX_ITER:
             iterations += 1
             u_new = np.minimum(u - step * (S_ff @ u - b_f), phi_f)
             change = float(np.max(np.abs(u_new - u)))
             u = u_new
-            if change <= pg_tol:
+            if change <= PG_TOL:
                 break
         else:
             raise OracleFailure("projected gradient did not reach tolerance")

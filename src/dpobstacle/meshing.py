@@ -1,9 +1,12 @@
 """Simplicial P1 meshes on intervals and rectangles.
 
 Gradients of piecewise-linear functions are elementwise constant; each mesh
-precomputes the per-element gradient maps (``dim x nverts`` matrices acting on
-local nodal values), element volumes, vertex-lumped volume weights, and a
-tagged list of boundary faces.  The boundary is split into a Dirichlet part
+is built with the per-element gradient maps (``dim x nverts`` matrices acting
+on local nodal values), element volumes and a tagged list of boundary faces.
+Everything derived from those (lumped volume weights, the Dirichlet mask, the
+natural-boundary nodes, ``G_e^T G_e``, the element-block scatter pattern and
+the nodal-gradient matrices) is a ``functools.cached_property``: computed on
+first use and kept on the mesh.  The boundary is split into a Dirichlet part
 (``gamma1``, where trial functions vanish) and a natural part (``gamma2``,
 where nonsmooth boundary terms act); the Dirichlet part must have positive
 measure.  Faces are tagged by evaluating a partition predicate at the face
@@ -13,7 +16,8 @@ midpoint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,7 +88,7 @@ class BoundaryPartition:
 
 @dataclass
 class Mesh:
-    """A simplicial mesh with precomputed P1 metadata.
+    """A simplicial mesh with P1 metadata; derived data is cached on first use.
 
     Attributes
     ----------
@@ -104,7 +108,6 @@ class Mesh:
     element_volumes: np.ndarray
     gradient_maps: np.ndarray
     box: tuple = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -124,57 +127,49 @@ class Mesh:
     def n_elements(self):
         return self.elements.shape[0]
 
-    @property
+    @cached_property
     def node_volume_weights(self):
         """Vertex-lumped quadrature weights: |e|/(dim+1) scattered to the
         vertices of each element; sums to meas(domain)."""
-        if "weights" not in self._cache:
-            nv = self.dim + 1
-            self._cache["weights"] = self.scatter_vector(
-                np.repeat(self.element_volumes / nv, nv))
-        return self._cache["weights"]
+        nv = self.dim + 1
+        return self.scatter_vector(np.repeat(self.element_volumes / nv, nv))
 
-    @property
+    @cached_property
     def dirichlet_mask(self):
         """Boolean mask of nodes lying on any gamma1 face."""
-        if "dmask" not in self._cache:
-            mask = np.zeros(self.n_nodes, dtype=bool)
-            for face, tag in self.boundary_faces:
-                if tag == GAMMA1:
-                    mask[list(face)] = True
-            self._cache["dmask"] = mask
-        return self._cache["dmask"]
+        mask = np.zeros(self.n_nodes, dtype=bool)
+        for face, tag in self.boundary_faces:
+            if tag == GAMMA1:
+                mask[list(face)] = True
+        return mask
 
-    @property
+    @cached_property
     def gamma2_nodes(self):
         """Sorted node indices touched by gamma2 faces."""
-        if "g2nodes" not in self._cache:
-            idx = set()
-            for face, tag in self.boundary_faces:
-                if tag == GAMMA2:
-                    idx.update(face)
-            self._cache["g2nodes"] = np.array(sorted(idx), dtype=int)
-        return self._cache["g2nodes"]
+        idx = set()
+        for face, tag in self.boundary_faces:
+            if tag == GAMMA2:
+                idx.update(face)
+        return np.array(sorted(idx), dtype=int)
 
-    @property
+    @cached_property
     def gradient_gram(self):
         """Per-element ``G_e^T G_e``, shape ``(n_elements, nv, nv)``."""
-        if "gtg" not in self._cache:
-            G = self.gradient_maps
-            self._cache["gtg"] = np.einsum("eka,ekb->eab", G, G)
-        return self._cache["gtg"]
+        G = self.gradient_maps
+        return np.einsum("eka,ekb->eab", G, G)
+
+    @cached_property
+    def _block_pattern(self):
+        """int32 (rows, cols) of the flattened element blocks."""
+        nv = self.dim + 1
+        elements = self.elements.astype(np.int32)
+        return (np.repeat(elements, nv, axis=1).ravel(),
+                np.tile(elements, (1, nv)).ravel())
 
     def scatter_blocks(self, blocks):
         """CSR sum of element blocks: ``blocks[e, a, b]`` adds to entry
         ``(elements[e, a], elements[e, b])`` through a cached pattern."""
-        if "block_pattern" not in self._cache:
-            nv = self.dim + 1
-            elements = self.elements.astype(np.int32)
-            self._cache["block_pattern"] = (
-                np.repeat(elements, nv, axis=1).ravel(),
-                np.tile(elements, (1, nv)).ravel(),
-            )
-        rows, cols = self._cache["block_pattern"]
+        rows, cols = self._block_pattern
         return sp.csr_matrix(
             (np.ravel(blocks), (rows, cols)), shape=(self.n_nodes, self.n_nodes)
         )
@@ -186,27 +181,26 @@ class Mesh:
         np.add.at(out, self.elements.ravel(), np.ravel(local))
         return out
 
+    @cached_property
     def nodal_gradient_matrices(self):
         """Sparse maps from nodal values to volume-averaged nodal gradients.
 
-        Returns a list of ``dim`` CSR matrices ``D_k`` with
+        A list of ``dim`` CSR matrices ``D_k`` with
         ``(D_k u)_i = sum_{e ni i} |e| (G_e u)_k / sum_{e ni i} |e|``.
         """
-        if "nodal_grad" not in self._cache:
-            nv = self.dim + 1
-            patch_vol = self.scatter_vector(np.repeat(self.element_volumes, nv))
-            # entry (i=elements[e,a], j=elements[e,b]): |e| * G_e[k, b]
-            mats = []
-            for k in range(self.dim):
-                blocks = np.broadcast_to(
-                    self.element_volumes[:, None, None]
-                    * self.gradient_maps[:, k, None, :],
-                    (self.n_elements, nv, nv),
-                )
-                D = sp.diags(1.0 / patch_vol) @ self.scatter_blocks(blocks)
-                mats.append(D.tocsr())
-            self._cache["nodal_grad"] = mats
-        return self._cache["nodal_grad"]
+        nv = self.dim + 1
+        patch_vol = self.scatter_vector(np.repeat(self.element_volumes, nv))
+        # entry (i=elements[e,a], j=elements[e,b]): |e| * G_e[k, b]
+        mats = []
+        for k in range(self.dim):
+            blocks = np.broadcast_to(
+                self.element_volumes[:, None, None]
+                * self.gradient_maps[:, k, None, :],
+                (self.n_elements, nv, nv),
+            )
+            D = sp.diags(1.0 / patch_vol) @ self.scatter_blocks(blocks)
+            mats.append(D.tocsr())
+        return mats
 
     def element_gradients(self, values):
         """Constant gradient per element, shape (n_elements, dim)."""

@@ -21,6 +21,7 @@ Luxemburg norm reduces to a scalar root-find of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,11 @@ _MAX_EXPANSIONS = 200
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Exponent pair and per-element weight of the two-phase density."""
+    """Exponent pair and per-element weight of the two-phase density.
+
+    The lumped nodal weights of the mu-part are computed on first use and
+    cached.
+    """
 
     mesh: Mesh
     p: float
@@ -76,7 +81,7 @@ class PhaseConfig:
             vals = np.full(mesh.n_elements, float(mu))
         return cls(mesh=mesh, p=float(p), q=float(q), mu=vals)
 
-    @property
+    @cached_property
     def mu_node_weights(self):
         """Lumped weights for the mu-part: sum_e (|e|/nverts) mu_e per vertex."""
         mesh = self.mesh

@@ -30,6 +30,7 @@ from dpobstacle.assembly import (
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import ConfigurationError, SingularOperatorError
 from dpobstacle.meshing import DiscreteFunction, build_interval_mesh
+from dpobstacle.solver import SolverConfig, solve_penalized
 
 
 class TestOperator:
@@ -312,7 +313,7 @@ class TestAssembleSystem:
         spec = make_spec(mesh, phi=0.5)
         u = rng.normal(size=mesh.n_nodes)
         out = assemble_system(spec, u, mode="penalty", rho=0.1)
-        mask = out.dirichlet_mask
+        mask = mesh.dirichlet_mask
         assert np.array_equal(out.residual[mask], u[mask])
         J = out.jacobian.toarray()
         for i in np.flatnonzero(mask):
@@ -399,3 +400,24 @@ class TestProblemSpecValidation:
         r2 = reaction("constant", value=5.0)
         assert spec.with_reaction(r2).reaction is r2
         assert spec.with_eps_grad(1e-6).eps_grad == 1e-6
+
+    def test_replaced_spec_rebuilds_boundary_weights(self):
+        # a spec replaced onto another mesh must not keep the boundary
+        # weights derived from the old one
+        react = reaction("constant", value=4.0)
+        bnd = boundary_potential("abs", alpha=10.0)
+        old = make_spec(interval(4, gamma2=("right",)), phi=0.1, react=react,
+                        bnd=bnd)
+        assert old.gamma2_weights.size == 5
+        mesh = interval(8, gamma2=("right",))
+        fresh = make_spec(mesh, phi=0.1, react=react, bnd=bnd)
+        moved = dataclasses.replace(old, mesh=mesh, phase=fresh.phase,
+                                    obstacle=fresh.obstacle)
+        assert moved.gamma2_weights.size == 9
+        assert np.array_equal(moved.gamma2_weights, fresh.gamma2_weights)
+        cfg = SolverConfig(rho=1e-4)
+        a, b = solve_penalized(moved, cfg), solve_penalized(fresh, cfg)
+        assert a.converged and b.converged
+        assert a.iterations == b.iterations
+        assert a.solution.values.tobytes() == b.solution.values.tobytes()
+        assert a.eta.tobytes() == b.eta.tobytes()

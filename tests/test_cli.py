@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dpobstacle import config
 from dpobstacle.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -235,3 +236,24 @@ class TestStudy:
                      "--out", str(out)]) == EXIT_OK
         header = (out / "study.csv").read_text().split("\n")[2]
         assert header.endswith("clarke_gap")
+
+    def test_builds_the_experiment_once(self, cfg_file, tmp_path,
+                                        monkeypatch):
+        calls = {}
+
+        def counted(name):
+            real = getattr(config, name)
+
+            def wrapper(cfg):
+                calls[name] = calls.get(name, 0) + 1
+                return real(cfg)
+            monkeypatch.setattr(config, name, wrapper)
+
+        for name in ("build_problem", "study_parameters", "build_schedule"):
+            counted(name)
+        assert main(["study", "--config", cfg_file(STUDY),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls["build_problem"] == 1
+        assert calls["study_parameters"] == 1
+        # once for the solver config and once for the schedule itself
+        assert calls["build_schedule"] == 2

@@ -131,16 +131,24 @@ class TestGeometryInvariants:
 
     def test_nodal_gradient_average_reproduces_linears(self):
         mesh = interval(9)
-        D = mesh.nodal_gradient_matrices()
+        D = mesh.nodal_gradient_matrices
         u = 3.0 * mesh.nodes[:, 0]
         assert np.allclose(D[0] @ u, 3.0, atol=1e-13)
         assert np.max(np.abs(D[0] @ np.ones(mesh.n_nodes))) <= 1e-14
         mesh2 = rectangle(3, 3)
-        D2 = mesh2.nodal_gradient_matrices()
+        D2 = mesh2.nodal_gradient_matrices
         v = 2.0 * mesh2.nodes[:, 0] - mesh2.nodes[:, 1]
         assert np.allclose(D2[0] @ v, 2.0, atol=1e-13)
         assert np.allclose(D2[1] @ v, -1.0, atol=1e-13)
 
+
+    @pytest.mark.parametrize("name", [
+        "node_volume_weights", "dirichlet_mask", "gamma2_nodes",
+        "gradient_gram", "nodal_gradient_matrices",
+    ])
+    def test_derived_data_is_computed_once(self, name):
+        mesh = rectangle(3, 2, gamma2=("right",))
+        assert getattr(mesh, name) is getattr(mesh, name)
 
 _SCATTER_MESHES = [
     lambda: interval(7, a=0.25, b=1.75),

@@ -281,6 +281,12 @@ class TestPhaseConfigValidation:
             PhaseConfig(mesh=mesh, p=2.0, q=3.0,
                         mu=np.full(mesh.n_elements, np.nan))
 
+    def test_mu_node_weights_are_cached(self):
+        cfg = phase(rectangle(3, 2), 2.0, 3.0, lambda x, y: 0.5 + x * y)
+        assert cfg.mu_node_weights is cfg.mu_node_weights
+        assert cfg.mu_node_weights.sum() == pytest.approx(
+            np.dot(cfg.mesh.element_volumes, cfg.mu), rel=1e-14)
+
     def test_callable_weight_sampled_at_barycenters(self):
         mesh = interval(2)  # elements (0, 0.5) and (0.5, 1)
         cfg = phase(mesh, 2.0, 3.0, lambda x: x)
