@@ -36,6 +36,7 @@ __all__ = [
     "ProblemSpec",
     "AssembledSystem",
     "operator_energy",
+    "operator_coefficient",
     "apply_operator",
     "operator_residual",
     "operator_jacobian",
@@ -144,12 +145,18 @@ def operator_energy(spec: ProblemSpec, u, eps_grad=None) -> float:
     return float(np.dot(spec.mesh.element_volumes, dens))
 
 
+def operator_coefficient(spec: ProblemSpec, u, eps_grad=None):
+    """Element gradients of ``u`` and the diffusion coefficient
+    ``g^(p-2) + mu g^(q-2)`` per element: the factors of the operator
+    pairing at ``u`` that do not depend on the direction."""
+    grads, ge, _ = _gradient_state(spec, u, eps_grad)
+    return grads, _coef(spec, ge)
+
+
 def apply_operator(spec: ProblemSpec, u, v, eps_grad=None) -> float:
     """Energy pairing of the operator at ``u`` against ``v``."""
-    grads_u, ge, _ = _gradient_state(spec, u, eps_grad)
-    grads_v = spec.mesh.element_gradients(_values(v))
-    coef = _coef(spec, ge)
-    dots = np.sum(grads_u * grads_v, axis=1)
+    grads_u, coef = operator_coefficient(spec, u, eps_grad)
+    dots = np.sum(grads_u * spec.mesh.element_gradients(_values(v)), axis=1)
     return float(np.dot(spec.mesh.element_volumes, coef * dots))
 
 

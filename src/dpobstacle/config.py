@@ -118,7 +118,7 @@ class ExperimentConfig:
     """Parsed configuration: raw section/key strings plus line anchors.
 
     ``experiment`` is built on first use (``parse_config_text`` touches it)
-    and cached.
+    and cached, as is the ``schedule`` it shares with the solver config.
     """
 
     sections: dict
@@ -144,12 +144,17 @@ class ExperimentConfig:
         return "\n".join(out)
 
     @cached_property
+    def schedule(self) -> list:
+        """The validated ``[solver] schedule``, parsed once."""
+        return build_schedule(self)
+
+    @cached_property
     def experiment(self) -> Experiment:
         """Every block built and validated, in the order errors are reported."""
         return Experiment(
             build_problem(self),
             build_solver_config(self),
-            build_schedule(self),
+            self.schedule,
             study_parameters(self),
             vi_tolerance(self),
             *output_parameters(self),
@@ -427,7 +432,7 @@ def build_schedule(cfg: ExperimentConfig):
 
 
 def build_solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    schedule = build_schedule(cfg)
+    schedule = cfg.schedule
     mode = _choice(cfg, "solver", "mode", MODES, "penalty")
     newton_tol = _const(cfg, "solver", "newton_tol", 1e-10)
     if newton_tol <= 0:

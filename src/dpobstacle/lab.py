@@ -12,8 +12,10 @@ numerical signatures of set convergence:
 * distances between consecutive chain iterates, and from the next iterate to
   the current sample, in the discrete energy-space norm,
 * limit candidates (chains whose step distances contract by a fixed factor
-  over a trailing window), certified by a variational-inequality residual
-  against a documented finite probe set,
+  over a trailing window), deduplicated and then certified, once per
+  distinct limit, by a variational-inequality residual against a documented
+  finite probe set (a coordinate probe costs O(patch), see
+  :func:`~dpobstacle.solver.vi_residual`),
 * nearest-point traces from a limit candidate back through the samples.
 
 A finite multi-start sample is a surrogate for the full solution set and the
@@ -157,11 +159,14 @@ def _run_solves(tasks, threads):
     return [t() for t in tasks]
 
 
-def _dedup(mesh, items, tol):
+def _dedup(mesh, items, tol, key=lambda item: item):
+    """The items whose ``key(item).solution`` lies farther than ``tol`` (in
+    the lumped norm) from every earlier kept one, in order."""
     kept = []
     for item in items:
-        vals = item.solution.values
-        if all(_lumped_distance(mesh, vals, k.solution.values) > tol for k in kept):
+        vals = key(item).solution.values
+        if all(_lumped_distance(mesh, vals, key(k).solution.values) > tol
+               for k in kept):
             kept.append(item)
     return kept
 
@@ -346,8 +351,10 @@ def kuratowski_study(
     chains' converged ``n``-th solves, deduplicated in chain order, and chain
     step distances are measured in the discrete energy-space norm.  Chains
     whose trailing ``cauchy_window`` step distances contract by
-    ``cauchy_factor`` yield limit candidates, each certified by a
-    variational-inequality residual over the documented probe set.  With
+    ``cauchy_factor`` yield limit candidates; these are deduplicated in chain
+    order first, and each kept candidate is then certified once, under its
+    own chain's selection rule, by a variational-inequality residual over the
+    documented probe set.  With
     ``threads > 1`` whole chains run concurrently; the results do not depend
     on ``threads``, because each solve depends only on its own chain.
     """
@@ -369,10 +376,10 @@ def kuratowski_study(
     violation_l1 = [max(m.report.obstacle_violation_l1 for m in s.members)
                     for s in samples]
 
-    # chain step distances and limit candidates
+    # chain step distances and limit candidates, deduplicated before the
+    # certificate so that each distinct limit is certified once
     states = [[rep.solution.values for rep in run if rep.converged] for run in runs]
-    K = constraint_set(spec)
-    candidates = []
+    found = []  # (chain, uncertified candidate)
     for c, run, sols in zip(chains, runs, states):
         if len(sols) != len(schedule):
             continue
@@ -384,23 +391,23 @@ def kuratowski_study(
             continue
         seq = steps[-(cauchy_window + 1):]
         cauchy = all(b <= cauchy_factor * a for a, b in zip(seq[:-1], seq[1:]))
-        if not cauchy:
-            continue
-        u_vals = sols[-1]
-        probes = _probe_set(spec, K, u_vals, seed, probe_bump, n_random_probes)
-        vi = vi_residual(c.spec, K.project_values(u_vals), run[-1].eta, probes)
-        candidates.append(
-            LimitCandidate(
-                solution=DiscreteFunction(spec.mesh, u_vals),
+        if cauchy:
+            found.append((c, LimitCandidate(
+                solution=DiscreteFunction(spec.mesh, sols[-1]),
                 eta=run[-1].eta,
                 rule=c.label,
                 start=c.start,
                 step_distances=steps,
-                vi_value=vi,
-                probe_count=len(probes),
-            )
-        )
-    candidates = _dedup(spec.mesh, candidates, dedup_tol)
+                vi_value=float("nan"),
+                probe_count=0,
+            )))
+    K = constraint_set(spec)
+    candidates = []
+    for c, cand in _dedup(spec.mesh, found, dedup_tol, key=lambda f: f[1]):
+        u_vals = cand.solution.values
+        probes = _probe_set(spec, K, u_vals, seed, probe_bump, n_random_probes)
+        vi = vi_residual(c.spec, K.project_values(u_vals), cand.eta, probes)
+        candidates.append(replace(cand, vi_value=vi, probe_count=len(probes)))
 
     # d(u_{n+1}, sample_n) along the principal candidate's chain (which has
     # every stage), or along the first chain that reaches stage n + 1

@@ -4,13 +4,13 @@ Gradients of piecewise-linear functions are elementwise constant; each mesh
 is built with the per-element gradient maps (``dim x nverts`` matrices acting
 on local nodal values), element volumes and a tagged list of boundary faces.
 Everything derived from those (lumped volume weights, the Dirichlet mask, the
-natural-boundary nodes, ``G_e^T G_e``, the element-block scatter pattern and
-the nodal-gradient matrices) is a ``functools.cached_property``: computed on
-first use and kept on the mesh.  The boundary is split into a Dirichlet part
-(``gamma1``, where trial functions vanish) and a natural part (``gamma2``,
-where nonsmooth boundary terms act); the Dirichlet part must have positive
-measure.  Faces are tagged by evaluating a partition predicate at the face
-midpoint.
+natural-boundary nodes, ``G_e^T G_e``, the element-block scatter pattern, the
+nodal-gradient matrices and the element patch of every node) is a
+``functools.cached_property``: computed on first use and kept on the mesh.
+The boundary is split into a Dirichlet part (``gamma1``, where trial functions
+vanish) and a natural part (``gamma2``, where nonsmooth boundary terms act);
+the Dirichlet part must have positive measure.  Faces are tagged by
+evaluating a partition predicate at the face midpoint.
 """
 
 from __future__ import annotations
@@ -151,6 +151,16 @@ class Mesh:
             if tag == GAMMA2:
                 idx.update(face)
         return np.array(sorted(idx), dtype=int)
+
+    @cached_property
+    def node_patches(self):
+        """Element patch of every node: ``node_patches[i]`` is the sorted
+        array of the elements that have node ``i`` as a vertex."""
+        flat = self.elements.ravel()
+        order = np.argsort(flat, kind="stable")
+        owners = order // (self.dim + 1)
+        ends = np.cumsum(np.bincount(flat, minlength=self.n_nodes))
+        return np.split(owners, ends[:-1])
 
     @cached_property
     def gradient_gram(self):

@@ -14,9 +14,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
-from dpobstacle import assembly
+from dpobstacle import assembly, lab
 from dpobstacle.assembly import ProblemSpec
 from dpobstacle.catalog import boundary_potential, reaction
+from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import (
     BoundaryPartition,
     DiscreteFunction,
@@ -25,7 +26,8 @@ from dpobstacle.meshing import (
 )
 from dpobstacle.musielak import PhaseConfig
 from dpobstacle.nonsmooth import plus_part
-from dpobstacle.solver import SolveReport, TraceEntry, _fp_floor, residual_norm
+from dpobstacle.solver import (SolveReport, TraceEntry, _fp_floor, continuation,
+                               residual_norm)
 
 # --- builders ---------------------------------------------------------------
 
@@ -299,6 +301,66 @@ def reference_solve_penalized(spec, cfg, initial=None):
         mode=cfg.mode,
         rho=cfg.rho,
     )
+
+
+def reference_vi_residual(spec, u, eta, probes):
+    """The certificate as one full-element pairing per probe: every probe
+    recomputes the operator state at ``u`` through ``assembly.apply_operator``
+    and the boundary term through ``assembly.clarke_directional``."""
+    K = assembly.constraint_set(spec)
+    u_vals = u.values if isinstance(u, DiscreteFunction) else np.asarray(u, float)
+    eta = np.asarray(eta, float)
+    w = spec.mesh.node_volume_weights
+    best = np.inf
+    for v in probes:
+        v_vals = v.values if isinstance(v, DiscreteFunction) else np.asarray(v, float)
+        if not K.contains(v_vals, tol=1e-12):
+            raise ConfigurationError("a probe direction is not admissible")
+        dv = v_vals - u_vals
+        value = (
+            assembly.apply_operator(spec, u_vals, dv)
+            + assembly.clarke_directional(spec, u_vals, dv)
+            - float(np.dot(w * eta, dv))
+        )
+        best = min(best, value)
+    if not probes:
+        raise ConfigurationError("probe set must be nonempty")
+    return float(best)
+
+
+def reference_study_candidates(spec, schedule, cfg, n_starts, selection_rules,
+                               seed, dedup_tol=1e-6, cauchy_factor=0.5,
+                               cauchy_window=3, probe_bump=0.01,
+                               n_random_probes=32):
+    """The limit candidates of ``lab.kuratowski_study`` in certify-then-dedup
+    order: every Cauchy chain's limit is certified with
+    :func:`reference_vi_residual`, then the list is deduplicated.
+
+    Returns the kept candidates and the number of certificates computed.
+    """
+    chains = lab._chains(spec, n_starts, selection_rules, seed)
+    K = assembly.constraint_set(spec)
+    candidates = []
+    for c in chains:
+        run = continuation(c.spec, schedule, cfg, initial=c.initial)
+        sols = [rep.solution.values for rep in run if rep.converged]
+        if len(sols) != len(schedule):
+            continue
+        steps = tuple(lab._energy_distance(spec, sols[j + 1], sols[j])
+                      for j in range(len(sols) - 1))
+        if len(steps) < cauchy_window:
+            continue
+        seq = steps[-(cauchy_window + 1):]
+        if not all(b <= cauchy_factor * a for a, b in zip(seq[:-1], seq[1:])):
+            continue
+        u_vals = sols[-1]
+        probes = lab._probe_set(spec, K, u_vals, seed, probe_bump, n_random_probes)
+        vi = reference_vi_residual(c.spec, K.project_values(u_vals), run[-1].eta,
+                                   probes)
+        candidates.append(lab.LimitCandidate(
+            DiscreteFunction(spec.mesh, u_vals), run[-1].eta, c.label, c.start,
+            steps, vi, len(probes)))
+    return lab._dedup(spec.mesh, candidates, dedup_tol), len(candidates)
 
 
 # --- acceptance-summary reporting -------------------------------------------

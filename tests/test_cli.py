@@ -255,5 +255,5 @@ class TestStudy:
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert calls["build_problem"] == 1
         assert calls["study_parameters"] == 1
-        # once for the solver config and once for the schedule itself
-        assert calls["build_schedule"] == 2
+        # the solver config and the experiment share one parsed schedule
+        assert calls["build_schedule"] == 1

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import interval, make_spec
+from conftest import interval, make_spec, reference_study_candidates
+from dpobstacle import lab
 from dpobstacle.assembly import constraint_set
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import (
@@ -173,6 +174,27 @@ class TestKuratowskiStudy:
             assert np.array_equal(a.eta, b.eta)
             assert a.step_distances == b.step_distances
             assert a.vi_value == b.vi_value
+
+    def test_certifies_each_distinct_limit_once(self, monkeypatch):
+        # three starts per rule reach one limit per rule: six Cauchy chains,
+        # two distinct candidates
+        spec = _interval_load_spec()
+        schedule = [10.0 ** -k for k in range(7)]
+        kw = dict(n_starts=3, selection_rules=["lower", "upper"], seed=4)
+        calls = []
+        real = lab.vi_residual
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lab, "vi_residual", counted)
+        diag = kuratowski_study(spec, schedule, SolverConfig(), **kw)
+        ref, certified = reference_study_candidates(spec, schedule,
+                                                    SolverConfig(), **kw)
+        assert len(calls) == len(diag.candidates) == 2
+        assert certified == 6
+        assert diag.to_json_dict() == replace(diag, candidates=ref).to_json_dict()
 
     def test_schedule_must_decrease(self):
         spec = _contact_spec(16)

@@ -144,11 +144,23 @@ class TestGeometryInvariants:
 
     @pytest.mark.parametrize("name", [
         "node_volume_weights", "dirichlet_mask", "gamma2_nodes",
-        "gradient_gram", "nodal_gradient_matrices",
+        "gradient_gram", "nodal_gradient_matrices", "node_patches",
     ])
     def test_derived_data_is_computed_once(self, name):
         mesh = rectangle(3, 2, gamma2=("right",))
         assert getattr(mesh, name) is getattr(mesh, name)
+
+    @pytest.mark.parametrize("mesh_fn", [
+        lambda: interval(7, a=0.25, b=1.75),
+        lambda: rectangle(3, 2, lx=2.0, ly=1.0),
+    ])
+    def test_node_patches_list_the_elements_at_each_node(self, mesh_fn):
+        mesh = mesh_fn()
+        assert "node_patches" not in vars(mesh)  # built on first use only
+        assert len(mesh.node_patches) == mesh.n_nodes
+        for i, patch in enumerate(mesh.node_patches):
+            assert patch.tolist() == [e for e in range(mesh.n_elements)
+                                      if i in mesh.elements[e]]
 
 _SCATTER_MESHES = [
     lambda: interval(7, a=0.25, b=1.75),

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import interval, make_spec, rectangle, reference_solve_penalized
-from dpobstacle import assembly, solver
+from conftest import (interval, make_spec, rectangle, reference_solve_penalized,
+                      reference_vi_residual)
+from dpobstacle import assembly, lab, solver
 from dpobstacle.assembly import constraint_set
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import ConfigurationError
@@ -284,6 +285,126 @@ class TestInequalityResidual:
         spec, K, u, eta = self._solved_contact()
         with pytest.raises(ConfigurationError):
             vi_residual(spec, u, eta, [])
+
+
+_VI_CASES = {
+    "1d p=q=2 abs": lambda: make_spec(
+        interval(24, gamma2=("right",)), phi=0.05,
+        bnd=boundary_potential("abs", alpha=0.5)),
+    "1d p>2 nonconvex_well": lambda: make_spec(
+        interval(24, gamma2=("left",)), p=3.0, q=4.0,
+        mu=lambda x: x, phi=0.05,
+        bnd=boundary_potential("nonconvex_well", alpha=0.25, center=0.5)),
+    "2d p=q=2 smooth_quadratic": lambda: make_spec(
+        rectangle(6, 5, gamma2=("right", "top")), phi=0.05,
+        bnd=boundary_potential("smooth_quadratic", alpha=2.0)),
+    "2d p>2 abs": lambda: make_spec(
+        rectangle(6, 6, gamma2=("right",)), p=2.5, q=3.0,
+        mu=lambda x, y: 0.5 + 0.5 * x, phi=0.05,
+        bnd=boundary_potential("abs", alpha=0.1)),
+    "2d p>2 no gamma2": lambda: make_spec(rectangle(5, 5), p=3.0, q=3.0,
+                                          phi=0.05),
+}
+
+
+def _vi_state(spec, seed=0):
+    """An admissible state touching the obstacle at some nodes and zero at
+    others (kinks of the boundary potentials, zero coefficient for p > 2),
+    and a random selection."""
+    rng = np.random.default_rng(seed)
+    n = spec.mesh.n_nodes
+    u = rng.uniform(-0.1, 0.2, n)
+    u[rng.random(n) < 0.3] = 0.0
+    return constraint_set(spec).project_values(u), rng.normal(size=n)
+
+
+def _hex_pair(spec, u, eta, probes):
+    return (float.hex(vi_residual(spec, u, eta, probes)),
+            float.hex(reference_vi_residual(spec, u, eta, probes)))
+
+
+class TestInequalityResidualLoopReference:
+    """``vi_residual`` against the per-probe full-element loop in ``conftest``,
+    bit for bit (``float.hex`` also tells the zeros apart)."""
+
+    @pytest.mark.parametrize("case", sorted(_VI_CASES))
+    def test_documented_probe_family(self, case):
+        spec = _VI_CASES[case]()
+        K = constraint_set(spec)
+        u, eta = _vi_state(spec)
+        probes = lab._probe_set(spec, K, u, 3, 0.01, 8)
+        # the family holds unchanged probes (Dirichlet bumps and bumps
+        # clipped at the obstacle), coordinate probes and dense probes
+        support = {min(np.count_nonzero(v - u), 2) for v in probes}
+        assert support == {0, 1, 2}
+        clipped = [i for i in np.flatnonzero(~spec.mesh.dirichlet_mask)
+                   if u[i] == spec.obstacle.values[i]]
+        assert clipped
+        new, ref = _hex_pair(spec, u, eta, probes)
+        assert new == ref
+
+    @pytest.mark.parametrize("case", sorted(_VI_CASES))
+    def test_unchanged_probes_give_the_same_zero(self, case):
+        spec = _VI_CASES[case]()
+        K = constraint_set(spec)
+        u, eta = _vi_state(spec)
+        bumped = []
+        for i in range(spec.mesh.n_nodes):
+            v = u.copy()
+            v[i] += 0.01
+            v = K.project_values(v)
+            if np.array_equal(v, u):
+                bumped.append(v)
+        assert bumped
+        new, ref = _hex_pair(spec, u, eta, bumped)
+        assert new == ref == float.hex(0.0)
+
+    @pytest.mark.parametrize("case", sorted(_VI_CASES))
+    def test_single_coordinate_and_dense_probes(self, case):
+        spec = _VI_CASES[case]()
+        K = constraint_set(spec)
+        u, eta = _vi_state(spec, seed=1)
+        rng = np.random.default_rng(2)
+        free = np.flatnonzero(~spec.mesh.dirichlet_mask)
+        for i in free:
+            v = u.copy()
+            v[i] -= 0.03
+            new, ref = _hex_pair(spec, u, eta, [v])
+            assert new == ref
+        for _ in range(5):
+            v = K.project_values(u + 0.02 * rng.normal(size=u.size))
+            new, ref = _hex_pair(spec, u, eta, [v])
+            assert new == ref
+
+    def test_study_candidates(self, monkeypatch):
+        seen = []
+
+        def checked(spec, u, eta, probes):
+            new, ref = _hex_pair(spec, u, eta, probes)
+            assert new == ref
+            seen.append(new)
+            return float.fromhex(new)
+
+        monkeypatch.setattr(lab, "vi_residual", checked)
+        schedule = [10.0 ** -k for k in range(7)]
+        for case in sorted(_VI_CASES):
+            spec = _VI_CASES[case]().with_reaction(
+                reaction("interval", lo=0.5, hi=8.0))
+            lab.kuratowski_study(spec, schedule, SolverConfig(), n_starts=2,
+                                 selection_rules=["lower", "upper"], seed=1,
+                                 n_random_probes=8)
+        # two distinct limits per case, some certified at exactly zero
+        assert len(seen) == 2 * len(_VI_CASES)
+        assert float.hex(0.0) in seen
+
+    def test_error_paths(self):
+        spec = _VI_CASES["2d p>2 abs"]()
+        u, eta = _vi_state(spec)
+        for probes, message in (([u, u + 1.0], "not admissible"),
+                                ([], "nonempty")):
+            for fn in (vi_residual, reference_vi_residual):
+                with pytest.raises(ConfigurationError, match=message):
+                    fn(spec, u, eta, probes)
 
 
 class TestSolverConfig:
