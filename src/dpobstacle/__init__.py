@@ -100,8 +100,6 @@ from .musielak import (
 )
 from .nonsmooth import (
     ConstraintSet,
-    moreau_yosida_grad,
-    moreau_yosida_value,
     plus_part,
     project,
 )
@@ -171,8 +169,6 @@ __all__ = [
     "load_config",
     "luxemburg_norm",
     "modular",
-    "moreau_yosida_grad",
-    "moreau_yosida_value",
     "nearest_point_trace",
     "operator_energy",
     "operator_jacobian",

@@ -94,9 +94,6 @@ class ProblemSpec:
     def with_reaction(self, reaction):
         return replace(self, reaction=reaction)
 
-    def with_eps_grad(self, eps_grad):
-        return replace(self, eps_grad=eps_grad)
-
 
 @dataclass
 class AssembledSystem:

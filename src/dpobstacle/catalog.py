@@ -29,6 +29,8 @@ __all__ = [
     "boundary_potential",
     "REACTION_NAMES",
     "BOUNDARY_NAMES",
+    "REACTION_PARAMETERS",
+    "BOUNDARY_PARAMETERS",
     "SELECTION_RULES",
 ]
 
@@ -244,6 +246,8 @@ _REACTIONS = {
 }
 
 REACTION_NAMES = tuple(sorted(_REACTIONS))
+# every parameter name some reaction entry takes
+REACTION_PARAMETERS = frozenset(k for entry in _REACTIONS.values() for k in entry[0])
 
 
 def reaction(name, rule="midpoint", blend=None, **params):
@@ -294,7 +298,6 @@ class BoundaryPotentialSpec:
     params: tuple
     growth: BoundaryGrowth
     smooth: bool
-    convex: bool
     quadratic: bool  # value is a (possibly zero) quadratic: usable by QP oracles
     clarke_shift_bound: float
     _value: callable = field(repr=False)
@@ -432,27 +435,27 @@ def _well_smoothed_deriv(p, s, delta):
 
 _BOUNDARIES = {
     # name: (defaults, value, interval, directional, smoothed, smoothed_deriv,
-    #        growth builder, smooth, convex, quadratic, shift bound)
+    #        growth builder, smooth, quadratic, shift bound)
     "zero": (
         {},
         _zero_val, _zero_interval, _zero_dir, lambda p, s, d: np.zeros_like(s),
         lambda p, s, d: np.zeros_like(s),
         lambda p: BoundaryGrowth(),
-        True, True, True, 0.0,
+        True, True, 0.0,
     ),
     "abs": (
         {"alpha": 1.0},
         _abs_val, _abs_interval, _abs_dir, _abs_smoothed, _abs_smoothed_deriv,
         lambda p: BoundaryGrowth(b_j=abs(p["alpha"]), c_j=abs(p["alpha"]),
                                  theta1=1.0),
-        False, True, False, 1.0,
+        False, False, 1.0,
     ),
     "smooth_quadratic": (
         {"alpha": 1.0},
         _quad_val, _quad_interval, _quad_dir, _quad_smoothed, _quad_smoothed_deriv,
         lambda p: BoundaryGrowth(a_j=abs(p["alpha"]), c_j=abs(p["alpha"]),
                                  theta1=2.0),
-        True, True, True, 0.0,
+        True, True, 0.0,
     ),
     "nonconvex_well": (
         {"alpha": 1.0, "center": 1.0},
@@ -464,11 +467,13 @@ _BOUNDARIES = {
             d_j=0.5 * abs(p["alpha"] * p["center"]),
             theta1=2.0,
         ),
-        False, False, False, 1.0,
+        False, False, 1.0,
     ),
 }
 
 BOUNDARY_NAMES = tuple(sorted(_BOUNDARIES))
+# every parameter name some boundary potential takes
+BOUNDARY_PARAMETERS = frozenset(k for entry in _BOUNDARIES.values() for k in entry[0])
 
 
 def boundary_potential(name, **params):
@@ -478,7 +483,7 @@ def boundary_potential(name, **params):
             f"unknown boundary potential {name!r}; choose from {BOUNDARY_NAMES}"
         )
     (defaults, val, interval, directional, smoothed, smoothed_deriv,
-     growth_fn, smooth, convex, quadratic, shift) = _BOUNDARIES[name]
+     growth_fn, smooth, quadratic, shift) = _BOUNDARIES[name]
     unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigurationError(
@@ -494,7 +499,6 @@ def boundary_potential(name, **params):
         params=tuple(sorted(full.items())),
         growth=growth_fn(full),
         smooth=smooth,
-        convex=convex,
         quadratic=quadratic,
         clarke_shift_bound=shift,
         _value=val,

@@ -12,8 +12,8 @@ Subcommands
   function expression interpolated on the configured mesh.
 * ``check`` — prints the hypothesis report; exits 4 when it fails.
 * ``oracle`` — standalone reference solve of the linear-diffusion instance
-  (active-set enumeration up to 14 constrained nodes, projected gradient
-  beyond); writes ``oracle.json`` and ``oracle.csv``.
+  (``qp_oracle`` picks active-set enumeration or projected gradient); writes
+  ``oracle.json`` and ``oracle.csv``.
 
 Every output file embeds the SHA-256 of the config bytes and the effective
 seed; no timestamps are written, and repeated runs with identical config and
@@ -31,8 +31,6 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import config as cfgmod
 from .errors import (
     ConfigurationError,
@@ -40,9 +38,9 @@ from .errors import (
     EvaluationError,
     OracleFailure,
 )
-from .expressions import compile_expression
-from .lab import (MAX_ENUM_NODES, kuratowski_study, nearest_point_trace,
-                  qp_oracle, validate_hypotheses)
+from .expressions import compile_expression, require_coordinates
+from .lab import (kuratowski_study, nearest_point_trace, qp_oracle,
+                  validate_hypotheses)
 from .meshing import DiscreteFunction
 from .musielak import luxemburg_norm, modular, weighted_seminorm
 from .nonsmooth import plus_part
@@ -92,9 +90,12 @@ def _ensure_out(args, exp):
 
 def _load(args):
     """The built experiment, the SHA-256 of the config bytes and the
-    effective seed (``--seed`` overrides ``[study] seed``)."""
+    effective seed (``--seed``, which must be >= 0, overrides ``[study]
+    seed``)."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     exp = cfgmod.load_config(args.config).experiment
-    seed = exp.study["seed"] if args.seed is None else int(args.seed)
+    seed = exp.study["seed"] if args.seed is None else args.seed
     return exp, _config_digest(args.config), seed
 
 
@@ -191,13 +192,7 @@ def cmd_study(args) -> int:
 
 def cmd_norm_tool(args) -> int:
     spec = _load(args)[0].spec
-    expr = compile_expression(args.expression)
-    allowed = {"x"} if spec.mesh.dim == 1 else {"x", "y"}
-    extra = expr.variables - allowed
-    if extra:
-        raise ConfigurationError(
-            f"variable(s) {sorted(extra)} not available on a {spec.mesh.dim}D mesh"
-        )
+    expr = require_coordinates(compile_expression(args.expression), spec.mesh.dim)
     f = DiscreteFunction.from_callable(spec.mesh, expr)
     value = modular(f, spec.phase, of_gradient=False)
     print(f"modular          = {value.value!r}")
@@ -225,11 +220,7 @@ def cmd_check(args) -> int:
 def cmd_oracle(args) -> int:
     exp, digest, seed = _load(args)
     spec = exp.spec
-    phi = spec.obstacle.values
-    free = ~spec.mesh.dirichlet_mask
-    n_constrained = int(np.count_nonzero(np.isfinite(phi) & free))
-    mode = "enumeration" if n_constrained <= MAX_ENUM_NODES else "projected_gradient"
-    sol = qp_oracle(spec, mode=mode)
+    sol = qp_oracle(spec)
     out_dir, formats = _ensure_out(args, exp)
     payload = {
         "config_sha256": digest,
@@ -245,7 +236,7 @@ def cmd_oracle(args) -> int:
         _write_json(os.path.join(out_dir, "oracle.json"), payload)
     if "csv" in formats:
         rows = _node_rows(spec.mesh, digest, seed, ["u", "phi", "multiplier"],
-                          [sol.values, phi, sol.multipliers])
+                          [sol.values, spec.obstacle.values, sol.multipliers])
         _write_csv(os.path.join(out_dir, "oracle.csv"), rows)
     print(
         f"oracle ({sol.mode}): objective {sol.objective!r}, "

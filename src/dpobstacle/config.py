@@ -4,9 +4,15 @@ The format is a single diff-friendly text file of ``[section]`` headers and
 ``key = value`` lines; ``#`` starts a comment and blank lines are ignored.
 Scalar parameters accept the same minimal arithmetic grammar as the field
 expressions (so ``alpha = 2^-3`` is legal), but must be constant; the weight
-and obstacle fields may use ``x`` (and ``y`` on 2D meshes).  Unknown sections
-or keys, duplicates, and every semantic violation of the owning modules are
-hard errors anchored to the offending line.
+and obstacle fields may use ``x`` (and ``y`` on 2D meshes, as
+:func:`~dpobstacle.expressions.require_coordinates` checks).  Unknown
+sections or keys, duplicates, and every semantic violation of the owning
+modules are hard errors anchored to the offending line.  The accepted
+``[reaction]`` and ``[boundary]`` parameter names come from the catalog
+registries and the schedule rule from
+:func:`~dpobstacle.solver.check_schedule`; errors raised by the catalog,
+solver and mesh constructors are re-raised with the line of the key or
+section.
 
 Sections and keys (defaults in parentheses):
 
@@ -16,16 +22,19 @@ Sections and keys (defaults in parentheses):
 * ``[phase]`` — ``p``, ``q`` (required), ``mu`` (``0``): expression.
 * ``[obstacle]`` — ``phi`` (``inf``): expression or the literal ``inf``.
 * ``[reaction]`` — ``name`` (``constant``), ``selection`` (``midpoint``),
-  ``blend`` (only for the blend rule), plus the entry's own parameters.
-* ``[boundary]`` — ``name`` (``zero``), ``delta`` (1e-6), plus parameters.
+  ``blend`` (only for the blend rule), plus the entry's own parameters
+  (any of ``catalog.REACTION_PARAMETERS``; the entry rejects the others).
+* ``[boundary]`` — ``name`` (``zero``), ``delta`` (1e-6), plus the entry's
+  own parameters (any of ``catalog.BOUNDARY_PARAMETERS``).
 * ``[solver]`` — ``mode`` (``penalty``, its alias ``moreau_yosida``, or
-  ``unconstrained``), ``schedule`` (decades 1 .. 1e-8), ``newton_tol``
-  (1e-10), ``max_newton`` (100), ``eps_grad`` (0 when both exponents are
-  >= 2, else 1e-8), ``picard_fallback`` (``true``).
-* ``[study]`` — ``n_starts`` (5), ``seed`` (0), ``selection_rules``
+  ``unconstrained``), ``schedule`` (decades 1 .. 1e-8; nonempty, positive,
+  strictly decreasing), ``newton_tol`` (1e-10), ``max_newton`` (100),
+  ``eps_grad`` (0 when both exponents are >= 2, else 1e-8),
+  ``picard_fallback`` (``true``).
+* ``[study]`` — ``n_starts`` (5), ``seed`` (0, >= 0), ``selection_rules``
   (the single configured rule), ``dedup_tol`` (1e-6), ``cauchy_factor``
   (0.5), ``cauchy_window`` (3), ``vi_tol`` (1e-8), ``probe_bump`` (0.01),
-  ``n_random_probes`` (32).
+  ``n_random_probes`` (32, >= 0).
 * ``[output]`` — ``dir`` (``out``), ``formats`` (``json,csv``).
 
 Parsing builds the whole experiment once (problem, solver config, schedule,
@@ -48,13 +57,15 @@ import numpy as np
 from .assembly import ProblemSpec
 from .catalog import (
     BOUNDARY_NAMES,
+    BOUNDARY_PARAMETERS,
     REACTION_NAMES,
+    REACTION_PARAMETERS,
     SELECTION_RULES,
     boundary_potential,
     reaction,
 )
 from .errors import ConfigFileError, ConfigurationError, EvaluationError
-from .expressions import compile_expression
+from .expressions import compile_expression, require_coordinates
 from .meshing import (
     BoundaryPartition,
     DiscreteFunction,
@@ -62,7 +73,7 @@ from .meshing import (
     build_rect_mesh,
 )
 from .musielak import PhaseConfig
-from .solver import MODES, SolverConfig
+from .solver import MODES, SolverConfig, check_schedule
 
 __all__ = [
     "Experiment",
@@ -82,13 +93,14 @@ _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
 
 _DEFAULT_SCHEDULE = tuple(10.0 ** (-n) for n in range(9))
 
+# structural keys; [reaction] and [boundary] also take the catalog's
+# parameter names (``_CATALOG_KEYS``)
 _KNOWN_KEYS = {
     "mesh": {"dim", "a", "b", "n", "lx", "ly", "nx", "ny", "gamma2"},
     "phase": {"p", "q", "mu"},
     "obstacle": {"phi"},
-    "reaction": {"name", "selection", "blend", "value", "lo", "hi",
-                 "slope", "offset", "c0", "c1", "c2"},
-    "boundary": {"name", "delta", "alpha", "center"},
+    "reaction": {"name", "selection", "blend"},
+    "boundary": {"name", "delta"},
     "solver": {"mode", "schedule", "newton_tol", "max_newton", "eps_grad",
                "picard_fallback"},
     "study": {"n_starts", "seed", "selection_rules", "dedup_tol",
@@ -96,6 +108,7 @@ _KNOWN_KEYS = {
               "n_random_probes"},
     "output": {"dir", "formats"},
 }
+_CATALOG_KEYS = {"reaction": REACTION_PARAMETERS, "boundary": BOUNDARY_PARAMETERS}
 _SECTION_ORDER = ("mesh", "phase", "obstacle", "reaction", "boundary",
                   "solver", "study", "output")
 _REQUIRED_SECTIONS = ("mesh", "phase")
@@ -187,7 +200,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
                     "key outside of any [section]", line=lineno
                 )
             key, value = m.group(1), m.group(2).strip()
-            if key not in _KNOWN_KEYS[current]:
+            if key not in _accepted_keys(current):
                 raise ConfigFileError(
                     f"unknown key {key!r} in section [{current}]", line=lineno
                 )
@@ -205,6 +218,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(sections=sections, lines=lines, source=text)
     cfg.experiment  # parse-time semantic validation of every block
     return cfg
+
+
+def _accepted_keys(section):
+    return _KNOWN_KEYS[section] | _CATALOG_KEYS.get(section, frozenset())
 
 
 def load_config(path) -> ExperimentConfig:
@@ -234,7 +251,7 @@ def _const(cfg, section, key, default=None):
         pass
     try:
         expr = compile_expression(raw)
-    except ConfigurationError as exc:
+    except EvaluationError as exc:
         _fail(cfg, section, key, str(exc))
     if expr.variables:
         _fail(cfg, section, key,
@@ -273,15 +290,9 @@ def _choice(cfg, section, key, choices, default):
 def _expression(cfg, section, key, dim, default):
     raw = cfg.get(section, key, default)
     try:
-        expr = compile_expression(raw)
-    except ConfigurationError as exc:
+        return require_coordinates(compile_expression(raw), dim)
+    except EvaluationError as exc:
         _fail(cfg, section, key, str(exc))
-    allowed = {"x"} if dim == 1 else {"x", "y"}
-    extra = expr.variables - allowed
-    if extra:
-        _fail(cfg, section, key,
-              f"variable(s) {sorted(extra)} not available on a {dim}D mesh")
-    return expr
 
 
 def _comma_list(raw):
@@ -352,11 +363,9 @@ def _build_reaction(cfg):
     elif cfg.get("reaction", "blend") is not None:
         _fail(cfg, "reaction", "blend",
               "blend weight is only meaningful for the blend rule")
-    params = {}
-    for key in cfg.sections.get("reaction", {}):
-        if key in ("name", "selection", "blend"):
-            continue
-        params[key] = _const(cfg, "reaction", key)
+    params = {key: _const(cfg, "reaction", key)
+              for key in cfg.sections.get("reaction", {})
+              if key not in _KNOWN_KEYS["reaction"]}
     try:
         return reaction(name, rule=rule, blend=blend, **params)
     except ConfigurationError as exc:
@@ -367,11 +376,9 @@ def _build_reaction(cfg):
 
 def _build_boundary(cfg):
     name = _choice(cfg, "boundary", "name", set(BOUNDARY_NAMES), "zero")
-    params = {}
-    for key in cfg.sections.get("boundary", {}):
-        if key in ("name", "delta"):
-            continue
-        params[key] = _const(cfg, "boundary", key)
+    params = {key: _const(cfg, "boundary", key)
+              for key in cfg.sections.get("boundary", {})
+              if key not in _KNOWN_KEYS["boundary"]}
     try:
         return boundary_potential(name, **params)
     except ConfigurationError as exc:
@@ -413,6 +420,8 @@ def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
 
 
 def build_schedule(cfg: ExperimentConfig):
+    """The ``[solver] schedule`` numbers, checked by
+    :func:`~dpobstacle.solver.check_schedule`; errors name the line."""
     raw = cfg.get("solver", "schedule")
     if raw is None:
         return list(_DEFAULT_SCHEDULE)
@@ -422,13 +431,10 @@ def build_schedule(cfg: ExperimentConfig):
             values.append(float(part))
         except ValueError:
             _fail(cfg, "solver", "schedule", f"cannot parse entry {part!r}")
-    if not values:
-        _fail(cfg, "solver", "schedule", "schedule must not be empty")
-    if any(v <= 0 for v in values):
-        _fail(cfg, "solver", "schedule", "schedule entries must be positive")
-    if any(b >= a for a, b in zip(values, values[1:])):
-        _fail(cfg, "solver", "schedule", "schedule must be strictly decreasing")
-    return values
+    try:
+        return check_schedule(values)
+    except ConfigurationError as exc:
+        _fail(cfg, "solver", "schedule", str(exc))
 
 
 def build_solver_config(cfg: ExperimentConfig) -> SolverConfig:
@@ -487,20 +493,19 @@ def study_parameters(cfg: ExperimentConfig) -> dict:
     window = _int(cfg, "study", "cauchy_window", 3)
     if window < 1:
         _fail(cfg, "study", "cauchy_window", "window must be >= 1")
+    positive = {}
     for key, default in (("dedup_tol", 1e-6), ("cauchy_factor", 0.5),
                          ("probe_bump", 0.01)):
-        if _const(cfg, "study", key, default) <= 0:
+        positive[key] = _const(cfg, "study", key, default)
+        if positive[key] <= 0:
             _fail(cfg, "study", key, "must be positive")
-    return {
-        "n_starts": n_starts,
-        "selection_rules": rules,
-        "seed": _int(cfg, "study", "seed", 0),
-        "dedup_tol": _const(cfg, "study", "dedup_tol", 1e-6),
-        "cauchy_factor": _const(cfg, "study", "cauchy_factor", 0.5),
-        "cauchy_window": window,
-        "probe_bump": _const(cfg, "study", "probe_bump", 0.01),
-        "n_random_probes": _int(cfg, "study", "n_random_probes", 32),
-    }
+    counts = {}
+    for key, default in (("seed", 0), ("n_random_probes", 32)):
+        counts[key] = _int(cfg, "study", key, default)
+        if counts[key] < 0:
+            _fail(cfg, "study", key, "must be >= 0")
+    return {"n_starts": n_starts, "selection_rules": rules,
+            "cauchy_window": window, **positive, **counts}
 
 
 def vi_tolerance(cfg: ExperimentConfig) -> float:

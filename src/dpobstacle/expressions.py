@@ -11,7 +11,8 @@ Grammar (infix, usual precedence, ``^`` is right-associative power)::
 Identifiers are restricted to the spatial coordinates ``x`` and ``y``;
 the only functions are ``abs``, ``min``, ``max``, ``exp``, ``sin``
 (``min``/``max`` take exactly two arguments, the rest one).  Compiled
-expressions evaluate vectorized over numpy arrays.
+expressions evaluate vectorized over numpy arrays.  :func:`require_coordinates`
+rejects an expression that uses a coordinate the mesh lacks (``y`` in 1D).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import EvaluationError
 
-__all__ = ["Expression", "compile_expression"]
+__all__ = ["Expression", "compile_expression", "require_coordinates"]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -224,3 +225,14 @@ class Expression:
 def compile_expression(text):
     """Parse ``text`` and return an :class:`Expression` (raises EvaluationError)."""
     return Expression(text)
+
+
+def require_coordinates(expr, dim):
+    """``expr`` itself if it uses only the coordinates of a ``dim``-D mesh
+    (``x``, plus ``y`` in 2D); raises EvaluationError otherwise."""
+    extra = expr.variables - set(_VARIABLES[:dim])
+    if extra:
+        raise EvaluationError(
+            f"variable(s) {sorted(extra)} not available on a {dim}D mesh"
+        )
+    return expr

@@ -40,7 +40,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import ProblemSpec, constraint_set, operator_jacobian
+from .assembly import (ProblemSpec, clarke_directional, constraint_set,
+                       operator_jacobian)
 from .errors import ConfigurationError, EmptySampleError, OracleFailure
 from .meshing import DiscreteFunction
 from .musielak import luxemburg_norm
@@ -299,8 +300,6 @@ class KuratowskiDiagnostics:
         return rows
 
     def _clarke_gap(self, n):
-        from .assembly import clarke_directional
-
         if not self.candidates:
             return float("nan")
         u = self.candidates[0].solution
@@ -505,20 +504,24 @@ def _qp_data(spec):
     return S[np.ix_(idx, idx)].toarray(), (mesh.node_volume_weights * eta)[idx], idx
 
 
-def qp_oracle(spec: ProblemSpec, mode="enumeration") -> QPSolution:
+def qp_oracle(spec: ProblemSpec, mode=None) -> QPSolution:
     """Reference solution of the linear-diffusion obstacle problem.
 
-    ``enumeration`` walks all active sets of the nodes with finite obstacle
-    (at most ``MAX_ENUM_NODES``), keeping the candidates that satisfy primal
-    and dual feasibility; ``projected_gradient`` iterates the box projection
-    with step one over the operator norm until the update stalls below
-    ``PG_TOL`` (at most ``PG_MAX_ITER`` iterations).  Failure to certify
-    yields :class:`OracleFailure`.
+    ``enumeration`` walks all active sets of the free nodes with finite
+    obstacle (at most ``MAX_ENUM_NODES``), keeping the candidates that
+    satisfy primal and dual feasibility; ``projected_gradient`` iterates the
+    box projection with step one over the operator norm until the update
+    stalls below ``PG_TOL`` (at most ``PG_MAX_ITER`` iterations).  Without a
+    ``mode`` the oracle enumerates when it can and iterates otherwise.
+    Failure to certify yields :class:`OracleFailure`.
     """
     S_ff, b_f, idx = _qp_data(spec)
     phi_f = spec.obstacle.values[idx]
     nf = idx.size
     constrained = np.flatnonzero(np.isfinite(phi_f))
+    if mode is None:
+        mode = ("enumeration" if constrained.size <= MAX_ENUM_NODES
+                else "projected_gradient")
 
     if mode == "enumeration":
         m = constrained.size
@@ -623,63 +626,55 @@ class HypothesisReport:
 
 
 def _p_norm(weights, u, p):
-    return float(np.dot(weights, np.abs(u) ** p)) ** (1 / p)
-
-
-def _grad_p_norm(weights, u, p):
-    norm = _p_norm(weights, u, p)
+    """``||u||_{p,weights}`` and its gradient in ``u`` (zero at a zero norm)."""
+    norm = float(np.dot(weights, np.abs(u) ** p)) ** (1 / p)
     if norm == 0:
-        return np.zeros_like(u)
-    return norm ** (1 - p) * weights * np.abs(u) ** (p - 1) * np.sign(u)
+        return norm, np.zeros_like(u)
+    return norm, norm ** (1 - p) * weights * np.abs(u) ** (p - 1) * np.sign(u)
 
 
 def _p_norm_gradient(mesh, u, p):
-    g = mesh.element_gradients(u)
-    gn = np.sqrt(np.sum(g * g, axis=1))
-    return float(np.dot(mesh.element_volumes, gn**p)) ** (1 / p)
-
-
-def _grad_p_norm_gradient(mesh, u, p):
+    """``||grad u||_p`` and its gradient in ``u`` (zero at a zero norm)."""
     g = mesh.element_gradients(u)
     gn = np.sqrt(np.sum(g * g, axis=1))
     norm = float(np.dot(mesh.element_volumes, gn**p)) ** (1 / p)
     if norm == 0:
-        return np.zeros_like(u)
+        return norm, np.zeros_like(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(gn > 0, gn ** (p - 2.0), 0.0)
     local = np.einsum("ekv,ek->ev", mesh.gradient_maps, g)
     local = local * (mesh.element_volumes * coef)[:, None]
-    return norm ** (1 - p) * mesh.scatter_vector(local)
+    return norm, norm ** (1 - p) * mesh.scatter_vector(local)
 
 
 def _ascent_ratio(mesh, free, weights, p, seed, iters=250):
     """Largest ``||u||_{p,weights} / ||grad u||_p`` found by projected gradient
-    ascent on its logarithm over the free nodes, from ten seeded starts."""
+    ascent on its logarithm over the free nodes, from ten seeded starts.
+    Both norms and their gradients are evaluated once per visited state."""
     best = 0.0
     for u0 in np.random.default_rng(seed).standard_normal((10, mesh.n_nodes)):
         u = u0.copy()
         u[~free] = 0.0
-        nu = _p_norm(weights, u, p)
-        du = _p_norm_gradient(mesh, u, p)
+        (nu, gnu), (du, gdu) = _p_norm(weights, u, p), _p_norm_gradient(mesh, u, p)
         if nu == 0.0 or du == 0.0:
             continue
         val = nu / du
         step = 0.5
         for _ in range(iters):
-            g = (_grad_p_norm(weights, u, p) / nu
-                 - _grad_p_norm_gradient(mesh, u, p) / du)
+            g = gnu / nu - gdu / du
             g[~free] = 0.0
             gn = np.linalg.norm(g)
             if gn == 0.0:
                 break
             u_try = u + step * g / gn
-            nu_t, du_t = _p_norm(weights, u_try, p), _p_norm_gradient(mesh, u_try, p)
+            nu_t, gnu_t = _p_norm(weights, u_try, p)
+            du_t, gdu_t = _p_norm_gradient(mesh, u_try, p)
             if du_t == 0.0:
                 step *= 0.5
                 continue
             val_t = nu_t / du_t
             if val_t > val:
-                u, val, nu, du = u_try, val_t, nu_t, du_t
+                u, val, nu, du, gnu, gdu = u_try, val_t, nu_t, du_t, gnu_t, gdu_t
                 step *= 1.1
             else:
                 step *= 0.5

@@ -9,8 +9,8 @@ nodal-gradient matrices and the element patch of every node) is a
 ``functools.cached_property``: computed on first use and kept on the mesh.
 The boundary is split into a Dirichlet part (``gamma1``, where trial functions
 vanish) and a natural part (``gamma2``, where nonsmooth boundary terms act);
-the Dirichlet part must have positive measure.  Faces are tagged by
-evaluating a partition predicate at the face midpoint.
+the Dirichlet part must have positive measure.  A face is natural when its
+midpoint lies on one of the partition's named sides of the box.
 """
 
 from __future__ import annotations
@@ -43,19 +43,17 @@ _SIDES_2D = ("left", "right", "bottom", "top")
 class BoundaryPartition:
     """Assigns boundary faces to the Dirichlet or the natural part.
 
-    Either built from named sides of the box (``left``/``right`` in 1D, plus
-    ``bottom``/``top`` in 2D) or from a predicate evaluated at face midpoints
-    that returns True on the natural (``gamma2``) part.
+    The natural (``gamma2``) part is a list of named sides of the box
+    (``left``/``right`` in 1D, plus ``bottom``/``top`` in 2D); every other
+    face is Dirichlet.
     """
 
-    def __init__(self, predicate=None, sides=(), label="custom"):
-        self._predicate = predicate
+    def __init__(self, sides=()):
         self._sides = tuple(sides)
-        self.label = label
 
     @classmethod
     def all_dirichlet(cls):
-        return cls(predicate=lambda *_: False, label="none")
+        return cls()
 
     @classmethod
     def from_sides(cls, sides, dim):
@@ -65,12 +63,10 @@ class BoundaryPartition:
         for s in sides:
             if s not in valid:
                 raise ConfigurationError(f"unknown boundary side {s!r} for dim={dim}")
-        return cls(sides=sides, label=",".join(sides) if sides else "none")
+        return cls(sides)
 
     def is_natural(self, midpoint, box):
         """True if the face with this midpoint belongs to the gamma2 part."""
-        if self._predicate is not None:
-            return bool(self._predicate(*midpoint))
         lo, hi = box
         tol = 1e-12 * max(1.0, *(abs(v) for v in hi))
         mp = midpoint
@@ -313,8 +309,8 @@ def build_rect_mesh(lx, ly, nx, ny, partition=None):
 
     Each of the ``nx * ny`` cells is split into two triangles along the
     diagonal from its lower-left to its upper-right corner, giving
-    ``2 nx ny`` elements.  Boundary edges are tagged via the partition
-    predicate at edge midpoints (default: all Dirichlet).
+    ``2 nx ny`` elements.  Boundary edges are tagged by the partition's
+    sides at their midpoints (default: all Dirichlet).
     """
     if lx <= 0 or ly <= 0 or nx < 1 or ny < 1:
         raise ConfigurationError("rectangle requires positive extents and cell counts")

@@ -4,7 +4,8 @@ The admissible set collects nodal vectors that stay below the obstacle and
 vanish on the Dirichlet boundary part.  Because both constraints act nodewise
 and the discrete inner product is the diagonal lumped-weight product, the
 metric projection is a nodewise clip followed by zeroing the Dirichlet nodes,
-and the Moreau-Yosida envelope of the set indicator has the closed form
+and the Moreau-Yosida envelope of the set indicator
+(``ConstraintSet.envelope_value`` and ``envelope_grad``) has the closed form
 
     env_eps(u) = ||u - proj(u)||_w^2 / (2 eps),
     grad env_eps(u)_i = (w_i / eps) (u_i - proj(u)_i),
@@ -31,8 +32,6 @@ from .meshing import DiscreteFunction, Mesh
 __all__ = [
     "ConstraintSet",
     "project",
-    "moreau_yosida_value",
-    "moreau_yosida_grad",
     "plus_part",
 ]
 
@@ -80,6 +79,7 @@ class ConstraintSet:
         return out
 
     def envelope_value(self, values, eps):
+        """Envelope of the set indicator: squared distance over ``2 eps``."""
         if eps <= 0:
             raise ConfigurationError("envelope parameter eps must be positive")
         d = np.asarray(values, dtype=float) - self.project_values(values)
@@ -87,6 +87,7 @@ class ConstraintSet:
         return float(np.dot(w, d * d) / (2.0 * eps))
 
     def envelope_grad(self, values, eps):
+        """Gradient of the envelope, a monotone map vanishing on the set."""
         if eps <= 0:
             raise ConfigurationError("envelope parameter eps must be positive")
         d = np.asarray(values, dtype=float) - self.project_values(values)
@@ -98,20 +99,6 @@ def project(u: DiscreteFunction, K: ConstraintSet) -> DiscreteFunction:
     if u.mesh is not K.mesh:
         raise ConfigurationError("function and constraint set live on different meshes")
     return DiscreteFunction(u.mesh, K.project_values(u.values))
-
-
-def moreau_yosida_value(u: DiscreteFunction, K: ConstraintSet, eps: float) -> float:
-    """Envelope of the set indicator at ``u``: squared distance over ``2 eps``."""
-    if u.mesh is not K.mesh:
-        raise ConfigurationError("function and constraint set live on different meshes")
-    return K.envelope_value(u.values, eps)
-
-
-def moreau_yosida_grad(u: DiscreteFunction, K: ConstraintSet, eps: float) -> DiscreteFunction:
-    """Gradient of the envelope, a monotone single-valued map vanishing on K."""
-    if u.mesh is not K.mesh:
-        raise ConfigurationError("function and constraint set live on different meshes")
-    return DiscreteFunction(u.mesh, K.envelope_grad(u.values, eps))
 
 
 def plus_part(u: DiscreteFunction, phi) -> DiscreteFunction:

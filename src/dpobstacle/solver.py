@@ -44,7 +44,8 @@ from .meshing import DiscreteFunction
 from .nonsmooth import plus_part
 
 __all__ = ["SolverConfig", "SolveReport", "TraceEntry", "solve_penalized",
-           "stage_configs", "continuation", "vi_residual", "residual_norm"]
+           "check_schedule", "stage_configs", "continuation", "vi_residual",
+           "residual_norm"]
 
 MODES = ("penalty", "moreau_yosida", "unconstrained")
 
@@ -238,10 +239,9 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
     )
 
 
-def stage_configs(spec: ProblemSpec, schedule, cfg: SolverConfig):
-    """One configuration per stage of a nonempty, positive, strictly
-    decreasing schedule; the gradient regularization and boundary smoothing
-    shrink by the factor ``rho / schedule[0]`` wherever they are positive."""
+def check_schedule(schedule):
+    """The schedule as a list of floats; raises :class:`ConfigurationError`
+    unless it is nonempty, positive and strictly decreasing."""
     schedule = [float(r) for r in schedule]
     if not schedule:
         raise ConfigurationError("empty continuation schedule")
@@ -249,7 +249,15 @@ def stage_configs(spec: ProblemSpec, schedule, cfg: SolverConfig):
         raise ConfigurationError("continuation schedule must be positive")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigurationError("continuation schedule must be strictly decreasing")
+    return schedule
 
+
+def stage_configs(spec: ProblemSpec, schedule, cfg: SolverConfig):
+    """One configuration per stage of a schedule that passes
+    :func:`check_schedule`; the gradient regularization and boundary
+    smoothing shrink by the factor ``rho / schedule[0]`` wherever they are
+    positive."""
+    schedule = check_schedule(schedule)
     eps0 = spec.eps_grad if cfg.eps_grad is None else cfg.eps_grad
     delta0 = cfg.delta_boundary
     stages = []

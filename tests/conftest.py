@@ -363,6 +363,74 @@ def reference_study_candidates(spec, schedule, cfg, n_starts, selection_rules,
     return lab._dedup(spec.mesh, candidates, dedup_tol), len(candidates)
 
 
+def _reference_p_norm(weights, u, p):
+    return float(np.dot(weights, np.abs(u) ** p)) ** (1 / p)
+
+
+def _reference_grad_p_norm(weights, u, p):
+    norm = _reference_p_norm(weights, u, p)
+    if norm == 0:
+        return np.zeros_like(u)
+    return norm ** (1 - p) * weights * np.abs(u) ** (p - 1) * np.sign(u)
+
+
+def _reference_p_norm_gradient(mesh, u, p):
+    g = mesh.element_gradients(u)
+    gn = np.sqrt(np.sum(g * g, axis=1))
+    return float(np.dot(mesh.element_volumes, gn**p)) ** (1 / p)
+
+
+def _reference_grad_p_norm_gradient(mesh, u, p):
+    g = mesh.element_gradients(u)
+    gn = np.sqrt(np.sum(g * g, axis=1))
+    norm = float(np.dot(mesh.element_volumes, gn**p)) ** (1 / p)
+    if norm == 0:
+        return np.zeros_like(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(gn > 0, gn ** (p - 2.0), 0.0)
+    local = np.einsum("ekv,ek->ev", mesh.gradient_maps, g)
+    local = local * (mesh.element_volumes * coef)[:, None]
+    return norm ** (1 - p) * mesh.scatter_vector(local)
+
+
+def reference_ascent_ratio(mesh, free, weights, p, seed, iters=250):
+    """``lab._ascent_ratio`` with separate value and gradient helpers, each
+    norm recomputed wherever it is needed (the loop before the fold)."""
+    best = 0.0
+    for u0 in np.random.default_rng(seed).standard_normal((10, mesh.n_nodes)):
+        u = u0.copy()
+        u[~free] = 0.0
+        nu = _reference_p_norm(weights, u, p)
+        du = _reference_p_norm_gradient(mesh, u, p)
+        if nu == 0.0 or du == 0.0:
+            continue
+        val = nu / du
+        step = 0.5
+        for _ in range(iters):
+            g = (_reference_grad_p_norm(weights, u, p) / nu
+                 - _reference_grad_p_norm_gradient(mesh, u, p) / du)
+            g[~free] = 0.0
+            gn = np.linalg.norm(g)
+            if gn == 0.0:
+                break
+            u_try = u + step * g / gn
+            nu_t = _reference_p_norm(weights, u_try, p)
+            du_t = _reference_p_norm_gradient(mesh, u_try, p)
+            if du_t == 0.0:
+                step *= 0.5
+                continue
+            val_t = nu_t / du_t
+            if val_t > val:
+                u, val, nu, du = u_try, val_t, nu_t, du_t
+                step *= 1.1
+            else:
+                step *= 0.5
+                if step < 1e-10:
+                    break
+        best = max(best, val)
+    return best
+
+
 # --- acceptance-summary reporting -------------------------------------------
 
 _ACCEPTANCE_RESULTS = {}

@@ -399,7 +399,6 @@ class TestProblemSpecValidation:
         spec = make_spec(mesh)
         r2 = reaction("constant", value=5.0)
         assert spec.with_reaction(r2).reaction is r2
-        assert spec.with_eps_grad(1e-6).eps_grad == 1e-6
 
     def test_replaced_spec_rebuilds_boundary_weights(self):
         # a spec replaced onto another mesh must not keep the boundary

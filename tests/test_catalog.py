@@ -216,7 +216,7 @@ class TestBoundaryValues:
         lo, hi = b.clarke_interval(s)
         assert np.all(lo == 0.0) and np.all(hi == 0.0)
         assert np.all(b.clarke_directional(s, np.full(3, 5.0)) == 0.0)
-        assert b.smooth and b.convex and b.quadratic
+        assert b.smooth and b.quadratic
         assert b.clarke_shift_bound == 0.0
 
     def test_abs(self):
@@ -231,7 +231,7 @@ class TestBoundaryValues:
         assert np.allclose(b.clarke_directional(s, t), [-1.0, 1.0, 1.0])
         t2 = np.array([-2.0, -2.0, -2.0])
         assert np.allclose(b.clarke_directional(s, t2), [1.0, 1.0, -1.0])
-        assert not b.smooth and b.convex and not b.quadratic
+        assert not b.smooth and not b.quadratic
         assert b.clarke_shift_bound == 1.0
         g = b.growth
         assert g.b_j == 0.5 and g.c_j == 0.5 and g.theta1 == 1.0
@@ -246,7 +246,7 @@ class TestBoundaryValues:
         # single-valued derivative: directional derivative is bilinear
         t = np.array([3.0, 3.0, 3.0])
         assert np.allclose(b.clarke_directional(s, t), 2.0 * s * t)
-        assert b.smooth and b.convex and b.quadratic
+        assert b.smooth and b.quadratic
         g = b.growth
         assert g.a_j == 2.0 and g.c_j == 2.0 and g.theta1 == 2.0
 
@@ -259,7 +259,7 @@ class TestBoundaryValues:
         assert np.array_equal(hi, [0.0, 1.0, -0.5])
         t = np.full(3, 2.0)
         assert np.allclose(b.clarke_directional(s, t), [0.0, 2.0, -1.0])
-        assert not b.smooth and not b.convex and not b.quadratic
+        assert not b.smooth and not b.quadratic
         g = b.growth
         assert g.a_j == 1.0 and g.b_j == 1.0
         assert g.c_j == 1.5 and g.d_j == 0.5 and g.theta1 == 2.0

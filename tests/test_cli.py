@@ -155,6 +155,8 @@ class TestNormTool:
     def test_wrong_variable_for_dimension(self, cfg_file, capsys):
         code = main(["norm-tool", "--config", cfg_file(NORMS), "y"])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: variable(s) ['y'] not available on a 1D mesh\n")
 
 
 class TestCheck:
@@ -236,6 +238,30 @@ class TestStudy:
                      "--out", str(out)]) == EXIT_OK
         header = (out / "study.csv").read_text().split("\n")[2]
         assert header.endswith("clarke_gap")
+
+    def test_negative_seed_flag_is_config_error(self, cfg_file, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        code = main(["study", "--config", cfg_file(STUDY), "--out", str(out),
+                     "--seed", "-1"])
+        assert code == EXIT_CONFIG
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old,new", [
+        ("seed = 11", "seed = -3"),
+        ("seed = 11", "seed = 11\nn_random_probes = -1"),
+    ], ids=["seed", "n_random_probes"])
+    def test_negative_study_value_is_config_error(self, cfg_file, tmp_path,
+                                                  capsys, old, new):
+        out = tmp_path / "out"
+        code = main(["study", "--config", cfg_file(STUDY.replace(old, new)),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line ")
+        assert "[study]" in err and "must be >= 0" in err
+        assert not out.exists()
 
     def test_builds_the_experiment_once(self, cfg_file, tmp_path,
                                         monkeypatch):

@@ -3,6 +3,13 @@
 import numpy as np
 import pytest
 
+from dpobstacle import config
+from dpobstacle.catalog import (
+    BOUNDARY_NAMES,
+    REACTION_NAMES,
+    boundary_potential,
+    reaction,
+)
 from dpobstacle.config import (
     ExperimentConfig,
     build_mesh,
@@ -88,6 +95,37 @@ class TestParsing:
         text = "# heading\n\n" + BASIC + "# trailing\n"
         cfg = parse_config_text(text)
         assert cfg.get("mesh", "n") == "8"
+
+    def test_catalog_sections_accept_exactly_the_catalog_parameters(self):
+        # the parameter names come from the catalog entries themselves
+        react = {k for n in REACTION_NAMES for k, _ in reaction(n).params}
+        bound = {k for n in BOUNDARY_NAMES for k, _ in boundary_potential(n).params}
+        assert config._accepted_keys("reaction") == react | {
+            "name", "selection", "blend"}
+        assert config._accepted_keys("boundary") == bound | {"name", "delta"}
+
+    def test_parameter_of_no_catalog_entry_names_its_line(self):
+        text = CONTACT.replace("value = 1", "value = 1\nalpha = 2")
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == 15
+        assert "alpha" in str(err.value)
+
+    def test_parameter_of_another_entry_names_the_section(self):
+        text = CONTACT.replace("value = 1", "lo = 0")
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == 12
+        assert "lo" in str(err.value)
+
+    def test_bad_expression_names_its_line(self):
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(BASIC.replace("mu = 0.5", "mu = 0.5 +"))
+        assert err.value.line == 8
+        assert "mu" in str(err.value)
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(BASIC.replace("q = 3", "q = 3 *"))
+        assert err.value.line == 7
 
     def test_line_numbers_recorded(self):
         cfg = parse_config_text(BASIC)
@@ -223,6 +261,14 @@ class TestBuildSchedule:
             build_schedule(parse_config_text(text))
         assert err.value.line is not None
 
+    @pytest.mark.parametrize("bad", ["schedule = 1, 2", "schedule = 1, 0",
+                                     "schedule ="])
+    def test_solver_rule_error_points_at_the_schedule_line(self, bad):
+        text = CONTACT.replace("schedule = 1, 1e-2, 1e-4", bad)
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == 17
+
 
 class TestBuildSolverConfig:
     def test_defaults_and_rho_from_schedule(self):
@@ -263,6 +309,19 @@ class TestStudyParameters:
         text = BASIC + "\n[study]\nselection_rules = median\n"
         with pytest.raises(ConfigFileError):
             study_parameters(parse_config_text(text))
+
+    @pytest.mark.parametrize("key", ["seed", "n_random_probes"])
+    def test_negative_count_names_its_line(self, key):
+        text = BASIC + f"\n[study]\nn_starts = 2\n{key} = -1\n"
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == 12
+        assert key in str(err.value)
+
+    def test_zero_counts_accepted(self):
+        text = BASIC + "\n[study]\nseed = 0\nn_random_probes = 0\n"
+        params = study_parameters(parse_config_text(text))
+        assert params["seed"] == 0 and params["n_random_probes"] == 0
 
     def test_vi_tolerance_default(self):
         assert vi_tolerance(parse_config_text(BASIC)) == 1e-8

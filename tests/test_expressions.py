@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from dpobstacle.errors import EvaluationError
-from dpobstacle.expressions import Expression, compile_expression
+from dpobstacle.expressions import (
+    Expression,
+    compile_expression,
+    require_coordinates,
+)
 
 
 def ev(text, x, y=None):
@@ -70,6 +74,14 @@ class TestVariables:
     def test_y_without_second_coordinate(self):
         with pytest.raises(EvaluationError):
             Expression("x+y")(1.0)
+
+    def test_coordinates_of_the_mesh_dimension(self):
+        expr = Expression("x+2*y")
+        assert require_coordinates(expr, 2) is expr
+        assert require_coordinates(Expression("sin(x)"), 1).text == "sin(x)"
+        with pytest.raises(EvaluationError,
+                           match=r"\['y'\] not available on a 1D mesh"):
+            require_coordinates(expr, 1)
 
 
 class TestErrors:

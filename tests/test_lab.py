@@ -7,7 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import interval, make_spec, reference_study_candidates
+from conftest import (
+    interval,
+    make_spec,
+    rectangle,
+    reference_ascent_ratio,
+    reference_study_candidates,
+)
 from dpobstacle import lab
 from dpobstacle.assembly import constraint_set
 from dpobstacle.catalog import boundary_potential, reaction
@@ -309,6 +315,19 @@ class TestQPOracle:
         with pytest.raises(ConfigurationError):
             qp_oracle(spec, mode="enumeration")
 
+    def test_mode_follows_the_constrained_node_count(self):
+        # the oracle enumerates up to MAX_ENUM_NODES constrained free nodes
+        small = _contact_spec(lab.MAX_ENUM_NODES + 1, phi=0.01)
+        large = _contact_spec(lab.MAX_ENUM_NODES + 2, phi=0.01)
+        assert qp_oracle(small).mode == "enumeration"
+        assert qp_oracle(large).mode == "projected_gradient"
+        # unconstrained nodes do not count
+        spec = _contact_spec(24, phi=0.01)
+        x = spec.mesh.nodes[:, 0]
+        half = replace(spec, obstacle=DiscreteFunction(
+            spec.mesh, np.where(x < 0.5, 0.01, np.inf), allow_infinite=True))
+        assert qp_oracle(half).mode == "enumeration"
+
     @pytest.mark.parametrize("mutate", [
         lambda mesh: make_spec(mesh, p=2.5, q=3.0, mu=0.5, phi=0.1, eps=1e-8),
         lambda mesh: make_spec(mesh, p=2.0, q=2.0, mu=0.0, phi=0.1,
@@ -393,6 +412,25 @@ class TestHypothesisChecks:
         data = json.loads(json.dumps(report.to_json_dict()))
         assert data["passes"] is True
         assert data["lambda1_certified"] is True
+
+    @pytest.mark.parametrize("mesh_fn", [
+        lambda: interval(24, gamma2=("right",)),
+        lambda: rectangle(4, 3, gamma2=("right", "top")),
+        lambda: interval(12),
+    ])
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+    def test_ascent_ratio_matches_reference_loop(self, mesh_fn, p):
+        # one value-and-gradient evaluation per state gives the bits of the
+        # loop that evaluated each norm and each gradient separately
+        mesh = mesh_fn()
+        free = ~mesh.dirichlet_mask
+        spec = make_spec(mesh, p=p, q=3.0, mu=0.5, eps=1e-8)
+        for weights, seed in ((mesh.node_volume_weights, 20_240_001),
+                              (spec.gamma2_weights, 20_240_002)):
+            got = lab._ascent_ratio(mesh, free, weights, p, seed, iters=60)
+            want = reference_ascent_ratio(mesh, free, weights, p, seed, iters=60)
+            assert float(got).hex() == float(want).hex()
+            assert (got > 0.0) == bool(np.any(weights[free] > 0))
 
     def test_admissibility_note_always_present(self):
         report = validate_hypotheses(_contact_spec(16))

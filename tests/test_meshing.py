@@ -77,7 +77,8 @@ class TestRectMesh:
                            atol=1e-13)
 
     def test_all_natural_partition_rejected(self):
-        part = BoundaryPartition(predicate=lambda *_: True)
+        part = BoundaryPartition.from_sides(("left", "right", "bottom", "top"),
+                                            dim=2)
         with pytest.raises(ConfigurationError):
             build_rect_mesh(1.0, 1.0, 2, 2, partition=part)
 
@@ -280,8 +281,8 @@ class TestPartition:
         with pytest.raises(ConfigurationError):
             BoundaryPartition.from_sides(("diagonal",), dim=2)
 
-    def test_predicate_partition(self):
-        part = BoundaryPartition(predicate=lambda x, y: y == 0.0)
+    def test_bottom_side_partition(self):
+        part = BoundaryPartition.from_sides(("bottom",), dim=2)
         mesh = build_rect_mesh(1.0, 1.0, 2, 2, partition=part)
         assert np.all(mesh.nodes[mesh.gamma2_nodes, 1] == 0.0)
         assert len(mesh.gamma2_nodes) == 3

@@ -6,13 +6,7 @@ import pytest
 from conftest import interval, obstacle_fn
 from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import DiscreteFunction
-from dpobstacle.nonsmooth import (
-    ConstraintSet,
-    moreau_yosida_grad,
-    moreau_yosida_value,
-    plus_part,
-    project,
-)
+from dpobstacle.nonsmooth import ConstraintSet, plus_part, project
 
 
 def _free_set(mesh, phi):
@@ -196,14 +190,6 @@ class TestEnvelope:
                 K.envelope_value(u, bad)
             with pytest.raises(ConfigurationError):
                 K.envelope_grad(u, bad)
-
-    def test_function_wrappers(self):
-        mesh, K = self._middle_node_setup()
-        u = DiscreteFunction(mesh, np.array([0.0, 3.0, 0.0]))
-        assert moreau_yosida_value(u, K, eps=0.5) == pytest.approx(4.0)
-        g = moreau_yosida_grad(u, K, eps=0.5)
-        assert isinstance(g, DiscreteFunction)
-        assert np.allclose(g.values, [0.0, 4.0, 0.0], atol=1e-14)
 
 
 class TestPlusPart:

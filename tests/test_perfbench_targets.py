@@ -52,3 +52,54 @@ def test_recorder_sees_assembly_split():
         assert name in names, name
     # one Jacobian assembly and one linear solve per Newton step here
     assert names.count("assembly.jacobian") == report.iterations
+
+
+ORACLE_CFG = """\
+[mesh]
+dim = 1
+n = 12
+
+[phase]
+p = 2
+q = 2
+
+[obstacle]
+phi = 0.1
+
+[reaction]
+name = constant
+value = 1
+
+[solver]
+schedule = 1e-4
+"""
+
+
+def test_recorder_sees_study_trace_oracle_and_config(tmp_path):
+    # the study, trace and oracle call sites that config, cli and lab share
+    tracing = _load_tracing()
+    from dpobstacle import cli, lab
+
+    spec = make_spec(interval(16), phi=0.5, react=reaction("constant", value=8.0))
+    cfg_path = tmp_path / "contact.cfg"
+    cfg_path.write_text(ORACLE_CFG)
+    rec = tracing.Recorder()
+    rec.install()
+    try:
+        diag = lab.kuratowski_study(spec, [10.0 ** -k for k in range(7)],
+                                    SolverConfig(), n_starts=2, seed=3,
+                                    n_random_probes=2)
+        trace = lab.nearest_point_trace(diag, diag.candidates[0].solution)
+        code = cli.main(["oracle", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+    finally:
+        rec.uninstall()
+    assert tracing.installed_wrappers() == []
+    assert code == 0 and len(trace) == 7
+    names = [s[1] for s in rec.spans]
+    for name in ("solver.vi", "musielak.luxemburg", "nonsmooth.project",
+                 "nonsmooth.contains", "catalog.select", "lab.study",
+                 "lab.trace", "lab.oracle", "config.load"):
+        assert name in names, name
+    assert names.count("lab.study") == 1
+    assert names.count("solver.vi") == len(diag.candidates)

@@ -16,6 +16,7 @@ from dpobstacle.errors import ConfigurationError
 from dpobstacle.solver import (
     SolveReport,
     SolverConfig,
+    check_schedule,
     continuation,
     solve_penalized,
     vi_residual,
@@ -225,6 +226,11 @@ class TestContinuation:
         spec = self._contact_spec()
         with pytest.raises(ConfigurationError):
             continuation(spec, bad, SolverConfig())
+        with pytest.raises(ConfigurationError):
+            check_schedule(bad)
+
+    def test_checked_schedule_is_floats(self):
+        assert check_schedule((1, 0.5, 1e-3)) == [1.0, 0.5, 1e-3]
 
     def test_abort_returns_partial_list(self):
         mesh = interval(32)
