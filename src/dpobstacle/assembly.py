@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from .catalog import BoundaryPotentialSpec, ReactionSpec
 from .errors import ConfigurationError, SingularOperatorError
-from .meshing import DiscreteFunction, Mesh, boundary_lumped_weights
+from .meshing import DiscreteFunction, Mesh, boundary_lumped_weights, nodal_values
 from .musielak import PhaseConfig
 from .nonsmooth import ConstraintSet
 
@@ -53,11 +53,11 @@ __all__ = [
 class ProblemSpec:
     """A complete discrete problem instance.
 
-    The obstacle is nodal with ``+inf`` marking unconstrained nodes and must
-    be nonnegative where finite.  ``eps_grad`` must be positive whenever an
-    exponent lies below 2, since the diffusion coefficient is then singular at
-    vanishing gradients.  The lumped natural-boundary weights are computed on
-    first use and cached; a ``replace``-d spec starts with an empty cache.
+    The obstacle is nodal with ``+inf`` marking unconstrained nodes; its
+    rule (nonnegative where finite) belongs to the cached ``constraints``.
+    ``eps_grad`` must be >= 0, and positive whenever an exponent lies below
+    2, since the diffusion coefficient is then singular at vanishing
+    gradients.  Derived data is cached; a ``replace``-d spec starts empty.
     """
 
     mesh: Mesh
@@ -72,16 +72,18 @@ class ProblemSpec:
             raise ConfigurationError("phase config belongs to a different mesh")
         if self.obstacle.mesh is not self.mesh:
             raise ConfigurationError("obstacle belongs to a different mesh")
-        obs = self.obstacle.values
-        if np.any(obs[np.isfinite(obs)] < 0):
-            raise ConfigurationError("obstacle must be >= 0 where finite")
-        if self.eps_grad < 0:
-            raise ConfigurationError("eps_grad must be >= 0")
+        self.constraints  # the obstacle rule lives in ConstraintSet
+        if not self.eps_grad >= 0:
+            raise ConfigurationError("eps_grad must be >= 0", param="eps_grad")
         if min(self.phase.p, self.phase.q) < 2.0 and not self.eps_grad > 0:
             raise ConfigurationError(
                 "an exponent below 2 requires a positive gradient "
-                "regularization eps_grad"
+                "regularization eps_grad", param="eps_grad"
             )
+
+    @cached_property
+    def constraints(self) -> ConstraintSet:
+        return ConstraintSet.from_problem(self.mesh, self.obstacle.values)
 
     @cached_property
     def gamma2_weights(self):
@@ -105,16 +107,13 @@ class AssembledSystem:
 
 
 def constraint_set(spec: ProblemSpec) -> ConstraintSet:
-    return ConstraintSet.from_problem(spec.mesh, spec.obstacle.values)
-
-
-def _values(u):
-    return u.values if isinstance(u, DiscreteFunction) else np.asarray(u, float)
+    """The problem's cached constraint set."""
+    return spec.constraints
 
 
 def _gradient_state(spec, u, eps_grad):
     eps = spec.eps_grad if eps_grad is None else eps_grad
-    grads = spec.mesh.element_gradients(_values(u))
+    grads = spec.mesh.element_gradients(nodal_values(u))
     g2 = np.sum(grads * grads, axis=1) + eps * eps
     ge = np.sqrt(g2)
     p, q = spec.phase.p, spec.phase.q
@@ -153,7 +152,7 @@ def operator_coefficient(spec: ProblemSpec, u, eps_grad=None):
 def apply_operator(spec: ProblemSpec, u, v, eps_grad=None) -> float:
     """Energy pairing of the operator at ``u`` against ``v``."""
     grads_u, coef = operator_coefficient(spec, u, eps_grad)
-    dots = np.sum(grads_u * spec.mesh.element_gradients(_values(v)), axis=1)
+    dots = np.sum(grads_u * spec.mesh.element_gradients(nodal_values(v)), axis=1)
     return float(np.dot(spec.mesh.element_volumes, coef * dots))
 
 
@@ -197,7 +196,7 @@ def penalty_term(spec: ProblemSpec, u, rho):
     """
     if not rho > 0:
         raise ConfigurationError(f"penalty parameter must be positive, got {rho}")
-    vals = _values(u)
+    vals = nodal_values(u)
     phi = spec.obstacle.values
     w = spec.mesh.node_volume_weights
     finite = np.isfinite(phi)
@@ -214,7 +213,7 @@ def reaction_term(spec: ProblemSpec, u):
     of the adjacent element gradients.
     """
     mesh = spec.mesh
-    vals = _values(u)
+    vals = nodal_values(u)
     D = mesh.nodal_gradient_matrices
     xi = np.column_stack([Dk @ vals for Dk in D])
     eta, de_ds, de_dg = spec.reaction.select_with_partials(mesh.nodes, vals, xi)
@@ -236,7 +235,7 @@ def boundary_term(spec: ProblemSpec, u, delta):
     bw = spec.gamma2_weights
     idx = spec.mesh.gamma2_nodes
     if idx.size:
-        s = _values(u)[idx]
+        s = nodal_values(u)[idx]
         vec[idx] = bw[idx] * spec.boundary.smoothed_grad(s, delta)
         diag[idx] = bw[idx] * spec.boundary.smoothed_grad_deriv(s, delta)
     return vec, diag
@@ -249,8 +248,8 @@ def clarke_directional(spec: ProblemSpec, u, v) -> float:
     idx = spec.mesh.gamma2_nodes
     if not idx.size:
         return 0.0
-    s = _values(u)[idx]
-    t = _values(v)[idx]
+    s = nodal_values(u)[idx]
+    t = nodal_values(v)[idx]
     return float(np.dot(bw[idx], spec.boundary.clarke_directional(s, t)))
 
 
@@ -281,7 +280,7 @@ def assemble_system(
     ``penalty``: the lumped envelope gradient of the constraint-set indicator
     is ``w (u - phi)^+ / rho`` on every free (non-Dirichlet) node.
     """
-    vals = _values(u)
+    vals = nodal_values(u)
     r = operator_residual(spec, vals, eps_grad)
     diag_extra = np.zeros_like(r)
 

@@ -96,11 +96,13 @@ class ReactionSpec:
     def __post_init__(self):
         if self.rule not in SELECTION_RULES:
             raise ConfigurationError(
-                f"unknown selection rule {self.rule!r}; choose from {SELECTION_RULES}"
+                f"unknown selection rule {self.rule!r}; choose from {SELECTION_RULES}",
+                param="rule",
             )
         if self.rule == "blend":
             if self.blend is None or not (0.0 <= self.blend <= 1.0):
-                raise ConfigurationError("blend selection needs a weight in [0, 1]")
+                raise ConfigurationError("blend selection needs a weight in [0, 1]",
+                                         param="blend")
 
     @property
     def _weight(self):
@@ -258,7 +260,7 @@ def reaction(name, rule="midpoint", blend=None, **params):
     """
     if name not in _REACTIONS:
         raise ConfigurationError(
-            f"unknown reaction {name!r}; choose from {REACTION_NAMES}"
+            f"unknown reaction {name!r}; choose from {REACTION_NAMES}", param="name"
         )
     defaults, bounds, partials, growth_fn, state_dep = _REACTIONS[name]
     unknown = set(params) - set(defaults)
@@ -480,7 +482,8 @@ def boundary_potential(name, **params):
     """Build a :class:`BoundaryPotentialSpec` from the catalog."""
     if name not in _BOUNDARIES:
         raise ConfigurationError(
-            f"unknown boundary potential {name!r}; choose from {BOUNDARY_NAMES}"
+            f"unknown boundary potential {name!r}; choose from {BOUNDARY_NAMES}",
+            param="name",
         )
     (defaults, val, interval, directional, smoothed, smoothed_deriv,
      growth_fn, smooth, quadratic, shift) = _BOUNDARIES[name]
@@ -491,9 +494,10 @@ def boundary_potential(name, **params):
         )
     full = {**defaults, **{k: float(v) for k, v in params.items()}}
     if "alpha" in full and full["alpha"] < 0:
-        raise ConfigurationError("boundary potential strength alpha must be >= 0")
+        raise ConfigurationError("boundary potential strength alpha must be >= 0",
+                                 param="alpha")
     if "center" in full and full["center"] <= 0:
-        raise ConfigurationError("the well center must be positive")
+        raise ConfigurationError("the well center must be positive", param="center")
     return BoundaryPotentialSpec(
         name=name,
         params=tuple(sorted(full.items())),

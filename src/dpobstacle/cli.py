@@ -39,7 +39,7 @@ from .errors import (
     OracleFailure,
 )
 from .expressions import compile_expression, require_coordinates
-from .lab import (kuratowski_study, nearest_point_trace, qp_oracle,
+from .lab import (check_study, kuratowski_study, nearest_point_trace, qp_oracle,
                   validate_hypotheses)
 from .meshing import DiscreteFunction
 from .musielak import luxemburg_norm, modular, weighted_seminorm
@@ -90,10 +90,13 @@ def _ensure_out(args, exp):
 
 def _load(args):
     """The built experiment, the SHA-256 of the config bytes and the
-    effective seed (``--seed``, which must be >= 0, overrides ``[study]
-    seed``)."""
-    if args.seed is not None and args.seed < 0:
-        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+    effective seed (``--seed``, checked by :func:`~dpobstacle.lab.check_study`,
+    overrides ``[study] seed``)."""
+    if args.seed is not None:
+        try:
+            check_study(seed=args.seed)
+        except ConfigurationError as exc:  # the message opens with "seed"
+            raise ConfigurationError(f"--{exc}", param="seed") from exc
     exp = cfgmod.load_config(args.config).experiment
     seed = exp.study["seed"] if args.seed is None else args.seed
     return exp, _config_digest(args.config), seed

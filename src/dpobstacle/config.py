@@ -6,13 +6,16 @@ Scalar parameters accept the same minimal arithmetic grammar as the field
 expressions (so ``alpha = 2^-3`` is legal), but must be constant; the weight
 and obstacle fields may use ``x`` (and ``y`` on 2D meshes, as
 :func:`~dpobstacle.expressions.require_coordinates` checks).  Unknown
-sections or keys, duplicates, and every semantic violation of the owning
-modules are hard errors anchored to the offending line.  The accepted
-``[reaction]`` and ``[boundary]`` parameter names come from the catalog
-registries and the schedule rule from
-:func:`~dpobstacle.solver.check_schedule`; errors raised by the catalog,
-solver and mesh constructors are re-raised with the line of the key or
-section.
+sections or keys and duplicates are hard errors anchored to their line.
+
+This module parses values and supplies the format's defaults; it restates
+no rule of the objects it builds.  Each owner raises a
+:class:`ConfigurationError` naming its parameter in ``param``, and one
+helper re-raises it as a :class:`ConfigFileError` at that key's line
+(``_PARAM_KEYS`` maps ``obstacle`` to ``phi``, ``delta_boundary`` to
+``delta``, ``rule`` to ``selection``, ``sides`` to ``gamma2``), else at the
+section line.  ``[reaction]``/``[boundary]`` parameter names come from the
+catalog registries.
 
 Sections and keys (defaults in parentheses):
 
@@ -27,14 +30,13 @@ Sections and keys (defaults in parentheses):
 * ``[boundary]`` — ``name`` (``zero``), ``delta`` (1e-6), plus the entry's
   own parameters (any of ``catalog.BOUNDARY_PARAMETERS``).
 * ``[solver]`` — ``mode`` (``penalty``, its alias ``moreau_yosida``, or
-  ``unconstrained``), ``schedule`` (decades 1 .. 1e-8; nonempty, positive,
-  strictly decreasing), ``newton_tol`` (1e-10), ``max_newton`` (100),
-  ``eps_grad`` (0 when both exponents are >= 2, else 1e-8),
-  ``picard_fallback`` (``true``).
-* ``[study]`` — ``n_starts`` (5), ``seed`` (0, >= 0), ``selection_rules``
-  (the single configured rule), ``dedup_tol`` (1e-6), ``cauchy_factor``
-  (0.5), ``cauchy_window`` (3), ``vi_tol`` (1e-8), ``probe_bump`` (0.01),
-  ``n_random_probes`` (32, >= 0).
+  ``unconstrained``), ``schedule`` (decades 1 .. 1e-8), ``newton_tol``
+  (1e-10), ``max_newton`` (100), ``eps_grad`` (0 when both exponents are
+  >= 2, else 1e-8), ``picard_fallback`` (``true``).
+* ``[study]`` — ``n_starts`` (5), ``seed`` (0), ``selection_rules`` (the
+  single configured rule), ``dedup_tol`` (1e-6), ``cauchy_factor`` (0.5),
+  ``cauchy_window`` (3), ``vi_tol`` (1e-8), ``probe_bump`` (0.01),
+  ``n_random_probes`` (32).
 * ``[output]`` — ``dir`` (``out``), ``formats`` (``json,csv``).
 
 Parsing builds the whole experiment once (problem, solver config, schedule,
@@ -48,6 +50,7 @@ an equal structure.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -56,9 +59,7 @@ import numpy as np
 
 from .assembly import ProblemSpec
 from .catalog import (
-    BOUNDARY_NAMES,
     BOUNDARY_PARAMETERS,
-    REACTION_NAMES,
     REACTION_PARAMETERS,
     SELECTION_RULES,
     boundary_potential,
@@ -66,6 +67,7 @@ from .catalog import (
 )
 from .errors import ConfigFileError, ConfigurationError, EvaluationError
 from .expressions import compile_expression, require_coordinates
+from .lab import check_study
 from .meshing import (
     BoundaryPartition,
     DiscreteFunction,
@@ -73,7 +75,7 @@ from .meshing import (
     build_rect_mesh,
 )
 from .musielak import PhaseConfig
-from .solver import MODES, SolverConfig, check_schedule
+from .solver import SolverConfig, check_schedule
 
 __all__ = [
     "Experiment",
@@ -233,9 +235,38 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _fail(cfg, section, key, message):
-    raise ConfigFileError(
-        f"[{section}] {key}: {message}", line=cfg.line_of(section, key)
-    )
+    """Raise a ConfigFileError at the line of ``key``, or of ``section`` when
+    the key is not written."""
+    line = cfg.line_of(section, key) or cfg.line_of(section)
+    where = f"[{section}] {key}" if key else f"[{section}]"
+    raise ConfigFileError(f"{where}: {message}", line=line)
+
+
+# where an owner's parameter is written, when that is not the key of the
+# same name in the section being built
+_PARAM_KEYS = {
+    "obstacle": ("obstacle", "phi"),
+    "eps_grad": ("solver", "eps_grad"),
+    "delta_boundary": ("boundary", "delta"),
+    "rule": ("reaction", "selection"),
+    "sides": ("mesh", "gamma2"),
+}
+
+
+@contextmanager
+def _anchored(cfg, section, key=None):
+    """Re-raise an owner's :class:`ConfigurationError` (or an expression's
+    :class:`EvaluationError`) at the line of the key its ``param`` names,
+    else at ``key``, else at the ``section`` line."""
+    try:
+        yield
+    except ConfigFileError:
+        raise
+    except (ConfigurationError, EvaluationError) as exc:
+        param = getattr(exc, "param", None)
+        if param is not None:
+            section, key = _PARAM_KEYS.get(param, (section, param))
+        _fail(cfg, section, key, str(exc))
 
 
 def _const(cfg, section, key, default=None):
@@ -249,22 +280,17 @@ def _const(cfg, section, key, default=None):
         return float(raw)
     except ValueError:
         pass
-    try:
+    with _anchored(cfg, section, key):
         expr = compile_expression(raw)
-    except EvaluationError as exc:
-        _fail(cfg, section, key, str(exc))
-    if expr.variables:
-        _fail(cfg, section, key,
-              f"value must be constant, found variable(s) {sorted(expr.variables)}")
-    try:
+        if expr.variables:
+            _fail(cfg, section, key, "value must be constant, found "
+                  f"variable(s) {sorted(expr.variables)}")
         return float(expr(np.float64(0.0)))
-    except EvaluationError as exc:
-        _fail(cfg, section, key, str(exc))
 
 
 def _int(cfg, section, key, default=None):
     val = _const(cfg, section, key, default)
-    if val != int(val):
+    if not val.is_integer():
         _fail(cfg, section, key, f"expected an integer, got {val}")
     return int(val)
 
@@ -279,20 +305,10 @@ def _flag(cfg, section, key, default):
     _fail(cfg, section, key, f"expected true or false, got {raw!r}")
 
 
-def _choice(cfg, section, key, choices, default):
-    raw = cfg.get(section, key, default)
-    if raw not in choices:
-        _fail(cfg, section, key,
-              f"unknown value {raw!r}; choose from {sorted(choices)}")
-    return raw
-
-
 def _expression(cfg, section, key, dim, default):
-    raw = cfg.get(section, key, default)
-    try:
-        return require_coordinates(compile_expression(raw), dim)
-    except EvaluationError as exc:
-        _fail(cfg, section, key, str(exc))
+    with _anchored(cfg, section, key):
+        return require_coordinates(
+            compile_expression(cfg.get(section, key, default)), dim)
 
 
 def _comma_list(raw):
@@ -307,40 +323,24 @@ def build_mesh(cfg: ExperimentConfig):
     if dim not in (1, 2):
         _fail(cfg, "mesh", "dim", f"dimension must be 1 or 2, got {dim}")
     g2_raw = cfg.get("mesh", "gamma2", "none")
-    if g2_raw == "none":
-        partition = BoundaryPartition.all_dirichlet()
-    else:
-        try:
-            partition = BoundaryPartition.from_sides(_comma_list(g2_raw), dim)
-        except ConfigurationError as exc:
-            _fail(cfg, "mesh", "gamma2", str(exc))
-    try:
+    sides = [] if g2_raw == "none" else _comma_list(g2_raw)
+    with _anchored(cfg, "mesh"):
+        partition = BoundaryPartition.from_sides(sides, dim)
         if dim == 1:
-            a = _const(cfg, "mesh", "a", 0.0)
-            b = _const(cfg, "mesh", "b", 1.0)
-            n = _int(cfg, "mesh", "n")
-            return build_interval_mesh(a, b, n, partition)
-        lx = _const(cfg, "mesh", "lx")
-        ly = _const(cfg, "mesh", "ly")
-        nx = _int(cfg, "mesh", "nx")
-        ny = _int(cfg, "mesh", "ny")
-        return build_rect_mesh(lx, ly, nx, ny, partition)
-    except ConfigurationError as exc:
-        raise ConfigFileError(
-            f"[mesh]: {exc}", line=cfg.line_of("mesh", None)
-        ) from exc
+            return build_interval_mesh(_const(cfg, "mesh", "a", 0.0),
+                                       _const(cfg, "mesh", "b", 1.0),
+                                       _int(cfg, "mesh", "n"), partition)
+        return build_rect_mesh(_const(cfg, "mesh", "lx"), _const(cfg, "mesh", "ly"),
+                               _int(cfg, "mesh", "nx"), _int(cfg, "mesh", "ny"),
+                               partition)
 
 
 def _build_phase(cfg, mesh):
     p = _const(cfg, "phase", "p")
     q = _const(cfg, "phase", "q")
     mu_expr = _expression(cfg, "phase", "mu", mesh.dim, "0")
-    try:
+    with _anchored(cfg, "phase"):
         return PhaseConfig.for_mesh(mesh, p, q, mu_expr)
-    except (ConfigurationError, EvaluationError) as exc:
-        raise ConfigFileError(
-            f"[phase]: {exc}", line=cfg.line_of("phase", None)
-        ) from exc
 
 
 def _build_obstacle(cfg, mesh):
@@ -348,75 +348,47 @@ def _build_obstacle(cfg, mesh):
     if raw.strip() == "inf":
         return DiscreteFunction.constant(mesh, np.inf, allow_infinite=True)
     expr = _expression(cfg, "obstacle", "phi", mesh.dim, raw)
-    try:
+    with _anchored(cfg, "obstacle", "phi"):
         return DiscreteFunction.from_callable(mesh, expr, allow_infinite=True)
-    except (ConfigurationError, EvaluationError) as exc:
-        _fail(cfg, "obstacle", "phi", str(exc))
+
+
+def _catalog_params(cfg, section):
+    """The section's catalog parameters: every key but the structural ones."""
+    return {key: _const(cfg, section, key) for key in cfg.sections.get(section, {})
+            if key not in _KNOWN_KEYS[section]}
 
 
 def _build_reaction(cfg):
-    name = _choice(cfg, "reaction", "name", set(REACTION_NAMES), "constant")
-    rule = _choice(cfg, "reaction", "selection", set(SELECTION_RULES), "midpoint")
-    blend = None
-    if rule == "blend":
-        blend = _const(cfg, "reaction", "blend", 0.5)
-    elif cfg.get("reaction", "blend") is not None:
+    rule = cfg.get("reaction", "selection", "midpoint")
+    blend = _const(cfg, "reaction", "blend", 0.5) if rule == "blend" else None
+    params = _catalog_params(cfg, "reaction")
+    with _anchored(cfg, "reaction"):
+        spec = reaction(cfg.get("reaction", "name", "constant"), rule=rule,
+                        blend=blend, **params)
+    if blend is None and cfg.get("reaction", "blend") is not None:
         _fail(cfg, "reaction", "blend",
               "blend weight is only meaningful for the blend rule")
-    params = {key: _const(cfg, "reaction", key)
-              for key in cfg.sections.get("reaction", {})
-              if key not in _KNOWN_KEYS["reaction"]}
-    try:
-        return reaction(name, rule=rule, blend=blend, **params)
-    except ConfigurationError as exc:
-        raise ConfigFileError(
-            f"[reaction]: {exc}", line=cfg.line_of("reaction", None)
-        ) from exc
+    return spec
 
 
 def _build_boundary(cfg):
-    name = _choice(cfg, "boundary", "name", set(BOUNDARY_NAMES), "zero")
-    params = {key: _const(cfg, "boundary", key)
-              for key in cfg.sections.get("boundary", {})
-              if key not in _KNOWN_KEYS["boundary"]}
-    try:
-        return boundary_potential(name, **params)
-    except ConfigurationError as exc:
-        raise ConfigFileError(
-            f"[boundary]: {exc}", line=cfg.line_of("boundary", None)
-        ) from exc
+    params = _catalog_params(cfg, "boundary")
+    with _anchored(cfg, "boundary"):
+        return boundary_potential(cfg.get("boundary", "name", "zero"), **params)
 
 
 def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
-    """Mesh + phase + obstacle + catalog entries, fully validated."""
+    """Mesh + phase + obstacle + catalog entries, checked by their owners."""
     mesh = build_mesh(cfg)
     phase = _build_phase(cfg, mesh)
     obstacle = _build_obstacle(cfg, mesh)
     react = _build_reaction(cfg)
     boundary = _build_boundary(cfg)
-    finite = np.isfinite(obstacle.values)
-    if np.any(obstacle.values[finite] < 0):
-        _fail(cfg, "obstacle", "phi",
-              "obstacle values must be nonnegative where finite")
     default_eps = 0.0 if min(phase.p, phase.q) >= 2.0 else 1e-8
     eps_grad = _const(cfg, "solver", "eps_grad", default_eps)
-    if eps_grad < 0:
-        _fail(cfg, "solver", "eps_grad", "gradient regularization must be >= 0")
-    if eps_grad == 0.0 and min(phase.p, phase.q) < 2.0:
-        _fail(cfg, "solver", "eps_grad",
-              "a positive gradient regularization is required when an "
-              "exponent is below 2")
-    try:
-        return ProblemSpec(
-            mesh=mesh,
-            phase=phase,
-            obstacle=obstacle,
-            reaction=react,
-            boundary=boundary,
-            eps_grad=eps_grad,
-        )
-    except ConfigurationError as exc:
-        raise ConfigFileError(str(exc), line=cfg.line_of("phase", None)) from exc
+    with _anchored(cfg, "phase"):
+        return ProblemSpec(mesh=mesh, phase=phase, obstacle=obstacle,
+                           reaction=react, boundary=boundary, eps_grad=eps_grad)
 
 
 def build_schedule(cfg: ExperimentConfig):
@@ -431,41 +403,28 @@ def build_schedule(cfg: ExperimentConfig):
             values.append(float(part))
         except ValueError:
             _fail(cfg, "solver", "schedule", f"cannot parse entry {part!r}")
-    try:
+    with _anchored(cfg, "solver", "schedule"):
         return check_schedule(values)
-    except ConfigurationError as exc:
-        _fail(cfg, "solver", "schedule", str(exc))
 
 
 def build_solver_config(cfg: ExperimentConfig) -> SolverConfig:
+    """The solver settings, checked by :class:`~dpobstacle.solver.SolverConfig`
+    (``rho`` is the first schedule entry)."""
     schedule = cfg.schedule
-    mode = _choice(cfg, "solver", "mode", MODES, "penalty")
-    newton_tol = _const(cfg, "solver", "newton_tol", 1e-10)
-    if newton_tol <= 0:
-        _fail(cfg, "solver", "newton_tol", "tolerance must be positive")
-    max_newton = _int(cfg, "solver", "max_newton", 100)
-    if max_newton < 1:
-        _fail(cfg, "solver", "max_newton", "iteration budget must be >= 1")
-    delta = _const(cfg, "boundary", "delta", 1e-6)
-    if delta < 0:
-        _fail(cfg, "boundary", "delta", "smoothing delta must be >= 0")
-    try:
+    with _anchored(cfg, "solver"):
         return SolverConfig(
             rho=schedule[0],
-            mode=mode,
-            newton_tol=newton_tol,
-            max_newton=max_newton,
+            mode=cfg.get("solver", "mode", "penalty"),
+            newton_tol=_const(cfg, "solver", "newton_tol", 1e-10),
+            max_newton=_int(cfg, "solver", "max_newton", 100),
             picard_fallback=_flag(cfg, "solver", "picard_fallback", True),
-            delta_boundary=delta,
+            delta_boundary=_const(cfg, "boundary", "delta", 1e-6),
         )
-    except ConfigurationError as exc:
-        raise ConfigFileError(
-            f"[solver]: {exc}", line=cfg.line_of("solver", None)
-        ) from exc
 
 
 def study_parameters(cfg: ExperimentConfig) -> dict:
-    """Keyword arguments for the set-convergence study, fully validated."""
+    """Keyword arguments for the set-convergence study; the thresholds are
+    checked by :func:`~dpobstacle.lab.check_study`."""
     rules_raw = cfg.get("study", "selection_rules")
     if rules_raw is None:
         rules = None
@@ -487,25 +446,18 @@ def study_parameters(cfg: ExperimentConfig) -> dict:
             else:
                 _fail(cfg, "study", "selection_rules",
                       f"unknown selection rule {part!r}")
-    n_starts = _int(cfg, "study", "n_starts", 5)
-    if n_starts < 1:
-        _fail(cfg, "study", "n_starts", "need at least one start")
-    window = _int(cfg, "study", "cauchy_window", 3)
-    if window < 1:
-        _fail(cfg, "study", "cauchy_window", "window must be >= 1")
-    positive = {}
-    for key, default in (("dedup_tol", 1e-6), ("cauchy_factor", 0.5),
-                         ("probe_bump", 0.01)):
-        positive[key] = _const(cfg, "study", key, default)
-        if positive[key] <= 0:
-            _fail(cfg, "study", key, "must be positive")
-    counts = {}
-    for key, default in (("seed", 0), ("n_random_probes", 32)):
-        counts[key] = _int(cfg, "study", key, default)
-        if counts[key] < 0:
-            _fail(cfg, "study", key, "must be >= 0")
-    return {"n_starts": n_starts, "selection_rules": rules,
-            "cauchy_window": window, **positive, **counts}
+    thresholds = {
+        "n_starts": _int(cfg, "study", "n_starts", 5),
+        "cauchy_window": _int(cfg, "study", "cauchy_window", 3),
+        "dedup_tol": _const(cfg, "study", "dedup_tol", 1e-6),
+        "cauchy_factor": _const(cfg, "study", "cauchy_factor", 0.5),
+        "probe_bump": _const(cfg, "study", "probe_bump", 0.01),
+        "seed": _int(cfg, "study", "seed", 0),
+        "n_random_probes": _int(cfg, "study", "n_random_probes", 32),
+    }
+    with _anchored(cfg, "study"):
+        check_study(**thresholds)
+    return {"selection_rules": rules, **thresholds}
 
 
 def vi_tolerance(cfg: ExperimentConfig) -> float:

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Every precondition violation raises :class:`ConfigurationError`; numerical
-breakdowns that are the caller's responsibility to avoid (degenerate exponents
-with unregularized gradients, singular operators) raise the dedicated types
-below so callers can tell them apart from bugs.
+Every precondition violation raises :class:`ConfigurationError` from the
+object whose rule it is, naming the parameter in ``param`` when one breaks
+it; :class:`ConfigFileError` anchors such an error at a config-file line.
+Numerical breakdowns that are the caller's responsibility to avoid
+(degenerate exponents with unregularized gradients, singular operators)
+raise the dedicated types below so callers can tell them apart from bugs.
 """
 
 __all__ = [
@@ -17,7 +19,12 @@ __all__ = [
 
 
 class ConfigurationError(ValueError):
-    """A precondition on user-supplied data does not hold."""
+    """A precondition on user-supplied data does not hold; ``param`` names
+    the parameter whose rule failed, when one does."""
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class ConfigFileError(ConfigurationError):

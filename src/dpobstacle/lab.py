@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from .assembly import (ProblemSpec, clarke_directional, constraint_set,
                        operator_jacobian)
 from .errors import ConfigurationError, EmptySampleError, OracleFailure
-from .meshing import DiscreteFunction
+from .meshing import DiscreteFunction, nodal_values
 from .musielak import luxemburg_norm
 from .solver import (SolverConfig, SolveReport, continuation, solve_penalized,
                      stage_configs, vi_residual)
@@ -55,6 +55,7 @@ __all__ = [
     "KuratowskiDiagnostics",
     "HypothesisReport",
     "QPSolution",
+    "check_study",
     "sample_solution_set",
     "kuratowski_study",
     "nearest_point_trace",
@@ -68,6 +69,25 @@ MAX_ENUM_NODES = 14
 # fail after PG_MAX_ITER iterations
 PG_TOL = 1e-12
 PG_MAX_ITER = 2_000_000
+# study parameter -> (bound, strict): the value must exceed the bound, or
+# reach it when not strict
+STUDY_RULES = {"n_starts": (1, False), "cauchy_window": (1, False),
+               "dedup_tol": (0, True), "cauchy_factor": (0, True),
+               "probe_bump": (0, True), "seed": (0, False),
+               "n_random_probes": (0, False)}
+
+
+def check_study(**values):
+    """Check the given study parameters against ``STUDY_RULES``; the first
+    that breaks its rule raises :class:`ConfigurationError` naming it in
+    ``param``."""
+    for name, value in values.items():
+        bound, strict = STUDY_RULES[name]
+        if not (value > bound if strict else value >= bound):
+            raise ConfigurationError(
+                f"{name} must be {'>' if strict else '>='} {bound}, got {value}",
+                param=name,
+            )
 
 
 # --- samples ----------------------------------------------------------------
@@ -75,11 +95,17 @@ PG_MAX_ITER = 2_000_000
 
 @dataclass(frozen=True)
 class SampleMember:
-    solution: DiscreteFunction
-    eta: np.ndarray
     rule: str
     start: int
     report: SolveReport
+
+    @property
+    def solution(self) -> DiscreteFunction:
+        return self.report.solution
+
+    @property
+    def eta(self) -> np.ndarray:
+        return self.report.eta
 
 
 @dataclass
@@ -175,8 +201,7 @@ def _dedup(mesh, items, tol, key=lambda item: item):
 def _stage_sample(mesh, rho, solves, dedup_tol):
     """The converged reports of ``(chain, report)`` pairs, deduplicated in
     chain order, as one stage sample."""
-    members = [SampleMember(rep.solution, rep.eta, c.label, c.start, rep)
-               for c, rep in solves if rep.converged]
+    members = [SampleMember(c.label, c.start, rep) for c, rep in solves if rep.converged]
     return SolutionSample(rho=rho, members=_dedup(mesh, members, dedup_tol),
                           dedup_tol=dedup_tol)
 
@@ -196,8 +221,10 @@ def sample_solution_set(
     finite obstacle value plus one, masked on the Dirichlet nodes; the starts
     are crossed with the requested selection rules.  Only converged solves
     enter the sample, deduplicated in the lumped norm; an entirely failed
-    sweep raises :class:`EmptySampleError`.
+    sweep raises :class:`EmptySampleError`.  ``n_starts``, ``seed`` and
+    ``dedup_tol`` are checked by :func:`check_study` before any solve.
     """
+    check_study(n_starts=n_starts, seed=seed, dedup_tol=dedup_tol)
     chains = _chains(spec, n_starts, selection_rules, seed)
     reports = _run_solves(
         [lambda c=c: solve_penalized(c.spec, cfg, initial=c.initial) for c in chains],
@@ -235,7 +262,7 @@ class KuratowskiDiagnostics:
     spec: ProblemSpec
 
     def to_json_dict(self, include_solutions=True):
-        out = {
+        return {
             "rhos": list(map(float, self.rhos)),
             "violation_sup": list(map(float, self.violation_sup)),
             "violation_l1": list(map(float, self.violation_l1)),
@@ -263,7 +290,6 @@ class KuratowskiDiagnostics:
                 for c in self.candidates
             ],
         }
-        return out
 
     def csv_rows(self, traces):
         """Rows (rho, violation_sup, violation_l1, chain_distance, vi_residual,
@@ -355,8 +381,13 @@ def kuratowski_study(
     own chain's selection rule, by a variational-inequality residual over the
     documented probe set.  With
     ``threads > 1`` whole chains run concurrently; the results do not depend
-    on ``threads``, because each solve depends only on its own chain.
+    on ``threads``, because each solve depends only on its own chain.  Every
+    threshold is checked by :func:`check_study`, and the schedule by
+    :func:`~dpobstacle.solver.check_schedule`, before any chain runs.
     """
+    check_study(n_starts=n_starts, seed=seed, dedup_tol=dedup_tol,
+                cauchy_factor=cauchy_factor, cauchy_window=cauchy_window,
+                probe_bump=probe_bump, n_random_probes=n_random_probes)
     schedule = [stage_cfg.rho for stage_cfg in stage_configs(spec, schedule, cfg)]
     chains = _chains(spec, n_starts, selection_rules, seed)
     runs = _run_solves(
@@ -449,7 +480,7 @@ def nearest_point_trace(diagnostics: KuratowskiDiagnostics, u):
     Returns a list of ``(rho, member_index, distance)``.  ``u`` must be one of
     the study's limit candidates (up to the dedup tolerance).
     """
-    u_vals = u.values if isinstance(u, DiscreteFunction) else np.asarray(u, float)
+    u_vals = nodal_values(u)
     spec = diagnostics.spec
     tol = diagnostics.thresholds["dedup_tol"]
     if not any(

@@ -15,7 +15,6 @@ midpoint lies on one of the partition's named sides of the box.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +27,7 @@ __all__ = [
     "BoundaryPartition",
     "Mesh",
     "DiscreteFunction",
+    "nodal_values",
     "build_interval_mesh",
     "build_rect_mesh",
     "boundary_lumped_weights",
@@ -62,7 +62,8 @@ class BoundaryPartition:
         sides = tuple(sides)
         for s in sides:
             if s not in valid:
-                raise ConfigurationError(f"unknown boundary side {s!r} for dim={dim}")
+                raise ConfigurationError(f"unknown boundary side {s!r} for dim={dim}",
+                                         param="sides")
         return cls(sides)
 
     def is_natural(self, midpoint, box):
@@ -213,22 +214,6 @@ class Mesh:
         local = values[self.elements]  # (n_el, nv)
         return np.einsum("ekv,ev->ek", self.gradient_maps, local)
 
-    def summary_dict(self):
-        """JSON-ready summary: nodes, connectivity, tagged boundary faces."""
-        return {
-            "dim": self.dim,
-            "n_nodes": self.n_nodes,
-            "n_elements": self.n_elements,
-            "nodes": self.nodes.tolist(),
-            "elements": self.elements.tolist(),
-            "boundary_faces": [
-                {"nodes": list(face), "tag": tag} for face, tag in self.boundary_faces
-            ],
-        }
-
-    def summary_json(self):
-        return json.dumps(self.summary_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class DiscreteFunction:
@@ -267,6 +252,12 @@ class DiscreteFunction:
     def constant(cls, mesh, value, allow_infinite=False):
         return cls(mesh, np.full(mesh.n_nodes, float(value)),
                    allow_infinite=allow_infinite)
+
+
+def nodal_values(u):
+    """The float nodal array of a :class:`DiscreteFunction` or an array-like
+    (no copy when ``u`` already holds one)."""
+    return u.values if isinstance(u, DiscreteFunction) else np.asarray(u, float)
 
 
 def build_interval_mesh(a, b, n_elements, partition=None):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .meshing import DiscreteFunction, Mesh
+from .meshing import DiscreteFunction, Mesh, nodal_values
 
 __all__ = [
     "ConstraintSet",
@@ -41,7 +41,8 @@ class ConstraintSet:
     """Nodal vectors below the obstacle and zero on the Dirichlet nodes.
 
     ``obstacle`` entries may be ``+inf`` (unconstrained node).  The obstacle
-    must be >= 0 where finite so that the zero vector belongs to the set.
+    must be >= 0 where finite so that the zero vector belongs to the set, and
+    may not be NaN or ``-inf``; errors name ``param`` ``obstacle``.
     """
 
     mesh: Mesh
@@ -56,10 +57,11 @@ class ConstraintSet:
         if obs.shape != (self.mesh.n_nodes,) or mask.shape != (self.mesh.n_nodes,):
             raise ConfigurationError("obstacle/mask length must match the mesh")
         if np.any(np.isnan(obs)) or np.any(np.isneginf(obs)):
-            raise ConfigurationError("obstacle values may not be NaN or -inf")
+            raise ConfigurationError("obstacle may not be NaN or -inf", param="obstacle")
         if np.any(obs[np.isfinite(obs)] < 0):
             raise ConfigurationError(
-                "obstacle must be >= 0 where finite (zero must be admissible)"
+                "obstacle must be >= 0 where finite (zero must be admissible)",
+                param="obstacle",
             )
 
     @classmethod
@@ -103,7 +105,7 @@ def project(u: DiscreteFunction, K: ConstraintSet) -> DiscreteFunction:
 
 def plus_part(u: DiscreteFunction, phi) -> DiscreteFunction:
     """Nodal positive part (u - phi)^+; infinite obstacle entries give zero."""
-    phi_vals = phi.values if isinstance(phi, DiscreteFunction) else np.asarray(phi, float)
+    phi_vals = nodal_values(phi)
     excess = u.values - phi_vals
     out = np.where(np.isposinf(phi_vals), 0.0, np.maximum(excess, 0.0))
     return DiscreteFunction(u.mesh, out)

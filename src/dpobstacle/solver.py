@@ -40,7 +40,7 @@ from .assembly import (
     operator_coefficient,
 )
 from .errors import ConfigurationError
-from .meshing import DiscreteFunction
+from .meshing import DiscreteFunction, nodal_values
 from .nonsmooth import plus_part
 
 __all__ = ["SolverConfig", "SolveReport", "TraceEntry", "solve_penalized",
@@ -59,7 +59,9 @@ TOL_MEMBERSHIP = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budgets and smoothing parameters for one approximate solve."""
+    """Iteration budgets and smoothing parameters for one approximate solve;
+    construction checks each field's rule (a ``ConfigurationError`` whose
+    ``param`` names the field)."""
 
     rho: float = 1.0
     mode: str = "penalty"
@@ -71,9 +73,17 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigurationError(f"unknown solver mode {self.mode!r}")
-        if self.mode != "unconstrained" and not self.rho > 0:
-            raise ConfigurationError("approximation parameter rho must be positive")
+            raise ConfigurationError(
+                f"unknown solver mode {self.mode!r}; choose from {MODES}", param="mode")
+        for param, holds, rule in (
+            ("rho", self.mode == "unconstrained" or self.rho > 0, "be positive"),
+            ("newton_tol", self.newton_tol > 0, "be positive"),
+            ("max_newton", self.max_newton >= 1, "be >= 1"),
+            ("delta_boundary", self.delta_boundary >= 0, "be >= 0"),
+        ):
+            if not holds:
+                raise ConfigurationError(
+                    f"{param} must {rule}, got {getattr(self, param)}", param=param)
 
 
 @dataclass(frozen=True)
@@ -157,8 +167,7 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
     if initial is None:
         u = np.zeros(mesh.n_nodes)
     else:
-        u = np.array(initial.values if isinstance(initial, DiscreteFunction)
-                     else initial, dtype=float)
+        u = nodal_values(initial).copy()
     u[mesh.dirichlet_mask] = 0.0
 
     eff_tol = max(cfg.newton_tol, _fp_floor(spec, cfg))
@@ -306,7 +315,7 @@ def vi_residual(spec: ProblemSpec, u, eta, probes) -> float:
     """
     K = constraint_set(spec)
     mesh = spec.mesh
-    u_vals = u.values if isinstance(u, DiscreteFunction) else np.asarray(u, float)
+    u_vals = nodal_values(u)
     # everything that depends on u alone, computed once
     grads_u, coef = operator_coefficient(spec, u_vals)
     w_eta = mesh.node_volume_weights * np.asarray(eta, float)
@@ -314,7 +323,7 @@ def vi_residual(spec: ProblemSpec, u, eta, probes) -> float:
     bw, trace = spec.gamma2_weights[gamma2], u_vals[gamma2]
     best = np.inf
     for v in probes:
-        v_vals = v.values if isinstance(v, DiscreteFunction) else np.asarray(v, float)
+        v_vals = nodal_values(v)
         if not K.contains(v_vals, tol=TOL_MEMBERSHIP):
             raise ConfigurationError("a probe direction is not admissible")
         dv = v_vals - u_vals

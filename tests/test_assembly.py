@@ -394,6 +394,23 @@ class TestProblemSpecValidation:
         spec = make_spec(mesh, p=1.5, q=2.5, mu=0.5, eps=1e-8)
         assert spec.eps_grad == 1e-8
 
+    def test_rules_name_their_parameter(self):
+        mesh = interval(4)
+        for kwargs, param in ((dict(phi=-0.5), "obstacle"),
+                              (dict(eps=-1e-8), "eps_grad"),
+                              (dict(eps=float("nan")), "eps_grad"),
+                              (dict(p=1.5, q=2.5, eps=0.0), "eps_grad")):
+            with pytest.raises(ConfigurationError) as err:
+                make_spec(mesh, **kwargs)
+            assert err.value.param == param
+
+    def test_constraint_set_is_built_once(self):
+        spec = make_spec(interval(4), phi=0.25)
+        assert constraint_set(spec) is constraint_set(spec) is spec.constraints
+        assert np.array_equal(spec.constraints.obstacle, spec.obstacle.values)
+        other = dataclasses.replace(spec, obstacle=obstacle_fn(spec.mesh, 0.5))
+        assert np.all(constraint_set(other).obstacle == 0.5)
+
     def test_with_helpers(self):
         mesh = interval(4)
         spec = make_spec(mesh)

@@ -248,6 +248,18 @@ class TestStudy:
         assert "--seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["solve"], ["study"], ["check"],
+                                      ["oracle"], ["norm-tool", "x"]])
+    def test_negative_seed_flag_fails_every_subcommand(self, cfg_file, tmp_path,
+                                                       capsys, argv):
+        out = tmp_path / "out"
+        code = main([argv[0], "--config", cfg_file(CONTACT), "--out", str(out),
+                     "--seed", "-1", *argv[1:]])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --seed must be >= 0, got -1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("old,new", [
         ("seed = 11", "seed = -3"),
         ("seed = 11", "seed = 11\nn_random_probes = -1"),

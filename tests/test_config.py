@@ -318,6 +318,15 @@ class TestStudyParameters:
         assert err.value.line == 12
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "2.5"])
+    def test_non_integer_count_names_its_line(self, value):
+        # inf and nan once escaped as a raw OverflowError / ValueError
+        text = BASIC + f"\n[study]\nn_starts = {value}\n"
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == 11
+        assert "expected an integer" in str(err.value)
+
     def test_zero_counts_accepted(self):
         text = BASIC + "\n[study]\nseed = 0\nn_random_probes = 0\n"
         params = study_parameters(parse_config_text(text))
@@ -327,6 +336,109 @@ class TestStudyParameters:
         assert vi_tolerance(parse_config_text(BASIC)) == 1e-8
         text = BASIC + "\n[study]\nvi_tol = 1e-6\n"
         assert vi_tolerance(parse_config_text(text)) == 1e-6
+
+
+FULL = """\
+[mesh]
+dim = 1
+n = 8
+gamma2 = right
+
+[phase]
+p = 2
+q = 3
+
+[obstacle]
+phi = 0.5
+
+[reaction]
+name = interval
+lo = 0
+hi = 1
+selection = blend
+blend = 0.5
+
+[boundary]
+name = abs
+alpha = 1
+delta = 1e-6
+
+[solver]
+mode = penalty
+newton_tol = 1e-10
+max_newton = 100
+eps_grad = 0
+
+[study]
+n_starts = 2
+seed = 0
+dedup_tol = 1e-6
+cauchy_factor = 0.5
+cauchy_window = 3
+probe_bump = 0.01
+n_random_probes = 4
+"""
+
+
+class TestOwnerRulesAnchored:
+    """Each rule lives in the object it constrains; the config reader only
+    points its error at the line of the key that set the value."""
+
+    def test_full_file_is_valid(self):
+        exp = parse_config_text(FULL).experiment
+        assert exp.spec.reaction.blend == 0.5
+        assert exp.study["n_random_probes"] == 4
+
+    @pytest.mark.parametrize("section,key,bad", [
+        ("obstacle", "phi", "0-1"),
+        ("solver", "eps_grad", "-1"),
+        ("solver", "newton_tol", "0"),
+        ("solver", "max_newton", "0"),
+        ("solver", "mode", "explicit"),
+        ("boundary", "delta", "-1"),
+        ("boundary", "name", "nope"),
+        ("boundary", "alpha", "-1"),
+        ("reaction", "name", "nope"),
+        ("reaction", "selection", "median"),
+        ("reaction", "blend", "2"),
+        ("mesh", "gamma2", "rear"),
+        ("study", "n_starts", "0"),
+        ("study", "seed", "-1"),
+        ("study", "dedup_tol", "0"),
+        ("study", "cauchy_factor", "-0.5"),
+        ("study", "cauchy_window", "0"),
+        ("study", "probe_bump", "0"),
+        ("study", "n_random_probes", "-1"),
+    ])
+    def test_error_names_the_line_of_the_key(self, section, key, bad):
+        lines = FULL.splitlines()
+        current = None
+        for lineno, line in enumerate(lines, start=1):
+            if line.startswith("["):
+                current = line.strip("[]")
+            elif current == section and line.startswith(f"{key} = "):
+                lines[lineno - 1] = f"{key} = {bad}"
+                break
+        else:
+            raise AssertionError(f"[{section}] {key} is not in the file")
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text("\n".join(lines) + "\n")
+        assert err.value.line == lineno
+        assert f"[{section}] {key}:" in str(err.value)
+
+    def test_rule_without_a_key_names_the_section(self):
+        # the interval entry's own rule (lo <= hi) names no single parameter
+        text = FULL.replace("hi = 1", "hi = -1")
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == 13
+        assert "f_lo <= f_hi" in str(err.value)
+
+    def test_missing_key_names_the_section(self):
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(BASIC.replace("q = 3\n", ""))
+        assert err.value.line == 5
+        assert "[phase] q: required key is missing" in str(err.value)
 
 
 class TestOutputParameters:

@@ -277,6 +277,51 @@ class TestKuratowskiStudy:
             nearest_point_trace(diag, stranger)
 
 
+_BAD_THRESHOLDS = [
+    ("n_starts", 0), ("seed", -1), ("dedup_tol", -1.0), ("dedup_tol", 0.0),
+    ("dedup_tol", float("nan")), ("cauchy_factor", 0.0), ("cauchy_window", 0),
+    ("probe_bump", -1.0), ("n_random_probes", -1),
+]
+
+
+class TestStudyRules:
+    @pytest.fixture
+    def no_solves(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve ran before the thresholds were checked")
+
+        monkeypatch.setattr(lab, "continuation", refuse)
+        monkeypatch.setattr(lab, "solve_penalized", refuse)
+
+    @pytest.mark.parametrize("name,value", _BAD_THRESHOLDS)
+    def test_study_checks_before_any_chain(self, no_solves, name, value):
+        with pytest.raises(ConfigurationError) as err:
+            kuratowski_study(_contact_spec(16), [1.0, 0.1], SolverConfig(),
+                             **{name: value})
+        assert err.value.param == name
+        assert name in str(err.value)
+
+    @pytest.mark.parametrize("name,value", [
+        (n, v) for n, v in _BAD_THRESHOLDS
+        if n in ("n_starts", "seed", "dedup_tol")])
+    def test_sample_checks_before_any_solve(self, no_solves, name, value):
+        with pytest.raises(ConfigurationError) as err:
+            sample_solution_set(_contact_spec(16), SolverConfig(), **{name: value})
+        assert err.value.param == name
+
+    def test_least_values_accepted(self):
+        lab.check_study(n_starts=1, cauchy_window=1, seed=0, n_random_probes=0,
+                        dedup_tol=1e-300, cauchy_factor=1e-300, probe_bump=1e-300)
+        diag = kuratowski_study(_contact_spec(16), [1.0, 0.1], SolverConfig(),
+                                n_starts=1, cauchy_window=1, n_random_probes=0)
+        assert [c.probe_count for c in diag.candidates] == [1 + 2 * 17]
+
+    def test_rule_table_covers_every_echoed_threshold(self):
+        diag = kuratowski_study(_contact_spec(16), [1.0, 0.1], SolverConfig(),
+                                n_starts=1)
+        assert set(diag.thresholds) | {"n_starts", "seed"} == set(lab.STUDY_RULES)
+
+
 class TestQPOracle:
     def test_unconstrained_matches_plain_solve(self):
         mesh = interval(24)

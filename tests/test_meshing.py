@@ -1,7 +1,5 @@
 """Mesh construction, P1 geometry, boundary partition, lumped quadrature."""
 
-import json
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +18,7 @@ from dpobstacle.meshing import (
     boundary_lumped_weights,
     build_interval_mesh,
     build_rect_mesh,
+    nodal_values,
 )
 
 
@@ -261,23 +260,24 @@ class TestDiscreteFunction:
         assert np.all(g.values == 2.5)
 
 
-class TestSummary:
-    def test_summary_json_round_trip(self):
-        mesh = rectangle(2, 1, gamma2=("top",))
-        data = json.loads(mesh.summary_json())
-        assert data["dim"] == 2
-        assert data["n_nodes"] == mesh.n_nodes
-        assert data["n_elements"] == mesh.n_elements
-        assert len(data["nodes"]) == mesh.n_nodes
-        assert len(data["elements"]) == mesh.n_elements
-        tags = {face["tag"] for face in data["boundary_faces"]}
-        assert tags == {"gamma1", "gamma2"}
+class TestNodalValues:
+    def test_function_values_are_not_copied(self):
+        f = DiscreteFunction(interval(4), np.arange(5.0))
+        assert nodal_values(f) is f.values
+
+    def test_array_like_becomes_float(self):
+        vals = nodal_values([0, 1, 2])
+        assert vals.dtype == np.float64
+        assert np.array_equal(vals, [0.0, 1.0, 2.0])
+        arr = np.ones(3)
+        assert nodal_values(arr) is arr
 
 
 class TestPartition:
     def test_unknown_side_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as err:
             BoundaryPartition.from_sides(("bottom",), dim=1)
+        assert err.value.param == "sides"
         with pytest.raises(ConfigurationError):
             BoundaryPartition.from_sides(("diagonal",), dim=2)
 

@@ -226,12 +226,10 @@ class TestValidation:
     def test_obstacle_must_be_admissible(self):
         mesh = interval(4)
         mask = np.zeros(mesh.n_nodes, dtype=bool)
-        with pytest.raises(ConfigurationError):
-            ConstraintSet(mesh, np.full(mesh.n_nodes, -0.5), mask)
-        with pytest.raises(ConfigurationError):
-            ConstraintSet(mesh, np.full(mesh.n_nodes, np.nan), mask)
-        with pytest.raises(ConfigurationError):
-            ConstraintSet(mesh, np.full(mesh.n_nodes, -np.inf), mask)
+        for bad in (-0.5, np.nan, -np.inf):
+            with pytest.raises(ConfigurationError) as err:
+                ConstraintSet(mesh, np.full(mesh.n_nodes, bad), mask)
+            assert err.value.param == "obstacle"
 
     def test_shape_checked(self):
         mesh = interval(4)

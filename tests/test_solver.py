@@ -421,6 +421,20 @@ class TestSolverConfig:
         assert cfg.newton_tol == 1e-10
         assert cfg.picard_fallback
 
+    @pytest.mark.parametrize("field,value", [
+        ("newton_tol", 0.0), ("newton_tol", -1e-10), ("newton_tol", float("nan")),
+        ("max_newton", 0), ("delta_boundary", -1.0), ("mode", "explicit"),
+        ("rho", 0.0),
+    ])
+    def test_rules_name_their_field(self, field, value):
+        with pytest.raises(ConfigurationError) as err:
+            SolverConfig(**{field: value})
+        assert err.value.param == field
+
+    def test_least_values_accepted(self):
+        cfg = SolverConfig(max_newton=1, delta_boundary=0.0, newton_tol=1e-300)
+        assert cfg.max_newton == 1 and cfg.delta_boundary == 0.0
+
     def test_frozen_dataclass_replace(self):
         cfg = SolverConfig()
         cfg2 = dataclasses.replace(cfg, rho=0.5)
