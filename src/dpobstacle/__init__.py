@@ -86,7 +86,6 @@ from .meshing import (
     BoundaryPartition,
     DiscreteFunction,
     Mesh,
-    boundary_lumped_weights,
     build_interval_mesh,
     build_rect_mesh,
 )
@@ -152,7 +151,6 @@ __all__ = [
     "TraceEntry",
     "apply_operator",
     "assemble_system",
-    "boundary_lumped_weights",
     "boundary_potential",
     "boundary_term",
     "build_interval_mesh",

@@ -9,6 +9,8 @@ pairing, residual and exact Jacobian are elementwise closed forms.  Degenerate
 exponents are handled by the regularized gradient magnitude
 ``g_e = sqrt(|grad u|^2 + eps_grad^2)``; the residual is then the exact
 derivative of the regularized energy  ``sum_e |e| (g_e^p / p + mu_e g_e^q / q)``.
+Each function reads ``eps_grad`` from the :class:`ProblemSpec` and the boundary
+smoothing ``delta`` from its potential: a continuation stage is a spec.
 
 Lower-order terms use vertex-lumped quadrature: the obstacle penalty
 ``(w_i / rho) (u_i - phi_i)^+`` (derivative taken as zero at the kink; in the
@@ -28,7 +30,7 @@ import scipy.sparse as sp
 
 from .catalog import BoundaryPotentialSpec, ReactionSpec
 from .errors import ConfigurationError, SingularOperatorError
-from .meshing import DiscreteFunction, Mesh, boundary_lumped_weights, nodal_values
+from .meshing import DiscreteFunction, Mesh, nodal_values
 from .musielak import PhaseConfig
 from .nonsmooth import ConstraintSet
 
@@ -57,7 +59,8 @@ class ProblemSpec:
     rule (nonnegative where finite) belongs to the cached ``constraints``.
     ``eps_grad`` must be >= 0, and positive whenever an exponent lies below
     2, since the diffusion coefficient is then singular at vanishing
-    gradients.  Derived data is cached; a ``replace``-d spec starts empty.
+    gradients; left out, it is 0 when both exponents are >= 2, else 1e-8.
+    Derived data is cached; a ``replace``-d spec starts empty.
     """
 
     mesh: Mesh
@@ -65,7 +68,7 @@ class ProblemSpec:
     obstacle: DiscreteFunction
     reaction: ReactionSpec
     boundary: BoundaryPotentialSpec
-    eps_grad: float = 0.0
+    eps_grad: float | None = None
 
     def __post_init__(self):
         if self.phase.mesh is not self.mesh:
@@ -73,9 +76,12 @@ class ProblemSpec:
         if self.obstacle.mesh is not self.mesh:
             raise ConfigurationError("obstacle belongs to a different mesh")
         self.constraints  # the obstacle rule lives in ConstraintSet
+        singular = min(self.phase.p, self.phase.q) < 2.0
+        if self.eps_grad is None:
+            object.__setattr__(self, "eps_grad", 1e-8 if singular else 0.0)
         if not self.eps_grad >= 0:
             raise ConfigurationError("eps_grad must be >= 0", param="eps_grad")
-        if min(self.phase.p, self.phase.q) < 2.0 and not self.eps_grad > 0:
+        if singular and not self.eps_grad > 0:
             raise ConfigurationError(
                 "an exponent below 2 requires a positive gradient "
                 "regularization eps_grad", param="eps_grad"
@@ -84,10 +90,6 @@ class ProblemSpec:
     @cached_property
     def constraints(self) -> ConstraintSet:
         return ConstraintSet.from_problem(self.mesh, self.obstacle.values)
-
-    @cached_property
-    def gamma2_weights(self):
-        return boundary_lumped_weights(self.mesh)
 
     @property
     def has_gamma2(self):
@@ -111,10 +113,9 @@ def constraint_set(spec: ProblemSpec) -> ConstraintSet:
     return spec.constraints
 
 
-def _gradient_state(spec, u, eps_grad):
-    eps = spec.eps_grad if eps_grad is None else eps_grad
+def _gradient_state(spec, u):
     grads = spec.mesh.element_gradients(nodal_values(u))
-    g2 = np.sum(grads * grads, axis=1) + eps * eps
+    g2 = np.sum(grads * grads, axis=1) + spec.eps_grad * spec.eps_grad
     ge = np.sqrt(g2)
     p, q = spec.phase.p, spec.phase.q
     if min(p, q) < 2.0 and np.any(ge == 0.0):
@@ -133,46 +134,46 @@ def _coef(spec, ge):
     return cp + spec.phase.mu * cq
 
 
-def operator_energy(spec: ProblemSpec, u, eps_grad=None) -> float:
+def operator_energy(spec: ProblemSpec, u) -> float:
     """Regularized two-phase Dirichlet energy sum_e |e| (g^p/p + mu g^q/q)."""
-    _, ge, _ = _gradient_state(spec, u, eps_grad)
+    _, ge, _ = _gradient_state(spec, u)
     p, q = spec.phase.p, spec.phase.q
     dens = ge**p / p + spec.phase.mu * ge**q / q
     return float(np.dot(spec.mesh.element_volumes, dens))
 
 
-def operator_coefficient(spec: ProblemSpec, u, eps_grad=None):
+def operator_coefficient(spec: ProblemSpec, u):
     """Element gradients of ``u`` and the diffusion coefficient
     ``g^(p-2) + mu g^(q-2)`` per element: the factors of the operator
     pairing at ``u`` that do not depend on the direction."""
-    grads, ge, _ = _gradient_state(spec, u, eps_grad)
+    grads, ge, _ = _gradient_state(spec, u)
     return grads, _coef(spec, ge)
 
 
-def apply_operator(spec: ProblemSpec, u, v, eps_grad=None) -> float:
+def apply_operator(spec: ProblemSpec, u, v) -> float:
     """Energy pairing of the operator at ``u`` against ``v``."""
-    grads_u, coef = operator_coefficient(spec, u, eps_grad)
+    grads_u, coef = operator_coefficient(spec, u)
     dots = np.sum(grads_u * spec.mesh.element_gradients(nodal_values(v)), axis=1)
     return float(np.dot(spec.mesh.element_volumes, coef * dots))
 
 
-def operator_residual(spec: ProblemSpec, u, eps_grad=None) -> np.ndarray:
+def operator_residual(spec: ProblemSpec, u) -> np.ndarray:
     """Unmasked residual vector of the leading operator."""
-    grads, ge, _ = _gradient_state(spec, u, eps_grad)
+    grads, ge, _ = _gradient_state(spec, u)
     coef = spec.mesh.element_volumes * _coef(spec, ge)
     # local vector |e| coef G^T grad
     local = np.einsum("ekv,ek->ev", spec.mesh.gradient_maps, grads) * coef[:, None]
     return spec.mesh.scatter_vector(local)
 
 
-def operator_jacobian(spec: ProblemSpec, u, eps_grad=None, frozen=False):
+def operator_jacobian(spec: ProblemSpec, u, frozen=False):
     """Exact (or coefficient-frozen) sparse Jacobian of the leading operator.
 
     ``frozen=True`` drops the rank-one derivative of the nonlinear
     coefficient, giving the fixed-point (Picard) linearization.
     """
     mesh = spec.mesh
-    grads, ge, g2 = _gradient_state(spec, u, eps_grad)
+    grads, ge, g2 = _gradient_state(spec, u)
     p, q = spec.phase.p, spec.phase.q
     mu = spec.phase.mu
     coef = _coef(spec, ge)
@@ -227,24 +228,25 @@ def reaction_term(spec: ProblemSpec, u):
     return vec, jac.tocsr(), eta
 
 
-def boundary_term(spec: ProblemSpec, u, delta):
-    """Smoothed boundary flux on the natural part: vector and diagonal."""
+def boundary_term(spec: ProblemSpec, u):
+    """Boundary flux on the natural part, smoothed at the potential's
+    ``delta``: vector and diagonal."""
     n = spec.mesh.n_nodes
     vec = np.zeros(n)
     diag = np.zeros(n)
-    bw = spec.gamma2_weights
+    bw = spec.mesh.gamma2_weights
     idx = spec.mesh.gamma2_nodes
     if idx.size:
         s = nodal_values(u)[idx]
-        vec[idx] = bw[idx] * spec.boundary.smoothed_grad(s, delta)
-        diag[idx] = bw[idx] * spec.boundary.smoothed_grad_deriv(s, delta)
+        vec[idx] = bw[idx] * spec.boundary.smoothed_grad(s)
+        diag[idx] = bw[idx] * spec.boundary.smoothed_grad_deriv(s)
     return vec, diag
 
 
 def clarke_directional(spec: ProblemSpec, u, v) -> float:
     """Exact boundary term sum of weights times the generalized directional
     derivative of the potential at the trace of ``u`` in direction ``v``."""
-    bw = spec.gamma2_weights
+    bw = spec.mesh.gamma2_weights
     idx = spec.mesh.gamma2_nodes
     if not idx.size:
         return 0.0
@@ -268,8 +270,6 @@ def assemble_system(
     u,
     mode="penalty",
     rho=1.0,
-    delta=0.0,
-    eps_grad=None,
     with_jacobian=True,
     frozen=False,
 ) -> AssembledSystem:
@@ -281,12 +281,12 @@ def assemble_system(
     is ``w (u - phi)^+ / rho`` on every free (non-Dirichlet) node.
     """
     vals = nodal_values(u)
-    r = operator_residual(spec, vals, eps_grad)
+    r = operator_residual(spec, vals)
     diag_extra = np.zeros_like(r)
 
     react_vec, react_jac, eta = reaction_term(spec, vals)
     r = r + react_vec
-    bnd_vec, bnd_diag = boundary_term(spec, vals, delta)
+    bnd_vec, bnd_diag = boundary_term(spec, vals)
     r = r + bnd_vec
     diag_extra += bnd_diag
 
@@ -299,7 +299,7 @@ def assemble_system(
 
     J = None
     if with_jacobian:
-        J = operator_jacobian(spec, vals, eps_grad, frozen=frozen)
+        J = operator_jacobian(spec, vals, frozen=frozen)
         J = J + sp.diags(diag_extra)
         if not frozen:
             # the fixed-point linearization also freezes the selection

@@ -8,8 +8,9 @@ used by the assumption checker.
 
 Boundary potentials ``j`` are locally Lipschitz in the trace value; each entry
 provides the value, the generalized-gradient interval, the exact generalized
-directional derivative, and a delta-smoothed gradient selection (with its
-derivative) for assembly.  Entries with a kink require ``delta > 0``.
+directional derivative, and a gradient selection (with its derivative) for
+assembly, smoothed at the potential's own ``delta`` (default 1e-6), which
+must be >= 0, and > 0 for the entries with a kink.
 """
 
 from __future__ import annotations
@@ -294,7 +295,8 @@ def reaction(name, rule="midpoint", blend=None, **params):
 
 @dataclass(frozen=True)
 class BoundaryPotentialSpec:
-    """A locally Lipschitz boundary potential with generalized-gradient data."""
+    """A locally Lipschitz boundary potential with generalized-gradient data
+    and the smoothing ``delta`` of its assembled gradient, checked here."""
 
     name: str
     params: tuple
@@ -302,11 +304,18 @@ class BoundaryPotentialSpec:
     smooth: bool
     quadratic: bool  # value is a (possibly zero) quadratic: usable by QP oracles
     clarke_shift_bound: float
+    delta: float
     _value: callable = field(repr=False)
     _interval: callable = field(repr=False)
     _directional: callable = field(repr=False)
     _smoothed: callable = field(repr=False)
     _smoothed_deriv: callable = field(repr=False)
+
+    def __post_init__(self):
+        if not (self.delta > 0 or self.smooth and self.delta == 0):
+            kink = "" if self.smooth else f", and > 0 as {self.name!r} has a kink"
+            raise ConfigurationError(f"delta must be >= 0{kink}, got {self.delta}",
+                                     param="delta")
 
     def value(self, s):
         return np.asarray(self._value(dict(self.params), np.asarray(s, float)), float)
@@ -323,24 +332,16 @@ class BoundaryPotentialSpec:
             float,
         )
 
-    def smoothed_grad(self, s, delta):
-        self._require_delta(delta)
+    def smoothed_grad(self, s):
         return np.asarray(
-            self._smoothed(dict(self.params), np.asarray(s, float), delta), float
+            self._smoothed(dict(self.params), np.asarray(s, float), self.delta), float
         )
 
-    def smoothed_grad_deriv(self, s, delta):
-        self._require_delta(delta)
+    def smoothed_grad_deriv(self, s):
         return np.asarray(
-            self._smoothed_deriv(dict(self.params), np.asarray(s, float), delta), float
+            self._smoothed_deriv(dict(self.params), np.asarray(s, float), self.delta),
+            float,
         )
-
-    def _require_delta(self, delta):
-        if not self.smooth and not (delta > 0):
-            raise ConfigurationError(
-                f"boundary potential {self.name!r} has a kink: "
-                "a positive smoothing delta is required"
-            )
 
 
 def _zero_val(p, s):
@@ -474,12 +475,14 @@ _BOUNDARIES = {
 }
 
 BOUNDARY_NAMES = tuple(sorted(_BOUNDARIES))
-# every parameter name some boundary potential takes
-BOUNDARY_PARAMETERS = frozenset(k for entry in _BOUNDARIES.values() for k in entry[0])
+# every parameter name some boundary potential takes, the smoothing included
+BOUNDARY_PARAMETERS = frozenset(
+    {"delta", *(k for entry in _BOUNDARIES.values() for k in entry[0])})
 
 
-def boundary_potential(name, **params):
-    """Build a :class:`BoundaryPotentialSpec` from the catalog."""
+def boundary_potential(name, delta=1e-6, **params):
+    """Build a :class:`BoundaryPotentialSpec` from the catalog, smoothed at
+    ``delta``."""
     if name not in _BOUNDARIES:
         raise ConfigurationError(
             f"unknown boundary potential {name!r}; choose from {BOUNDARY_NAMES}",
@@ -505,6 +508,7 @@ def boundary_potential(name, **params):
         smooth=smooth,
         quadratic=quadratic,
         clarke_shift_bound=shift,
+        delta=float(delta),
         _value=val,
         _interval=interval,
         _directional=directional,

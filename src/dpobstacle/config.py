@@ -8,14 +8,14 @@ and obstacle fields may use ``x`` (and ``y`` on 2D meshes, as
 :func:`~dpobstacle.expressions.require_coordinates` checks).  Unknown
 sections or keys and duplicates are hard errors anchored to their line.
 
-This module parses values and supplies the format's defaults; it restates
-no rule of the objects it builds.  Each owner raises a
+This module parses values and restates no rule of the objects it builds;
+a ``[solver]`` or ``[boundary]`` key reaches its owner only when written, so
+the owner's default applies otherwise.  Each owner raises a
 :class:`ConfigurationError` naming its parameter in ``param``, and one
 helper re-raises it as a :class:`ConfigFileError` at that key's line
-(``_PARAM_KEYS`` maps ``obstacle`` to ``phi``, ``delta_boundary`` to
-``delta``, ``rule`` to ``selection``, ``sides`` to ``gamma2``), else at the
-section line.  ``[reaction]``/``[boundary]`` parameter names come from the
-catalog registries.
+(``_PARAM_KEYS`` maps ``obstacle`` to ``phi``, ``rule`` to ``selection``,
+``sides`` to ``gamma2``), else at the section line.  ``[reaction]`` /
+``[boundary]`` parameter names come from the catalog registries.
 
 Sections and keys (defaults in parentheses):
 
@@ -27,12 +27,13 @@ Sections and keys (defaults in parentheses):
 * ``[reaction]`` — ``name`` (``constant``), ``selection`` (``midpoint``),
   ``blend`` (only for the blend rule), plus the entry's own parameters
   (any of ``catalog.REACTION_PARAMETERS``; the entry rejects the others).
-* ``[boundary]`` — ``name`` (``zero``), ``delta`` (1e-6), plus the entry's
-  own parameters (any of ``catalog.BOUNDARY_PARAMETERS``).
-* ``[solver]`` — ``mode`` (``penalty``, its alias ``moreau_yosida``, or
-  ``unconstrained``), ``schedule`` (decades 1 .. 1e-8), ``newton_tol``
-  (1e-10), ``max_newton`` (100), ``eps_grad`` (0 when both exponents are
-  >= 2, else 1e-8), ``picard_fallback`` (``true``).
+* ``[boundary]`` — ``name`` (``zero``), plus the entry's parameters (any of
+  ``catalog.BOUNDARY_PARAMETERS``, such as the smoothing ``delta``, 1e-6).
+* ``[solver]`` — ``schedule`` (decades 1 .. 1e-8), the ``ProblemSpec``
+  field ``eps_grad`` (0 when both exponents are >= 2, else 1e-8), and the
+  ``SolverConfig`` fields ``mode`` (``penalty``, its alias ``moreau_yosida``,
+  or ``unconstrained``), ``newton_tol`` (1e-10), ``max_newton`` (100) and
+  ``picard_fallback`` (``true``).
 * ``[study]`` — ``n_starts`` (5), ``seed`` (0), ``selection_rules`` (the
   single configured rule), ``dedup_tol`` (1e-6), ``cauchy_factor`` (0.5),
   ``cauchy_window`` (3), ``vi_tol`` (1e-8), ``probe_bump`` (0.01),
@@ -102,7 +103,7 @@ _KNOWN_KEYS = {
     "phase": {"p", "q", "mu"},
     "obstacle": {"phi"},
     "reaction": {"name", "selection", "blend"},
-    "boundary": {"name", "delta"},
+    "boundary": {"name"},
     "solver": {"mode", "schedule", "newton_tol", "max_newton", "eps_grad",
                "picard_fallback"},
     "study": {"n_starts", "seed", "selection_rules", "dedup_tol",
@@ -138,7 +139,6 @@ class ExperimentConfig:
 
     sections: dict
     lines: dict = field(default_factory=dict, compare=False, repr=False)
-    source: str = field(default="", compare=False, repr=False)
 
     def line_of(self, section, key=None):
         return self.lines.get((section, key))
@@ -217,7 +217,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for sec in _REQUIRED_SECTIONS:
         if sec not in sections:
             raise ConfigFileError(f"missing required section [{sec}]")
-    cfg = ExperimentConfig(sections=sections, lines=lines, source=text)
+    cfg = ExperimentConfig(sections=sections, lines=lines)
     cfg.experiment  # parse-time semantic validation of every block
     return cfg
 
@@ -247,7 +247,6 @@ def _fail(cfg, section, key, message):
 _PARAM_KEYS = {
     "obstacle": ("obstacle", "phi"),
     "eps_grad": ("solver", "eps_grad"),
-    "delta_boundary": ("boundary", "delta"),
     "rule": ("reaction", "selection"),
     "sides": ("mesh", "gamma2"),
 }
@@ -295,13 +294,10 @@ def _int(cfg, section, key, default=None):
     return int(val)
 
 
-def _flag(cfg, section, key, default):
+def _flag(cfg, section, key):
     raw = cfg.get(section, key)
-    if raw is None:
-        return default
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
+    if raw.lower() in ("true", "false"):
+        return raw.lower() == "true"
     _fail(cfg, section, key, f"expected true or false, got {raw!r}")
 
 
@@ -313,6 +309,13 @@ def _expression(cfg, section, key, dim, default):
 
 def _comma_list(raw):
     return [part.strip() for part in raw.split(",") if part.strip()]
+
+
+def _written(cfg, section, readers):
+    """Each key of ``readers`` that ``section`` writes, read by its reader;
+    the keys left out take their owner's default."""
+    return {key: read(cfg, section, key) for key, read in readers.items()
+            if cfg.get(section, key) is not None}
 
 
 # --- builders ---------------------------------------------------------------
@@ -384,11 +387,10 @@ def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
     obstacle = _build_obstacle(cfg, mesh)
     react = _build_reaction(cfg)
     boundary = _build_boundary(cfg)
-    default_eps = 0.0 if min(phase.p, phase.q) >= 2.0 else 1e-8
-    eps_grad = _const(cfg, "solver", "eps_grad", default_eps)
     with _anchored(cfg, "phase"):
         return ProblemSpec(mesh=mesh, phase=phase, obstacle=obstacle,
-                           reaction=react, boundary=boundary, eps_grad=eps_grad)
+                           reaction=react, boundary=boundary,
+                           **_written(cfg, "solver", {"eps_grad": _const}))
 
 
 def build_schedule(cfg: ExperimentConfig):
@@ -408,18 +410,14 @@ def build_schedule(cfg: ExperimentConfig):
 
 
 def build_solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    """The solver settings, checked by :class:`~dpobstacle.solver.SolverConfig`
-    (``rho`` is the first schedule entry)."""
-    schedule = cfg.schedule
+    """The written solver settings, checked by
+    :class:`~dpobstacle.solver.SolverConfig` (``rho`` is the first schedule
+    entry)."""
+    settings = _written(cfg, "solver", {
+        "mode": ExperimentConfig.get, "newton_tol": _const, "max_newton": _int,
+        "picard_fallback": _flag})
     with _anchored(cfg, "solver"):
-        return SolverConfig(
-            rho=schedule[0],
-            mode=cfg.get("solver", "mode", "penalty"),
-            newton_tol=_const(cfg, "solver", "newton_tol", 1e-10),
-            max_newton=_int(cfg, "solver", "max_newton", 100),
-            picard_fallback=_flag(cfg, "solver", "picard_fallback", True),
-            delta_boundary=_const(cfg, "boundary", "delta", 1e-6),
-        )
+        return SolverConfig(rho=cfg.schedule[0], **settings)
 
 
 def study_parameters(cfg: ExperimentConfig) -> dict:

@@ -32,6 +32,7 @@ estimates of the embedding constants.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -45,8 +46,8 @@ from .assembly import (ProblemSpec, clarke_directional, constraint_set,
 from .errors import ConfigurationError, EmptySampleError, OracleFailure
 from .meshing import DiscreteFunction, nodal_values
 from .musielak import luxemburg_norm
-from .solver import (SolverConfig, SolveReport, continuation, solve_penalized,
-                     stage_configs, vi_residual)
+from .solver import (SolverConfig, SolveReport, check_schedule, continuation,
+                     solve_penalized, vi_residual)
 
 __all__ = [
     "SampleMember",
@@ -69,12 +70,12 @@ MAX_ENUM_NODES = 14
 # fail after PG_MAX_ITER iterations
 PG_TOL = 1e-12
 PG_MAX_ITER = 2_000_000
-# study parameter -> (bound, strict): the value must exceed the bound, or
-# reach it when not strict
-STUDY_RULES = {"n_starts": (1, False), "cauchy_window": (1, False),
-               "dedup_tol": (0, True), "cauchy_factor": (0, True),
-               "probe_bump": (0, True), "seed": (0, False),
-               "n_random_probes": (0, False)}
+# study parameter -> (bound, strict, count): the value must exceed the bound,
+# or reach it when not strict, and a count must be an integer
+STUDY_RULES = {"n_starts": (1, False, True), "cauchy_window": (1, False, True),
+               "dedup_tol": (0, True, False), "cauchy_factor": (0, True, False),
+               "probe_bump": (0, True, False), "seed": (0, False, True),
+               "n_random_probes": (0, False, True)}
 
 
 def check_study(**values):
@@ -82,7 +83,10 @@ def check_study(**values):
     that breaks its rule raises :class:`ConfigurationError` naming it in
     ``param``."""
     for name, value in values.items():
-        bound, strict = STUDY_RULES[name]
+        bound, strict, count = STUDY_RULES[name]
+        if count and not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}",
+                                     param=name)
         if not (value > bound if strict else value >= bound):
             raise ConfigurationError(
                 f"{name} must be {'>' if strict else '>='} {bound}, got {value}",
@@ -378,8 +382,8 @@ def kuratowski_study(
     whose trailing ``cauchy_window`` step distances contract by
     ``cauchy_factor`` yield limit candidates; these are deduplicated in chain
     order first, and each kept candidate is then certified once, under its
-    own chain's selection rule, by a variational-inequality residual over the
-    documented probe set.  With
+    own chain's selection rule and base (first-stage) problem, by a
+    variational-inequality residual over the documented probe set.  With
     ``threads > 1`` whole chains run concurrently; the results do not depend
     on ``threads``, because each solve depends only on its own chain.  Every
     threshold is checked by :func:`check_study`, and the schedule by
@@ -388,7 +392,7 @@ def kuratowski_study(
     check_study(n_starts=n_starts, seed=seed, dedup_tol=dedup_tol,
                 cauchy_factor=cauchy_factor, cauchy_window=cauchy_window,
                 probe_bump=probe_bump, n_random_probes=n_random_probes)
-    schedule = [stage_cfg.rho for stage_cfg in stage_configs(spec, schedule, cfg)]
+    schedule = check_schedule(schedule)
     chains = _chains(spec, n_starts, selection_rules, seed)
     runs = _run_solves(
         [lambda c=c: continuation(c.spec, schedule, cfg, initial=c.initial)
@@ -528,7 +532,7 @@ def _qp_data(spec):
     mesh = spec.mesh
     S = operator_jacobian(spec, np.zeros(mesh.n_nodes))
     if spec.boundary.name == "smooth_quadratic":
-        S = S + sp.diags(spec.gamma2_weights * dict(spec.boundary.params)["alpha"])
+        S = S + sp.diags(mesh.gamma2_weights * dict(spec.boundary.params)["alpha"])
     xi = np.zeros((mesh.n_nodes, mesh.dim))
     eta = spec.reaction.select(mesh.nodes, np.zeros(mesh.n_nodes), xi)
     idx = np.flatnonzero(~mesh.dirichlet_mask)
@@ -732,7 +736,7 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     free = ~mesh.dirichlet_mask
     idx = np.flatnonzero(free)
     S_ff = S[np.ix_(idx, idx)].toarray()
-    bw = spec.gamma2_weights
+    bw = mesh.gamma2_weights
 
     if p == 2.0:
         M_ff = np.diag(mesh.node_volume_weights[idx])

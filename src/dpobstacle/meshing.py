@@ -4,8 +4,9 @@ Gradients of piecewise-linear functions are elementwise constant; each mesh
 is built with the per-element gradient maps (``dim x nverts`` matrices acting
 on local nodal values), element volumes and a tagged list of boundary faces.
 Everything derived from those (lumped volume weights, the Dirichlet mask, the
-natural-boundary nodes, ``G_e^T G_e``, the element-block scatter pattern, the
-nodal-gradient matrices and the element patch of every node) is a
+natural-boundary nodes and their lumped weights, ``G_e^T G_e``, the
+element-block scatter pattern, the nodal-gradient matrices and the element
+patch of every node) is a
 ``functools.cached_property``: computed on first use and kept on the mesh.
 The boundary is split into a Dirichlet part (``gamma1``, where trial functions
 vanish) and a natural part (``gamma2``, where nonsmooth boundary terms act);
@@ -30,7 +31,6 @@ __all__ = [
     "nodal_values",
     "build_interval_mesh",
     "build_rect_mesh",
-    "boundary_lumped_weights",
 ]
 
 GAMMA1 = "gamma1"
@@ -104,7 +104,6 @@ class Mesh:
     boundary_faces: list
     element_volumes: np.ndarray
     gradient_maps: np.ndarray
-    box: tuple = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -148,6 +147,25 @@ class Mesh:
             if tag == GAMMA2:
                 idx.update(face)
         return np.array(sorted(idx), dtype=int)
+
+    @cached_property
+    def gamma2_weights(self):
+        """Lumped quadrature weights of the natural boundary part, a dense
+        ``(n_nodes,)`` array that is zero away from it.  Each gamma2 face
+        spreads its measure equally over its nodes (a point face has measure
+        1), so the weights sum to the measure of gamma2."""
+        w = np.zeros(self.n_nodes)
+        for face, tag in self.boundary_faces:
+            if tag != GAMMA2:
+                continue
+            if len(face) == 1:
+                w[face[0]] += 1.0
+            else:
+                a, b = face
+                length = float(np.linalg.norm(self.nodes[a] - self.nodes[b]))
+                w[a] += 0.5 * length
+                w[b] += 0.5 * length
+        return w
 
     @cached_property
     def node_patches(self):
@@ -291,7 +309,6 @@ def build_interval_mesh(a, b, n_elements, partition=None):
         boundary_faces=faces,
         element_volumes=h,
         gradient_maps=grads,
-        box=box,
     )
 
 
@@ -360,26 +377,5 @@ def build_rect_mesh(lx, ly, nx, ny, partition=None):
         boundary_faces=faces,
         element_volumes=volumes,
         gradient_maps=grads,
-        box=box,
     )
 
-
-def boundary_lumped_weights(mesh, tag=GAMMA2):
-    """Lumped boundary quadrature weights for the faces carrying ``tag``.
-
-    Each face spreads its measure equally over its nodes (a point face has
-    measure 1), so the weights sum to the measure of the tagged boundary part.
-    Returns a dense (n_nodes,) array, zero away from the tagged part.
-    """
-    w = np.zeros(mesh.n_nodes)
-    for face, t in mesh.boundary_faces:
-        if t != tag:
-            continue
-        if len(face) == 1:
-            w[face[0]] += 1.0
-        else:
-            a, b = face
-            length = float(np.linalg.norm(mesh.nodes[a] - mesh.nodes[b]))
-            w[a] += 0.5 * length
-            w[b] += 0.5 * length
-    return w

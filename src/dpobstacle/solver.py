@@ -6,8 +6,9 @@ squared residual norm (module constants: step factor ``DAMPING_FACTOR`` = 0.5,
 at most ``MAX_HALVINGS`` = 40 halvings, Armijo constant ``ARMIJO`` = 1e-4); a
 fixed-point (Picard) direction with frozen diffusion coefficient serves as
 fallback when Newton steps are rejected repeatedly.  A decreasing ``rho``
-schedule is handled by warm-started continuation that co-reduces the
-gradient regularization and the boundary smoothing.  The
+schedule is handled by warm-started continuation over :func:`stages`: each
+stage is a (problem, config) pair whose problem carries its own, co-reduced
+gradient regularization and boundary smoothing.  The
 ``moreau_yosida`` mode is an alias of ``penalty``, because the lumped envelope
 gradient ``w (u - phi)^+ / rho`` is the penalty vector; reports echo the name.
 
@@ -25,6 +26,7 @@ floats near ``phi_i``.  The scaled residual therefore cannot fall below about
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -44,7 +46,7 @@ from .meshing import DiscreteFunction, nodal_values
 from .nonsmooth import plus_part
 
 __all__ = ["SolverConfig", "SolveReport", "TraceEntry", "solve_penalized",
-           "check_schedule", "stage_configs", "continuation", "vi_residual",
+           "check_schedule", "stages", "continuation", "vi_residual",
            "residual_norm"]
 
 MODES = ("penalty", "moreau_yosida", "unconstrained")
@@ -59,7 +61,7 @@ TOL_MEMBERSHIP = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budgets and smoothing parameters for one approximate solve;
+    """The penalty and the iteration settings of one approximate solve;
     construction checks each field's rule (a ``ConfigurationError`` whose
     ``param`` names the field)."""
 
@@ -68,8 +70,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 100
     picard_fallback: bool = True
-    delta_boundary: float = 1e-6
-    eps_grad: float | None = None  # None: use the problem's value
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -78,8 +78,9 @@ class SolverConfig:
         for param, holds, rule in (
             ("rho", self.mode == "unconstrained" or self.rho > 0, "be positive"),
             ("newton_tol", self.newton_tol > 0, "be positive"),
+            ("max_newton", isinstance(self.max_newton, numbers.Integral),
+             "be an integer"),
             ("max_newton", self.max_newton >= 1, "be >= 1"),
-            ("delta_boundary", self.delta_boundary >= 0, "be >= 0"),
         ):
             if not holds:
                 raise ConfigurationError(
@@ -173,10 +174,8 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
     eff_tol = max(cfg.newton_tol, _fp_floor(spec, cfg))
 
     def assemble(vals, with_jacobian, frozen=False):
-        return assemble_system(
-            spec, vals, mode=cfg.mode, rho=cfg.rho, delta=cfg.delta_boundary,
-            eps_grad=cfg.eps_grad, with_jacobian=with_jacobian, frozen=frozen,
-        )
+        return assemble_system(spec, vals, mode=cfg.mode, rho=cfg.rho,
+                               with_jacobian=with_jacobian, frozen=frozen)
 
     def direction(frozen):
         system = assemble(u, with_jacobian=True, frozen=frozen)
@@ -261,33 +260,31 @@ def check_schedule(schedule):
     return schedule
 
 
-def stage_configs(spec: ProblemSpec, schedule, cfg: SolverConfig):
-    """One configuration per stage of a schedule that passes
-    :func:`check_schedule`; the gradient regularization and boundary
-    smoothing shrink by the factor ``rho / schedule[0]`` wherever they are
-    positive."""
+def stages(spec: ProblemSpec, schedule, cfg: SolverConfig):
+    """One ``(problem, solver config)`` pair per stage of a schedule that
+    passes :func:`check_schedule`.  A stage's config takes its schedule entry
+    as ``rho``, and its problem's gradient regularization and boundary
+    smoothing are the base problem's scaled by ``rho / schedule[0]``."""
     schedule = check_schedule(schedule)
-    eps0 = spec.eps_grad if cfg.eps_grad is None else cfg.eps_grad
-    delta0 = cfg.delta_boundary
-    stages = []
+    pairs = []
     for rho in schedule:
         factor = rho / schedule[0]
-        stages.append(replace(cfg, rho=rho,
-                              eps_grad=eps0 * factor if eps0 > 0 else eps0,
-                              delta_boundary=delta0 * factor if delta0 > 0 else delta0))
-    return stages
+        boundary = replace(spec.boundary, delta=spec.boundary.delta * factor)
+        pairs.append((replace(spec, eps_grad=spec.eps_grad * factor, boundary=boundary),
+                      replace(cfg, rho=rho)))
+    return pairs
 
 
 def continuation(spec: ProblemSpec, schedule, cfg: SolverConfig, initial=None):
-    """Warm-started solves along the stages of :func:`stage_configs`.
+    """Warm-started solves of the pairs of :func:`stages`.
 
     A stage that fails to converge aborts the schedule; the partial list
     (ending with the failed report) is returned.
     """
     reports = []
     state = initial
-    for stage_cfg in stage_configs(spec, schedule, cfg):
-        report = solve_penalized(spec, stage_cfg, initial=state)
+    for stage_spec, stage_cfg in stages(spec, schedule, cfg):
+        report = solve_penalized(stage_spec, stage_cfg, initial=state)
         reports.append(report)
         if not report.converged:
             break
@@ -320,7 +317,7 @@ def vi_residual(spec: ProblemSpec, u, eta, probes) -> float:
     grads_u, coef = operator_coefficient(spec, u_vals)
     w_eta = mesh.node_volume_weights * np.asarray(eta, float)
     gamma2 = mesh.gamma2_nodes
-    bw, trace = spec.gamma2_weights[gamma2], u_vals[gamma2]
+    bw, trace = spec.mesh.gamma2_weights[gamma2], u_vals[gamma2]
     best = np.inf
     for v in probes:
         v_vals = nodal_values(v)

@@ -226,8 +226,8 @@ def reference_solve_penalized(spec, cfg, initial=None):
 
     def assemble(vals, with_jacobian, frozen=False):
         return assembly.assemble_system(
-            spec, vals, mode=cfg.mode, rho=cfg.rho, delta=cfg.delta_boundary,
-            eps_grad=cfg.eps_grad, with_jacobian=with_jacobian, frozen=frozen,
+            spec, vals, mode=cfg.mode, rho=cfg.rho,
+            with_jacobian=with_jacobian, frozen=frozen,
         )
 
     sys0 = assemble(u, with_jacobian=False)

@@ -140,11 +140,13 @@ class TestOperator:
 
     def test_degenerate_gradient_needs_regularization(self):
         mesh = interval(4)
-        spec = make_spec(mesh, p=1.5, q=2.5, mu=0.5, eps=1e-8)
         u = np.ones(mesh.n_nodes)  # zero gradient everywhere
+        # a floor whose square underflows leaves the coefficient singular
+        tiny = make_spec(mesh, p=1.5, q=2.5, mu=0.5, eps=1e-200)
         with pytest.raises(SingularOperatorError):
-            apply_operator(spec, u, u, eps_grad=0.0)
+            apply_operator(tiny, u, u)
         # the problem's own stored floor keeps the same call finite
+        spec = make_spec(mesh, p=1.5, q=2.5, mu=0.5, eps=1e-8)
         assert np.isfinite(apply_operator(spec, u, u))
 
 
@@ -249,14 +251,14 @@ class TestBoundary:
     def test_zero_potential_contributes_nothing(self):
         mesh = interval(4, gamma2=("right",))
         spec = make_spec(mesh)
-        vec, diag = boundary_term(spec, np.ones(mesh.n_nodes), delta=1e-6)
+        vec, diag = boundary_term(spec, np.ones(mesh.n_nodes))
         assert np.all(vec == 0.0) and np.all(diag == 0.0)
 
     def test_abs_flux_on_natural_node(self):
         mesh = interval(4, gamma2=("right",))
         spec = make_spec(mesh, bnd=boundary_potential("abs", alpha=0.3))
         u = np.ones(mesh.n_nodes)  # far from the kink relative to delta
-        vec, _ = boundary_term(spec, u, delta=1e-6)
+        vec, _ = boundary_term(spec, u)
         (g2,) = mesh.gamma2_nodes
         assert vec[g2] == pytest.approx(0.3, abs=1e-15)
         assert np.count_nonzero(vec) == 1
@@ -266,11 +268,10 @@ class TestBoundary:
         loud = make_spec(mesh, bnd=boundary_potential("abs", alpha=5.0))
         quiet = make_spec(mesh)
         u = rng.normal(size=mesh.n_nodes)
-        vec, diag = boundary_term(loud, u, delta=1e-6)
+        vec, diag = boundary_term(loud, u)
         assert np.all(vec == 0.0) and np.all(diag == 0.0)
-        ra = assemble_system(loud, u, mode="unconstrained", delta=1e-6).residual
-        rb = assemble_system(quiet, u, mode="unconstrained",
-                             delta=1e-6).residual
+        ra = assemble_system(loud, u, mode="unconstrained").residual
+        rb = assemble_system(quiet, u, mode="unconstrained").residual
         assert np.array_equal(ra, rb)
 
     def test_directional_sum(self):
@@ -393,6 +394,10 @@ class TestProblemSpecValidation:
             make_spec(mesh, p=1.5, q=2.5, mu=0.5, eps=0.0)
         spec = make_spec(mesh, p=1.5, q=2.5, mu=0.5, eps=1e-8)
         assert spec.eps_grad == 1e-8
+        # left out, it is 1e-8 below exponent 2 and 0 otherwise
+        assert dataclasses.replace(spec, eps_grad=None).eps_grad == 1e-8
+        smooth = dataclasses.replace(make_spec(mesh, p=2.0, q=3.0), eps_grad=None)
+        assert smooth.eps_grad == 0.0
 
     def test_rules_name_their_parameter(self):
         mesh = interval(4)
@@ -424,13 +429,13 @@ class TestProblemSpecValidation:
         bnd = boundary_potential("abs", alpha=10.0)
         old = make_spec(interval(4, gamma2=("right",)), phi=0.1, react=react,
                         bnd=bnd)
-        assert old.gamma2_weights.size == 5
+        assert old.mesh.gamma2_weights.size == 5
         mesh = interval(8, gamma2=("right",))
         fresh = make_spec(mesh, phi=0.1, react=react, bnd=bnd)
         moved = dataclasses.replace(old, mesh=mesh, phase=fresh.phase,
                                     obstacle=fresh.obstacle)
-        assert moved.gamma2_weights.size == 9
-        assert np.array_equal(moved.gamma2_weights, fresh.gamma2_weights)
+        assert moved.mesh.gamma2_weights.size == 9
+        assert np.array_equal(moved.mesh.gamma2_weights, fresh.mesh.gamma2_weights)
         cfg = SolverConfig(rho=1e-4)
         a, b = solve_penalized(moved, cfg), solve_penalized(fresh, cfg)
         assert a.converged and b.converged

@@ -311,52 +311,52 @@ class TestDirectionalCalculus:
 
 class TestSmoothedGradient:
     def test_abs_ramp(self):
-        b = boundary_potential("abs", alpha=0.5)
+        b = boundary_potential("abs", alpha=0.5, delta=0.1)
         s = np.array([-2.0, -0.05, 0.0, 0.05, 2.0])
-        g = b.smoothed_grad(s, delta=0.1)
+        g = b.smoothed_grad(s)
         assert np.allclose(g, [-0.5, -0.25, 0.0, 0.25, 0.5], atol=1e-15)
-        d = b.smoothed_grad_deriv(s, delta=0.1)
+        d = b.smoothed_grad_deriv(s)
         assert np.array_equal(d != 0.0, [False, True, True, True, False])
         assert np.allclose(d[1:4], 5.0)
 
     def test_smooth_entries_ignore_delta(self):
-        b = boundary_potential("smooth_quadratic", alpha=2.0)
+        b = boundary_potential("smooth_quadratic", alpha=2.0, delta=0.0)
         s = np.array([-1.0, 0.3])
-        assert np.allclose(b.smoothed_grad(s, delta=0.0), 2.0 * s)
-        assert np.allclose(b.smoothed_grad_deriv(s, delta=0.0), 2.0)
-        z = boundary_potential("zero")
-        assert np.all(z.smoothed_grad(s, delta=0.0) == 0.0)
+        assert np.allclose(b.smoothed_grad(s), 2.0 * s)
+        assert np.allclose(b.smoothed_grad_deriv(s), 2.0)
+        z = boundary_potential("zero", delta=0.0)
+        assert np.all(z.smoothed_grad(s) == 0.0)
 
     def test_kinked_entries_require_positive_delta(self):
         for name in ("abs", "nonconvex_well"):
-            b = boundary_potential(name)
-            s = np.zeros(2)
             for bad in (0.0, -1e-3):
-                with pytest.raises(ConfigurationError):
-                    b.smoothed_grad(s, delta=bad)
-                with pytest.raises(ConfigurationError):
-                    b.smoothed_grad_deriv(s, delta=bad)
+                with pytest.raises(ConfigurationError) as err:
+                    boundary_potential(name, delta=bad)
+                assert err.value.param == "delta"
+            # a replaced potential (one continuation stage) is checked too
+            with pytest.raises(ConfigurationError):
+                dataclasses.replace(boundary_potential(name), delta=0.0)
 
     def test_nonconvex_well_interior_line(self):
-        b = boundary_potential("nonconvex_well", alpha=1.0, center=1.0)
         delta = 0.2
+        b = boundary_potential("nonconvex_well", alpha=1.0, center=1.0, delta=delta)
         inside = np.array([-0.1, 0.0, 0.1])
-        g = b.smoothed_grad(inside, delta)
+        g = b.smoothed_grad(inside)
         # inner segment interpolates the two branch values at +-delta
         assert np.allclose(g, (delta - 1.0) * inside / delta, atol=1e-15)
         outside = np.array([-0.5, 0.5, 2.0])
-        assert np.allclose(b.smoothed_grad(outside, delta),
+        assert np.allclose(b.smoothed_grad(outside),
                            outside - np.sign(outside), atol=1e-15)
 
     @pytest.mark.parametrize("name", BOUNDARY_NAMES)
     def test_shifted_interval_membership(self, name):
         # the smoothed gradient at s lies in the generalized interval of a
         # shifted point s' with |s' - s| <= delta * shift bound
-        b = boundary_potential(name)
         delta = 0.1
+        b = boundary_potential(name, delta=delta)
         bound = b.clarke_shift_bound * delta
         for s in np.linspace(-2.0, 2.0, 161):
-            gval = b.smoothed_grad(np.array([s]), delta)[0]
+            gval = b.smoothed_grad(np.array([s]))[0]
             shifts = np.linspace(s - bound, s + bound, 2001)
             if abs(s) <= bound:
                 shifts = np.append(shifts, 0.0)  # hit the kink exactly
@@ -364,6 +364,25 @@ class TestSmoothedGradient:
             dist = np.maximum.reduce([lo - gval, gval - hi,
                                       np.zeros_like(lo)])
             assert dist.min() <= 1e-9
+
+
+class TestDelta:
+    """The smoothing ``delta`` is a field of the potential, checked there."""
+
+    @pytest.mark.parametrize("name", BOUNDARY_NAMES)
+    def test_default_and_given_delta(self, name):
+        assert boundary_potential(name).delta == 1e-6
+        b = boundary_potential(name, delta=0.25)
+        assert b.delta == 0.25
+        assert dataclasses.replace(b, delta=0.5).delta == 0.5
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    @pytest.mark.parametrize("name", BOUNDARY_NAMES)
+    def test_rules_name_their_parameter(self, name, bad):
+        with pytest.raises(ConfigurationError) as err:
+            boundary_potential(name, delta=bad)
+        assert err.value.param == "delta"
+        assert "delta" in str(err.value)
 
 
 class TestCatalogListings:

@@ -159,6 +159,27 @@ class TestNormTool:
             "config error: variable(s) ['y'] not available on a 1D mesh\n")
 
 
+KINKED = STUDY.replace("n = 16", "n = 16\ngamma2 = right") + """
+[boundary]
+name = abs
+alpha = 0.5
+delta = 0
+"""
+
+
+class TestBoundaryDelta:
+    @pytest.mark.parametrize("command", ["solve", "study", "check"])
+    def test_zero_delta_at_a_kink_fails_at_parse_time(self, cfg_file, tmp_path,
+                                                      capsys, command):
+        line = KINKED.splitlines().index("delta = 0") + 1
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg_file(KINKED), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: line {line}: [boundary] delta: ")
+        assert not out.exists()
+
+
 class TestCheck:
     def test_passing_report(self, cfg_file, capsys):
         code = main(["check", "--config", cfg_file(CONTACT)])

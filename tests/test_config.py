@@ -396,6 +396,7 @@ class TestOwnerRulesAnchored:
         ("solver", "max_newton", "0"),
         ("solver", "mode", "explicit"),
         ("boundary", "delta", "-1"),
+        ("boundary", "delta", "0"),
         ("boundary", "name", "nope"),
         ("boundary", "alpha", "-1"),
         ("reaction", "name", "nope"),

@@ -280,7 +280,8 @@ class TestKuratowskiStudy:
 _BAD_THRESHOLDS = [
     ("n_starts", 0), ("seed", -1), ("dedup_tol", -1.0), ("dedup_tol", 0.0),
     ("dedup_tol", float("nan")), ("cauchy_factor", 0.0), ("cauchy_window", 0),
-    ("probe_bump", -1.0), ("n_random_probes", -1),
+    ("probe_bump", -1.0), ("n_random_probes", -1), ("n_starts", 1.5),
+    ("cauchy_window", 1.5), ("seed", 0.5), ("n_random_probes", 2.5),
 ]
 
 
@@ -312,6 +313,9 @@ class TestStudyRules:
     def test_least_values_accepted(self):
         lab.check_study(n_starts=1, cauchy_window=1, seed=0, n_random_probes=0,
                         dedup_tol=1e-300, cauchy_factor=1e-300, probe_bump=1e-300)
+        # numpy integers count as integers
+        lab.check_study(n_starts=np.int64(1), cauchy_window=np.int32(1),
+                        seed=np.uint8(0), n_random_probes=np.int64(0))
         diag = kuratowski_study(_contact_spec(16), [1.0, 0.1], SolverConfig(),
                                 n_starts=1, cauchy_window=1, n_random_probes=0)
         assert [c.probe_count for c in diag.candidates] == [1 + 2 * 17]
@@ -471,7 +475,7 @@ class TestHypothesisChecks:
         free = ~mesh.dirichlet_mask
         spec = make_spec(mesh, p=p, q=3.0, mu=0.5, eps=1e-8)
         for weights, seed in ((mesh.node_volume_weights, 20_240_001),
-                              (spec.gamma2_weights, 20_240_002)):
+                              (mesh.gamma2_weights, 20_240_002)):
             got = lab._ascent_ratio(mesh, free, weights, p, seed, iters=60)
             want = reference_ascent_ratio(mesh, free, weights, p, seed, iters=60)
             assert float(got).hex() == float(want).hex()

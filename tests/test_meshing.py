@@ -15,7 +15,6 @@ from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import (
     BoundaryPartition,
     DiscreteFunction,
-    boundary_lumped_weights,
     build_interval_mesh,
     build_rect_mesh,
     nodal_values,
@@ -205,7 +204,7 @@ class TestScatter:
 class TestBoundaryWeights:
     def test_interval_endpoint_weight(self):
         mesh = interval(4, gamma2=("right",))
-        bw = boundary_lumped_weights(mesh)
+        bw = mesh.gamma2_weights
         (g2,) = mesh.gamma2_nodes
         assert bw[g2] == 1.0
         assert np.count_nonzero(bw) == 1
@@ -213,7 +212,7 @@ class TestBoundaryWeights:
     def test_bottom_edge_lumping(self):
         # unit square, two cells per side: bottom-edge weights [0.25, 0.5, 0.25]
         mesh = rectangle(2, 2, gamma2=("bottom",))
-        bw = boundary_lumped_weights(mesh)
+        bw = mesh.gamma2_weights
         bottom = np.flatnonzero(mesh.nodes[:, 1] == 0.0)
         bottom = bottom[np.argsort(mesh.nodes[bottom, 0])]
         assert np.array_equal(bw[bottom], [0.25, 0.5, 0.25])
@@ -222,12 +221,12 @@ class TestBoundaryWeights:
 
     def test_total_weight_is_natural_boundary_measure(self):
         mesh = rectangle(2, 2, lx=2.0, ly=1.0, gamma2=("left", "top"))
-        bw = boundary_lumped_weights(mesh)
+        bw = mesh.gamma2_weights
         assert bw.sum() == pytest.approx(1.0 + 2.0, abs=1e-14)
 
     def test_no_natural_part_gives_zero_weights(self):
         mesh = interval(4)
-        assert np.all(boundary_lumped_weights(mesh) == 0.0)
+        assert np.all(mesh.gamma2_weights == 0.0)
 
 
 class TestDiscreteFunction:

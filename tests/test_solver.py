@@ -232,6 +232,36 @@ class TestContinuation:
     def test_checked_schedule_is_floats(self):
         assert check_schedule((1, 0.5, 1e-3)) == [1.0, 0.5, 1e-3]
 
+    def test_stage_problems_carry_the_regularization(self):
+        # continuation solves hand-built stage problems whose eps_grad and
+        # boundary delta shrink with rho / schedule[0]
+        mesh = interval(24, gamma2=("right",))
+        spec = make_spec(mesh, p=1.8, q=2.5, mu=0.5, phi=0.05,
+                         react=reaction("constant", value=4.0),
+                         bnd=boundary_potential("abs", alpha=0.3, delta=1e-3),
+                         eps=1e-4)
+        schedule = [0.5, 0.05, 0.005]
+        reports = continuation(spec, schedule, SolverConfig())
+        assert [r.converged for r in reports] == [True] * 3
+        pairs = solver.stages(spec, schedule, SolverConfig())
+        assert [cfg.rho for _, cfg in pairs] == schedule
+        assert all(stage.mesh is mesh for stage, _ in pairs)
+        state = None
+        for rho, report in zip(schedule, reports):
+            factor = rho / schedule[0]
+            stage = dataclasses.replace(
+                spec, eps_grad=1e-4 * factor,
+                boundary=dataclasses.replace(spec.boundary, delta=1e-3 * factor))
+            ref = solve_penalized(stage, SolverConfig(rho=rho), initial=state)
+            assert report.iteration_trace == ref.iteration_trace
+            assert _digest(report.solution.values, report.eta) == _digest(
+                ref.solution.values, ref.eta)
+            state = ref.solution
+        # the shrinking regularization is visible in the last stage
+        base = solve_penalized(spec, SolverConfig(rho=schedule[-1]),
+                               initial=reports[-2].solution)
+        assert _digest(base.solution.values) != _digest(reports[-1].solution.values)
+
     def test_abort_returns_partial_list(self):
         mesh = interval(32)
         spec = make_spec(mesh, p=2.5, q=3.0, mu=lambda x: x, phi=0.02,
@@ -423,7 +453,7 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("newton_tol", 0.0), ("newton_tol", -1e-10), ("newton_tol", float("nan")),
-        ("max_newton", 0), ("delta_boundary", -1.0), ("mode", "explicit"),
+        ("max_newton", 0), ("max_newton", 2.5), ("mode", "explicit"),
         ("rho", 0.0),
     ])
     def test_rules_name_their_field(self, field, value):
@@ -432,8 +462,10 @@ class TestSolverConfig:
         assert err.value.param == field
 
     def test_least_values_accepted(self):
-        cfg = SolverConfig(max_newton=1, delta_boundary=0.0, newton_tol=1e-300)
-        assert cfg.max_newton == 1 and cfg.delta_boundary == 0.0
+        cfg = SolverConfig(max_newton=1, newton_tol=1e-300)
+        assert cfg.max_newton == 1
+        # numpy integers count as integers
+        assert SolverConfig(max_newton=np.int64(3)).max_newton == 3
 
     def test_frozen_dataclass_replace(self):
         cfg = SolverConfig()

@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Byte-identity check of the command line and the demos between two trees.
 
-Usage:  python3 tools/compare_cli.py PARENT_DIR
+Usage:  python3 tools/compare_cli.py PARENT_DIR [CONFIG ...]
 
 PARENT_DIR is another checkout of the project, for example a ``git archive``
 of the parent commit.  In this tree and in PARENT_DIR the script runs
 
 * ``solve``, ``study``, ``check``, ``oracle``, ``study --threads 2`` and
   ``norm-tool`` with two expressions on every ``demos/configs/*.cfg``,
+* the same commands on every extra CONFIG file (one file for both trees),
 * every ``demos/*.py`` script,
 
 each in a fresh subprocess whose ``PYTHONPATH`` is that tree's ``src``.  Both
 trees run from temporary directories laid out alike (``configs/`` holds the
-tree's own config files, ``out/`` the outputs), so the paths they print
-agree.  Exit codes, stdout, stderr and every output file are compared byte
-for byte; each difference is printed, and the exit status is 1 if there is
-any, else 0.
+tree's own config files, ``extra/`` the extra ones, ``out/`` the outputs),
+so the paths they print agree.  Exit codes, stdout, stderr and every output
+file are compared byte for byte; each difference is printed, and the exit
+status is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -39,28 +40,34 @@ COMMANDS = [
 ]
 
 
-def entries(tree):
+def entries(tree, configs):
     """(label, argv, output directory or None) of every run, in order."""
-    for path in sorted(glob.glob(os.path.join(tree, "demos", "configs", "*.cfg"))):
-        name = os.path.basename(path)
-        for k, (cmd, extra) in enumerate(COMMANDS):
-            label = f"{name[:-4]}.{k}.{cmd}"
-            out = os.path.join("out", label)
-            yield (f"{label} {' '.join(extra)}".strip(),
-                   ["-m", "dpobstacle.cli", cmd, "--config",
-                    os.path.join("configs", name), "--out", out, *extra], out)
+    demo = sorted(glob.glob(os.path.join(tree, "demos", "configs", "*.cfg")))
+    for folder, paths in (("configs", demo), ("extra", configs)):
+        for path in paths:
+            name = os.path.basename(path)
+            for k, (cmd, args) in enumerate(COMMANDS):
+                label = f"{folder}/{name[:-4]}.{k}.{cmd}"
+                out = os.path.join("out", label)
+                yield (f"{label} {' '.join(args)}".strip(),
+                       ["-m", "dpobstacle.cli", cmd, "--config",
+                        os.path.join(folder, name), "--out", out, *args], out)
     for path in sorted(glob.glob(os.path.join(tree, "demos", "*.py"))):
         yield f"demo {os.path.basename(path)}", [path], None
 
 
-def run_tree(tree, work):
-    """Run every entry of ``tree`` with ``work`` as working directory."""
+def run_tree(tree, work, configs):
+    """Run every entry of ``tree`` and the extra ``configs`` with ``work`` as
+    working directory."""
     tree = os.path.abspath(tree)
     shutil.copytree(os.path.join(tree, "demos", "configs"),
                     os.path.join(work, "configs"))
+    os.mkdir(os.path.join(work, "extra"))
+    for path in configs:
+        shutil.copy(path, os.path.join(work, "extra"))
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     results = {}
-    for label, argv, out in entries(tree):
+    for label, argv, out in entries(tree, configs):
         proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,
                               capture_output=True)
         files = {}
@@ -87,16 +94,17 @@ def show(what, old, new):
 
 
 def main(argv):
-    if len(argv) != 1:
+    if not argv:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
+    parent, configs = argv[0], argv[1:]
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with tempfile.TemporaryDirectory() as tmp:
         runs = {}
-        for side, tree in (("parent", argv[0]), ("this", here)):
+        for side, tree in (("parent", parent), ("this", here)):
             print(f"running {side} tree {tree}", file=sys.stderr)
             os.mkdir(os.path.join(tmp, side))
-            runs[side] = run_tree(tree, os.path.join(tmp, side))
+            runs[side] = run_tree(tree, os.path.join(tmp, side), configs)
     old, new = runs["parent"], runs["this"]
     n_diff = 0
     for label in sorted(set(old) | set(new), key=lambda s: (s.startswith("demo"), s)):
