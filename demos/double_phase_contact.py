@@ -17,7 +17,7 @@ from dpobstacle.musielak import PhaseConfig
 from dpobstacle.solver import SolverConfig, continuation
 
 n = 128
-mesh = build_interval_mesh(0.0, 1.0, n, partition=BoundaryPartition.all_dirichlet())
+mesh = build_interval_mesh(0.0, 1.0, n, partition=BoundaryPartition())
 
 
 def run(mu):

@@ -17,8 +17,7 @@ from dpobstacle.musielak import PhaseConfig
 
 
 def build(react, p=2.0, q=2.0, eps=0.0):
-    mesh = build_interval_mesh(
-        0.0, 1.0, 64, partition=BoundaryPartition.all_dirichlet())
+    mesh = build_interval_mesh(0.0, 1.0, 64, partition=BoundaryPartition())
     return ProblemSpec(
         mesh=mesh,
         phase=PhaseConfig.for_mesh(mesh, p=p, q=q, mu=0.0),

@@ -5,9 +5,8 @@ flux there must lie in the generalized gradient of the potential
 j(s) = 0.1 |s|, i.e. in [-0.1, 0.1] while the trace vanishes and at
 +/- 0.1 once it moves.  The obstacle u <= 0.1 is treated by the lumped
 penalty term along a vanishing schedule (the lumped Moreau-Yosida envelope
-gradient is the same vector, so ``mode="moreau_yosida"`` gives the same
-limit).  At the end the recovered boundary flux is checked against the
-admissible interval.
+gradient is the same vector, so this is also the Moreau-Yosida limit).  At the
+end the recovered boundary flux is checked against the admissible interval.
 """
 
 from dpobstacle.assembly import ProblemSpec, operator_residual, reaction_term

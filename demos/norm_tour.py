@@ -16,7 +16,7 @@ import numpy as np
 from dpobstacle.meshing import BoundaryPartition, DiscreteFunction, build_interval_mesh
 from dpobstacle.musielak import PhaseConfig, luxemburg_norm, modular, sobolev_norm, weighted_seminorm
 
-mesh = build_interval_mesh(0.0, 1.0, 64, partition=BoundaryPartition.all_dirichlet())
+mesh = build_interval_mesh(0.0, 1.0, 64, partition=BoundaryPartition())
 cfg = PhaseConfig.for_mesh(mesh, p=2.0, q=3.0, mu=lambda x: 0.5 + 0.5 * x)
 
 f = DiscreteFunction.from_callable(mesh, lambda x: np.sin(np.pi * x))

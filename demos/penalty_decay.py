@@ -10,13 +10,13 @@ while the iteration counts stay small thanks to warm starts.
 
 import numpy as np
 
-from dpobstacle.assembly import ProblemSpec, constraint_set
+from dpobstacle.assembly import ProblemSpec
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.meshing import BoundaryPartition, DiscreteFunction, build_interval_mesh
 from dpobstacle.musielak import PhaseConfig
 from dpobstacle.solver import SolverConfig, continuation
 
-mesh = build_interval_mesh(0.0, 1.0, 64, partition=BoundaryPartition.all_dirichlet())
+mesh = build_interval_mesh(0.0, 1.0, 64, partition=BoundaryPartition())
 spec = ProblemSpec(
     mesh=mesh,
     phase=PhaseConfig.for_mesh(mesh, p=2.0, q=2.0, mu=0.0),
@@ -47,6 +47,6 @@ print(f"contact zone: x in [{x[contact[0]]:.4f}, {x[contact[-1]]:.4f}] "
 
 # Feasibility certificate: project onto the admissible set and measure how
 # far the iterate was from it.
-K = constraint_set(spec)
+K = spec.constraints
 dist = np.max(np.abs(K.project_values(final) - final))
 print(f"distance to the admissible set: {dist:.3e} (of order rho = {schedule[-1]:.0e})")

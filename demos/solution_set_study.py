@@ -19,7 +19,7 @@ from dpobstacle.meshing import BoundaryPartition, DiscreteFunction, build_interv
 from dpobstacle.musielak import PhaseConfig
 from dpobstacle.solver import SolverConfig
 
-mesh = build_interval_mesh(0.0, 1.0, 64, partition=BoundaryPartition.all_dirichlet())
+mesh = build_interval_mesh(0.0, 1.0, 64, partition=BoundaryPartition())
 spec = ProblemSpec(
     mesh=mesh,
     phase=PhaseConfig.for_mesh(mesh, p=2.0, q=2.0, mu=0.0),

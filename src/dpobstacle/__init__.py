@@ -4,13 +4,13 @@ A finite-element laboratory for unilateral obstacle problems driven by a
 two-exponent (double-phase) diffusion operator, a multivalued reaction
 selected from a catalog, and a nonsmooth boundary potential with generalized
 gradients.  Constrained problems are approximated by vanishing penalization
-(the lumped Moreau–Yosida envelope gives the same term, so ``moreau_yosida``
-is an alias mode), solved by damped semismooth Newton with a fixed-point
-fallback, and studied along a decreasing parameter schedule: solution sets
-are sampled multi-start, set convergence is diagnosed by chains and
-nearest-point traces, limits are certified against the variational inequality
-on documented probe sets, and the standing growth/smallness assumptions are
-checked numerically.
+(the lumped Moreau–Yosida envelope gives the same term, and it vanishes where
+the obstacle is ``+inf``), solved by damped semismooth Newton with a
+fixed-point fallback, and studied along a decreasing parameter schedule:
+solution sets are sampled multi-start, set convergence is diagnosed by chains
+and nearest-point traces, limits are certified against the variational
+inequality on documented probe sets, and the standing growth/smallness
+assumptions are checked numerically.
 
 Subpackage map: :mod:`~dpobstacle.meshing` (1D/2D P1 meshes and boundary
 partitions), :mod:`~dpobstacle.musielak` (modular and Luxemburg norms),
@@ -30,7 +30,6 @@ from .assembly import (
     assemble_system,
     boundary_term,
     clarke_directional,
-    constraint_set,
     operator_energy,
     operator_jacobian,
     operator_residual,
@@ -161,7 +160,6 @@ __all__ = [
     "build_solver_config",
     "clarke_directional",
     "compile_expression",
-    "constraint_set",
     "continuation",
     "kuratowski_study",
     "load_config",

@@ -22,7 +22,7 @@ of the assembled system are replaced by the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "boundary_term",
     "clarke_directional",
     "assemble_system",
-    "constraint_set",
 ]
 
 
@@ -95,9 +94,6 @@ class ProblemSpec:
     def has_gamma2(self):
         return self.mesh.gamma2_nodes.size > 0
 
-    def with_reaction(self, reaction):
-        return replace(self, reaction=reaction)
-
 
 @dataclass
 class AssembledSystem:
@@ -106,11 +102,6 @@ class AssembledSystem:
     residual: np.ndarray
     jacobian: sp.csr_matrix | None
     eta: np.ndarray
-
-
-def constraint_set(spec: ProblemSpec) -> ConstraintSet:
-    """The problem's cached constraint set."""
-    return spec.constraints
 
 
 def _gradient_state(spec, u):
@@ -268,17 +259,16 @@ def _mask_system(mesh, r, J, vals):
 def assemble_system(
     spec: ProblemSpec,
     u,
-    mode="penalty",
     rho=1.0,
     with_jacobian=True,
     frozen=False,
 ) -> AssembledSystem:
-    """Full masked system for one approximation mode.
+    """Full masked system of the approximating problem at parameter ``rho``.
 
-    ``penalty`` adds the lumped obstacle penalty at parameter ``rho`` and
-    ``unconstrained`` leaves it out.  ``moreau_yosida`` is an alias of
-    ``penalty``: the lumped envelope gradient of the constraint-set indicator
-    is ``w (u - phi)^+ / rho`` on every free (non-Dirichlet) node.
+    The lumped obstacle penalty is also the Moreau-Yosida term: the lumped
+    envelope gradient of the constraint-set indicator is
+    ``w (u - phi)^+ / rho`` on every free (non-Dirichlet) node, and both are
+    exactly zero on nodes whose obstacle is ``+inf``.
     """
     vals = nodal_values(u)
     r = operator_residual(spec, vals)
@@ -290,12 +280,9 @@ def assemble_system(
     r = r + bnd_vec
     diag_extra += bnd_diag
 
-    if mode in ("penalty", "moreau_yosida"):
-        pen_vec, pen_diag = penalty_term(spec, vals, rho)
-        r = r + pen_vec
-        diag_extra += pen_diag
-    elif mode != "unconstrained":
-        raise ConfigurationError(f"unknown approximation mode {mode!r}")
+    pen_vec, pen_diag = penalty_term(spec, vals, rho)
+    r = r + pen_vec
+    diag_extra += pen_diag
 
     J = None
     if with_jacobian:

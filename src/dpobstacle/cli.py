@@ -125,7 +125,7 @@ def cmd_solve(args) -> int:
     payload = {
         "config_sha256": digest,
         "seed": seed,
-        "mode": report.mode,
+        "mode": "penalty",
         "rho": report.rho,
         "converged": report.converged,
         "iterations": report.iterations,
@@ -266,8 +266,6 @@ def _build_parser():
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None,
                        help="seed override for sampling")
-        p.add_argument("--threads", type=int, default=1,
-                       help="concurrent chains in studies")
 
     p_solve = sub.add_parser("solve", help="one solve at the first schedule entry")
     common(p_solve)
@@ -275,6 +273,8 @@ def _build_parser():
 
     p_study = sub.add_parser("study", help="set-convergence study over the schedule")
     common(p_study)
+    p_study.add_argument("--threads", type=int, default=1,
+                         help="concurrent chains")
     p_study.set_defaults(func=cmd_study)
 
     p_norm = sub.add_parser("norm-tool", help="norms of an interpolated expression")

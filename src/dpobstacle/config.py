@@ -31,13 +31,12 @@ Sections and keys (defaults in parentheses):
   ``catalog.BOUNDARY_PARAMETERS``, such as the smoothing ``delta``, 1e-6).
 * ``[solver]`` — ``schedule`` (decades 1 .. 1e-8), the ``ProblemSpec``
   field ``eps_grad`` (0 when both exponents are >= 2, else 1e-8), and the
-  ``SolverConfig`` fields ``mode`` (``penalty``, its alias ``moreau_yosida``,
-  or ``unconstrained``), ``newton_tol`` (1e-10), ``max_newton`` (100) and
-  ``picard_fallback`` (``true``).
+  ``SolverConfig`` fields ``newton_tol`` (1e-10) and ``max_newton`` (100).
 * ``[study]`` — ``n_starts`` (5), ``seed`` (0), ``selection_rules`` (the
-  single configured rule), ``dedup_tol`` (1e-6), ``cauchy_factor`` (0.5),
-  ``cauchy_window`` (3), ``vi_tol`` (1e-8), ``probe_bump`` (0.01),
-  ``n_random_probes`` (32).
+  single configured rule; each listed rule is checked by the reaction entry
+  through :func:`~dpobstacle.lab.selection_variants`), ``dedup_tol``
+  (1e-6), ``cauchy_factor`` (0.5), ``cauchy_window`` (3), ``vi_tol``
+  (1e-8), ``probe_bump`` (0.01), ``n_random_probes`` (32).
 * ``[output]`` — ``dir`` (``out``), ``formats`` (``json,csv``).
 
 Parsing builds the whole experiment once (problem, solver config, schedule,
@@ -62,13 +61,12 @@ from .assembly import ProblemSpec
 from .catalog import (
     BOUNDARY_PARAMETERS,
     REACTION_PARAMETERS,
-    SELECTION_RULES,
     boundary_potential,
     reaction,
 )
 from .errors import ConfigFileError, ConfigurationError, EvaluationError
 from .expressions import compile_expression, require_coordinates
-from .lab import check_study
+from .lab import check_study, selection_variants
 from .meshing import (
     BoundaryPartition,
     DiscreteFunction,
@@ -104,8 +102,7 @@ _KNOWN_KEYS = {
     "obstacle": {"phi"},
     "reaction": {"name", "selection", "blend"},
     "boundary": {"name"},
-    "solver": {"mode", "schedule", "newton_tol", "max_newton", "eps_grad",
-               "picard_fallback"},
+    "solver": {"schedule", "newton_tol", "max_newton", "eps_grad"},
     "study": {"n_starts", "seed", "selection_rules", "dedup_tol",
               "cauchy_factor", "cauchy_window", "vi_tol", "probe_bump",
               "n_random_probes"},
@@ -134,7 +131,8 @@ class ExperimentConfig:
     """Parsed configuration: raw section/key strings plus line anchors.
 
     ``experiment`` is built on first use (``parse_config_text`` touches it)
-    and cached, as is the ``schedule`` it shares with the solver config.
+    and cached, as are the ``schedule`` it shares with the solver config and
+    the ``reaction`` it shares with the study's selection rules.
     """
 
     sections: dict
@@ -162,6 +160,11 @@ class ExperimentConfig:
     def schedule(self) -> list:
         """The validated ``[solver] schedule``, parsed once."""
         return build_schedule(self)
+
+    @cached_property
+    def reaction(self):
+        """The ``[reaction]`` entry, built once."""
+        return _build_reaction(self)
 
     @cached_property
     def experiment(self) -> Experiment:
@@ -294,13 +297,6 @@ def _int(cfg, section, key, default=None):
     return int(val)
 
 
-def _flag(cfg, section, key):
-    raw = cfg.get(section, key)
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    _fail(cfg, section, key, f"expected true or false, got {raw!r}")
-
-
 def _expression(cfg, section, key, dim, default):
     with _anchored(cfg, section, key):
         return require_coordinates(
@@ -385,7 +381,7 @@ def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
     mesh = build_mesh(cfg)
     phase = _build_phase(cfg, mesh)
     obstacle = _build_obstacle(cfg, mesh)
-    react = _build_reaction(cfg)
+    react = cfg.reaction
     boundary = _build_boundary(cfg)
     with _anchored(cfg, "phase"):
         return ProblemSpec(mesh=mesh, phase=phase, obstacle=obstacle,
@@ -413,37 +409,36 @@ def build_solver_config(cfg: ExperimentConfig) -> SolverConfig:
     """The written solver settings, checked by
     :class:`~dpobstacle.solver.SolverConfig` (``rho`` is the first schedule
     entry)."""
-    settings = _written(cfg, "solver", {
-        "mode": ExperimentConfig.get, "newton_tol": _const, "max_newton": _int,
-        "picard_fallback": _flag})
+    settings = _written(cfg, "solver", {"newton_tol": _const, "max_newton": _int})
     with _anchored(cfg, "solver"):
         return SolverConfig(rho=cfg.schedule[0], **settings)
 
 
 def study_parameters(cfg: ExperimentConfig) -> dict:
-    """Keyword arguments for the set-convergence study; the thresholds are
-    checked by :func:`~dpobstacle.lab.check_study`."""
+    """Keyword arguments for the set-convergence study; each listed selection
+    rule is checked by the reaction entry through
+    :func:`~dpobstacle.lab.selection_variants`, the thresholds by
+    :func:`~dpobstacle.lab.check_study`."""
     rules_raw = cfg.get("study", "selection_rules")
     if rules_raw is None:
         rules = None
     else:
         rules = []
         for part in _comma_list(rules_raw):
-            if ":" in part:
-                name, _, weight = part.partition(":")
-                if name != "blend":
-                    _fail(cfg, "study", "selection_rules",
-                          f"only the blend rule takes a weight, got {part!r}")
-                try:
-                    rules.append(("blend", float(weight)))
-                except ValueError:
-                    _fail(cfg, "study", "selection_rules",
-                          f"cannot parse blend weight in {part!r}")
-            elif part in SELECTION_RULES and part != "blend":
-                rules.append(part)
-            else:
+            name, weighted, weight = part.partition(":")
+            if bool(weighted) != (name == "blend"):
+                _fail(cfg, "study", "selection_rules", "only the blend rule takes "
+                      f"a weight, and it needs one (blend:W), got {part!r}")
+            if not weighted:
+                rules.append(name)
+                continue
+            try:
+                rules.append(("blend", float(weight)))
+            except ValueError:
                 _fail(cfg, "study", "selection_rules",
-                      f"unknown selection rule {part!r}")
+                      f"cannot parse blend weight in {part!r}")
+        with _anchored(cfg, "study", "selection_rules"):
+            selection_variants(cfg.reaction, rules)
     thresholds = {
         "n_starts": _int(cfg, "study", "n_starts", 5),
         "cauchy_window": _int(cfg, "study", "cauchy_window", 3),

@@ -41,8 +41,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import (ProblemSpec, clarke_directional, constraint_set,
-                       operator_jacobian)
+from .assembly import ProblemSpec, clarke_directional, operator_jacobian
 from .errors import ConfigurationError, EmptySampleError, OracleFailure
 from .meshing import DiscreteFunction, nodal_values
 from .musielak import luxemburg_norm
@@ -57,6 +56,7 @@ __all__ = [
     "HypothesisReport",
     "QPSolution",
     "check_study",
+    "selection_variants",
     "sample_solution_set",
     "kuratowski_study",
     "nearest_point_trace",
@@ -142,21 +142,31 @@ def _energy_distance(spec, a, b):
     )
 
 
+def selection_variants(react, selection_rules):
+    """One ``(label, reaction)`` pair per selection rule: a rule name, or a
+    ``(name, weight)`` pair for the blend rule.  A rule that
+    :class:`~dpobstacle.catalog.ReactionSpec` rejects raises
+    :class:`ConfigurationError` naming ``selection_rules``."""
+    variants = []
+    for rule in selection_rules:
+        try:
+            if isinstance(rule, tuple):
+                name, blend = rule
+                variants.append((f"{name}({blend})",
+                                 replace(react, rule=name, blend=float(blend))))
+            else:
+                variants.append((rule, replace(
+                    react, rule=rule, blend=react.blend if rule == "blend" else None)))
+        except ConfigurationError as exc:
+            raise ConfigurationError(str(exc), param="selection_rules") from exc
+    return variants
+
+
 def _rule_variants(spec, selection_rules):
     if not selection_rules:
         return [(spec.reaction.rule, spec)]
-    variants = []
-    for rule in selection_rules:
-        if isinstance(rule, tuple):
-            name, blend = rule
-            rspec = replace(spec.reaction, rule=name, blend=float(blend))
-            label = f"{name}({blend})"
-        else:
-            rspec = replace(spec.reaction, rule=rule,
-                            blend=spec.reaction.blend if rule == "blend" else None)
-            label = rule
-        variants.append((label, spec.with_reaction(rspec)))
-    return variants
+    return [(label, replace(spec, reaction=react))
+            for label, react in selection_variants(spec.reaction, selection_rules)]
 
 
 def _random_starts(spec, n_starts, rng):
@@ -435,7 +445,7 @@ def kuratowski_study(
                 vi_value=float("nan"),
                 probe_count=0,
             )))
-    K = constraint_set(spec)
+    K = spec.constraints
     candidates = []
     for c, cand in _dedup(spec.mesh, found, dedup_tol, key=lambda f: f[1]):
         u_vals = cand.solution.values

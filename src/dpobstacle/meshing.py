@@ -45,15 +45,11 @@ class BoundaryPartition:
 
     The natural (``gamma2``) part is a list of named sides of the box
     (``left``/``right`` in 1D, plus ``bottom``/``top`` in 2D); every other
-    face is Dirichlet.
+    face is Dirichlet, so ``BoundaryPartition()`` clamps every side.
     """
 
     def __init__(self, sides=()):
         self._sides = tuple(sides)
-
-    @classmethod
-    def all_dirichlet(cls):
-        return cls()
 
     @classmethod
     def from_sides(cls, sides, dim):
@@ -288,7 +284,7 @@ def build_interval_mesh(a, b, n_elements, partition=None):
         raise ConfigurationError(f"interval requires b > a, got ({a}, {b})")
     if n_elements < 1:
         raise ConfigurationError("need at least one element")
-    partition = partition or BoundaryPartition.all_dirichlet()
+    partition = partition or BoundaryPartition()
     x = np.linspace(a, b, n_elements + 1)
     nodes = x[:, None]
     elements = np.column_stack([np.arange(n_elements), np.arange(1, n_elements + 1)])
@@ -322,7 +318,7 @@ def build_rect_mesh(lx, ly, nx, ny, partition=None):
     """
     if lx <= 0 or ly <= 0 or nx < 1 or ny < 1:
         raise ConfigurationError("rectangle requires positive extents and cell counts")
-    partition = partition or BoundaryPartition.all_dirichlet()
+    partition = partition or BoundaryPartition()
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")

@@ -16,8 +16,8 @@ induces has the same monotone/limit structure but can select a different
 approximating path than the energy-space envelope would.
 
 On the free nodes ``u_i - proj(u)_i = (u_i - phi_i)^+``, so the gradient is
-the lumped obstacle penalty and the solver's ``moreau_yosida`` mode is an
-alias of ``penalty``.
+the lumped obstacle penalty that the solver assembles: one term serves as
+both the penalty and the Moreau-Yosida approximation.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ fixed-point (Picard) direction with frozen diffusion coefficient serves as
 fallback when Newton steps are rejected repeatedly.  A decreasing ``rho``
 schedule is handled by warm-started continuation over :func:`stages`: each
 stage is a (problem, config) pair whose problem carries its own, co-reduced
-gradient regularization and boundary smoothing.  The
-``moreau_yosida`` mode is an alias of ``penalty``, because the lumped envelope
-gradient ``w (u - phi)^+ / rho`` is the penalty vector; reports echo the name.
+gradient regularization and boundary smoothing.  The penalty is also the
+Moreau-Yosida approximation: in the lumped metric the envelope gradient of the
+constraint-set indicator is the penalty vector ``w (u - phi)^+ / rho``, and it
+vanishes on nodes whose obstacle is ``+inf``, so an obstacle-free problem is
+solved by the same system.
 
 Residuals are measured in the lumped-weight-scaled Euclidean norm
 ``||r||_* = sqrt(sum_i r_i^2 / w_i)`` (Dirichlet rows enter unscaled), a
@@ -38,7 +40,7 @@ from .assembly import (
     ProblemSpec,
     apply_operator,  # noqa: F401  perfbench/tracing.py wraps solver.apply_operator
     assemble_system,
-    constraint_set,
+    clarke_directional,
     operator_coefficient,
 )
 from .errors import ConfigurationError
@@ -48,8 +50,6 @@ from .nonsmooth import plus_part
 __all__ = ["SolverConfig", "SolveReport", "TraceEntry", "solve_penalized",
            "check_schedule", "stages", "continuation", "vi_residual",
            "residual_norm"]
-
-MODES = ("penalty", "moreau_yosida", "unconstrained")
 
 # backtracking: step factor, halvings per line search, Armijo constant
 DAMPING_FACTOR = 0.5
@@ -66,17 +66,12 @@ class SolverConfig:
     ``param`` names the field)."""
 
     rho: float = 1.0
-    mode: str = "penalty"
     newton_tol: float = 1e-10
     max_newton: int = 100
-    picard_fallback: bool = True
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(
-                f"unknown solver mode {self.mode!r}; choose from {MODES}", param="mode")
         for param, holds, rule in (
-            ("rho", self.mode == "unconstrained" or self.rho > 0, "be positive"),
+            ("rho", self.rho > 0, "be positive"),
             ("newton_tol", self.newton_tol > 0, "be positive"),
             ("max_newton", isinstance(self.max_newton, numbers.Integral),
              "be an integer"),
@@ -109,7 +104,6 @@ class SolveReport:
     obstacle_violation_l1: float
     iteration_trace: list
     effective_tol: float
-    mode: str
     rho: float
 
 
@@ -120,9 +114,8 @@ def residual_norm(mesh, r):
 
 
 def _fp_floor(spec, cfg):
-    """Attainable scaled-residual accuracy of the penalty rows."""
-    if cfg.mode == "unconstrained":
-        return 0.0
+    """Attainable scaled-residual accuracy of the penalty rows (0 without a
+    finite obstacle on a free node)."""
     phi = spec.obstacle.values
     finite = np.isfinite(phi) & ~spec.mesh.dirichlet_mask
     if not np.any(finite):
@@ -160,9 +153,9 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
     ``DAMPING_FACTOR`` (0.5) at most ``MAX_HALVINGS`` (40) times until the
     Armijo test with ``ARMIJO`` (1e-4) holds.  After five rejected line
     searches the direction switches from Newton to the frozen-coefficient
-    fixed point (if ``picard_fallback``); every rejected line search is
-    followed by one full fixed-point step, taken unconditionally and traced
-    as ``picard`` with a ``forced`` note.
+    fixed point; every rejected line search is followed by one full
+    fixed-point step, taken unconditionally and traced as ``picard`` with a
+    ``forced`` note.
     """
     mesh = spec.mesh
     if initial is None:
@@ -174,7 +167,7 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
     eff_tol = max(cfg.newton_tol, _fp_floor(spec, cfg))
 
     def assemble(vals, with_jacobian, frozen=False):
-        return assemble_system(spec, vals, mode=cfg.mode, rho=cfg.rho,
+        return assemble_system(spec, vals, rho=cfg.rho,
                                with_jacobian=with_jacobian, frozen=frozen)
 
     def direction(frozen):
@@ -214,10 +207,6 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
         if not accepted:
             # rejected line search (or unsolvable system)
             failed_newton += 1
-            if not cfg.picard_fallback:
-                trace.append(TraceEntry(iterations, rnorm, 0.0, kind,
-                                        "rejected: no fallback"))
-                break
             if failed_newton >= 5:
                 direction_mode = "picard"
             d, note = direction(frozen=True)
@@ -242,7 +231,6 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
         obstacle_violation_l1=float(np.dot(mesh.node_volume_weights, violation)),
         iteration_trace=trace,
         effective_tol=eff_tol,
-        mode=cfg.mode,
         rho=cfg.rho,
     )
 
@@ -310,14 +298,12 @@ def vi_residual(spec: ProblemSpec, u, eta, probes) -> float:
     result is bit-identical to the full-element sum, because one nonzero
     nodal value makes every patch gradient an exact product.
     """
-    K = constraint_set(spec)
+    K = spec.constraints
     mesh = spec.mesh
     u_vals = nodal_values(u)
     # everything that depends on u alone, computed once
     grads_u, coef = operator_coefficient(spec, u_vals)
     w_eta = mesh.node_volume_weights * np.asarray(eta, float)
-    gamma2 = mesh.gamma2_nodes
-    bw, trace = spec.mesh.gamma2_weights[gamma2], u_vals[gamma2]
     best = np.inf
     for v in probes:
         v_vals = nodal_values(v)
@@ -339,11 +325,9 @@ def vi_residual(spec: ProblemSpec, u, eta, probes) -> float:
         # groups the sum differently and moves the last bits of the result
         terms = np.zeros(mesh.n_elements)
         terms[patch] = coef[patch] * np.sum(grads_u[patch] * grads_v, axis=1)
-        clarke = (float(np.dot(bw, spec.boundary.clarke_directional(trace, dv[gamma2])))
-                  if gamma2.size else 0.0)
         value = (
             float(np.dot(mesh.element_volumes, terms))
-            + clarke
+            + clarke_directional(spec, u_vals, dv)
             - float(np.dot(w_eta, dv))
         )
         best = min(best, value)

@@ -34,13 +34,13 @@ from dpobstacle.solver import (SolveReport, TraceEntry, _fp_floor, continuation,
 
 def interval(n=16, a=0.0, b=1.0, gamma2=()):
     part = (BoundaryPartition.from_sides(gamma2, dim=1)
-            if gamma2 else BoundaryPartition.all_dirichlet())
+            if gamma2 else BoundaryPartition())
     return build_interval_mesh(a, b, n, partition=part)
 
 
 def rectangle(nx=4, ny=4, lx=1.0, ly=1.0, gamma2=()):
     part = (BoundaryPartition.from_sides(gamma2, dim=2)
-            if gamma2 else BoundaryPartition.all_dirichlet())
+            if gamma2 else BoundaryPartition())
     return build_rect_mesh(lx, ly, nx, ny, partition=part)
 
 
@@ -226,7 +226,7 @@ def reference_solve_penalized(spec, cfg, initial=None):
 
     def assemble(vals, with_jacobian, frozen=False):
         return assembly.assemble_system(
-            spec, vals, mode=cfg.mode, rho=cfg.rho,
+            spec, vals, rho=cfg.rho,
             with_jacobian=with_jacobian, frozen=frozen,
         )
 
@@ -265,10 +265,6 @@ def reference_solve_penalized(spec, cfg, initial=None):
                 continue
 
         failed_newton += 1
-        if not cfg.picard_fallback:
-            trace.append(TraceEntry(iterations, rnorm, 0.0, direction_mode,
-                                    "rejected: no fallback"))
-            break
         if failed_newton >= 5:
             direction_mode = "picard"
         system = assemble(u, with_jacobian=True, frozen=True)
@@ -298,7 +294,6 @@ def reference_solve_penalized(spec, cfg, initial=None):
         obstacle_violation_l1=float(np.dot(mesh.node_volume_weights, violation)),
         iteration_trace=trace,
         effective_tol=eff_tol,
-        mode=cfg.mode,
         rho=cfg.rho,
     )
 
@@ -307,7 +302,7 @@ def reference_vi_residual(spec, u, eta, probes):
     """The certificate as one full-element pairing per probe: every probe
     recomputes the operator state at ``u`` through ``assembly.apply_operator``
     and the boundary term through ``assembly.clarke_directional``."""
-    K = assembly.constraint_set(spec)
+    K = spec.constraints
     u_vals = u.values if isinstance(u, DiscreteFunction) else np.asarray(u, float)
     eta = np.asarray(eta, float)
     w = spec.mesh.node_volume_weights
@@ -339,7 +334,7 @@ def reference_study_candidates(spec, schedule, cfg, n_starts, selection_rules,
     Returns the kept candidates and the number of certificates computed.
     """
     chains = lab._chains(spec, n_starts, selection_rules, seed)
-    K = assembly.constraint_set(spec)
+    K = spec.constraints
     candidates = []
     for c in chains:
         run = continuation(c.spec, schedule, cfg, initial=c.initial)

@@ -5,6 +5,7 @@ runtime guard; the terminal hook in conftest prints one PASS/FAIL line per
 criterion after the run.
 """
 
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -289,14 +290,14 @@ def test_criterion_7_hypothesis_validator():
     assert report.smallness_lhs == 0.0
     assert report.passes
     # gradient-growth coefficient 2 at the critical exponent: fails at 2
-    critical = base.with_reaction(
-        reaction("constant", value=1.0).with_growth(e_f=2.0, theta2=2.0))
+    critical = dataclasses.replace(
+        base, reaction=reaction("constant", value=1.0).with_growth(e_f=2.0, theta2=2.0))
     rep_b = validate_hypotheses(critical)
     assert rep_b.smallness_lhs == 2.0
     assert not rep_b.passes
     # exponent above p: inadmissible growth is flagged and fails
-    super_crit = base.with_reaction(
-        reaction("constant", value=1.0).with_growth(theta2=2.5))
+    super_crit = dataclasses.replace(
+        base, reaction=reaction("constant", value=1.0).with_growth(theta2=2.5))
     rep_c = validate_hypotheses(super_crit)
     assert not rep_c.passes
     assert any("exceeds" in n or "above" in n for n in rep_c.notes)

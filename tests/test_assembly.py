@@ -20,7 +20,6 @@ from dpobstacle.assembly import (
     assemble_system,
     boundary_term,
     clarke_directional,
-    constraint_set,
     operator_energy,
     operator_jacobian,
     operator_residual,
@@ -270,8 +269,9 @@ class TestBoundary:
         u = rng.normal(size=mesh.n_nodes)
         vec, diag = boundary_term(loud, u)
         assert np.all(vec == 0.0) and np.all(diag == 0.0)
-        ra = assemble_system(loud, u, mode="unconstrained").residual
-        rb = assemble_system(quiet, u, mode="unconstrained").residual
+        # both obstacles are +inf, so the penalty adds nothing either
+        ra = assemble_system(loud, u).residual
+        rb = assemble_system(quiet, u).residual
         assert np.array_equal(ra, rb)
 
     def test_directional_sum(self):
@@ -304,16 +304,17 @@ class TestBoundary:
 
 class TestAssembleSystem:
     def test_unknown_mode(self):
+        # the penalty is the one approximation; there is no mode to choose
         mesh = interval(4)
         spec = make_spec(mesh)
-        with pytest.raises(ConfigurationError):
-            assemble_system(spec, np.zeros(mesh.n_nodes), mode="projected")
+        with pytest.raises(TypeError):
+            assemble_system(spec, np.zeros(mesh.n_nodes), mode="penalty")
 
     def test_dirichlet_rows_become_identity(self, rng):
         mesh = interval(6)
         spec = make_spec(mesh, phi=0.5)
         u = rng.normal(size=mesh.n_nodes)
-        out = assemble_system(spec, u, mode="penalty", rho=0.1)
+        out = assemble_system(spec, u, rho=0.1)
         mask = mesh.dirichlet_mask
         assert np.array_equal(out.residual[mask], u[mask])
         J = out.jacobian.toarray()
@@ -325,14 +326,14 @@ class TestAssembleSystem:
     def test_penalty_vector_is_envelope_gradient_on_free_nodes(self, rng):
         # in the lumped metric the Moreau-Yosida envelope gradient of the
         # constraint-set indicator is w (u - phi)^+ / rho on every free node,
-        # which is why "moreau_yosida" assembles the penalty term
+        # so the assembled penalty is also the Moreau-Yosida term
         mesh = rectangle(6, 5)
         phi = rng.uniform(0.0, 0.5, mesh.n_nodes)
         phi[rng.random(mesh.n_nodes) < 0.3] = np.inf
         spec = dataclasses.replace(
             make_spec(mesh),
             obstacle=DiscreteFunction(mesh, phi, allow_infinite=True))
-        K = constraint_set(spec)
+        K = spec.constraints
         free = ~mesh.dirichlet_mask
         assert np.any(np.isinf(phi[free])) and np.any(np.isfinite(phi[free]))
         for rho in (1.0, 1e-2, 1e-7):
@@ -411,16 +412,10 @@ class TestProblemSpecValidation:
 
     def test_constraint_set_is_built_once(self):
         spec = make_spec(interval(4), phi=0.25)
-        assert constraint_set(spec) is constraint_set(spec) is spec.constraints
+        assert spec.constraints is spec.constraints
         assert np.array_equal(spec.constraints.obstacle, spec.obstacle.values)
         other = dataclasses.replace(spec, obstacle=obstacle_fn(spec.mesh, 0.5))
-        assert np.all(constraint_set(other).obstacle == 0.5)
-
-    def test_with_helpers(self):
-        mesh = interval(4)
-        spec = make_spec(mesh)
-        r2 = reaction("constant", value=5.0)
-        assert spec.with_reaction(r2).reaction is r2
+        assert np.all(other.constraints.obstacle == 0.5)
 
     def test_replaced_spec_rebuilds_boundary_weights(self):
         # a spec replaced onto another mesh must not keep the boundary

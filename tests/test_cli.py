@@ -180,6 +180,44 @@ class TestBoundaryDelta:
         assert not out.exists()
 
 
+class TestSelectionRules:
+    @pytest.mark.parametrize("command", ["solve", "study", "check"])
+    def test_bad_blend_weight_fails_at_parse_time(self, cfg_file, tmp_path,
+                                                  capsys, command):
+        text = STUDY.replace("seed = 11", "seed = 11\nselection_rules = lower, blend:2")
+        line = text.splitlines().index("selection_rules = lower, blend:2") + 1
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg_file(text), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: line {line}: [study] selection_rules: "
+            "blend selection needs a weight in [0, 1]\n")
+        assert not out.exists()
+
+
+class TestThreads:
+    def test_study_threads_do_not_change_the_files(self, cfg_file, tmp_path):
+        cfg = cfg_file(STUDY)
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main(["study", "--config", cfg, "--out", str(one)]) == EXIT_OK
+        assert main(["study", "--config", cfg, "--out", str(two),
+                     "--threads", "2"]) == EXIT_OK
+        names = sorted(p.name for p in one.iterdir())
+        assert names == ["study.csv", "study.json"]
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [["solve"], ["check"], ["oracle"],
+                                      ["norm-tool", "x"]])
+    def test_only_study_takes_threads(self, cfg_file, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--config", cfg_file(CONTACT), "--out",
+                  str(tmp_path / "out"), "--threads", "2"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_passing_report(self, cfg_file, capsys):
         code = main(["check", "--config", cfg_file(CONTACT)])

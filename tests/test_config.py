@@ -1,5 +1,7 @@
 """Experiment-file parsing, validation, and object construction."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -274,14 +276,19 @@ class TestBuildSolverConfig:
     def test_defaults_and_rho_from_schedule(self):
         cfg = build_solver_config(parse_config_text(CONTACT))
         assert cfg.rho == 1.0
-        assert cfg.mode == "penalty"
         assert cfg.newton_tol == 1e-10
         assert cfg.max_newton == 100
 
-    def test_mode_choice_validated(self):
-        text = CONTACT + "mode = explicit\n"
-        with pytest.raises(ConfigFileError):
-            build_solver_config(parse_config_text(text))
+    @pytest.mark.parametrize("line", ["mode = penalty", "picard_fallback = true"],
+                             ids=["mode", "picard_fallback"])
+    def test_removed_switches_are_unknown_keys(self, line):
+        # the penalty is the one approximation and the fixed-point fallback
+        # is always on
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(CONTACT + line + "\n")
+        assert err.value.line == 18
+        key = line.split(" = ")[0]
+        assert f"unknown key {key!r} in section [solver]" in str(err.value)
 
     def test_negative_tolerance_rejected(self):
         text = CONTACT + "newton_tol = -1\n"
@@ -307,8 +314,27 @@ class TestStudyParameters:
 
     def test_unknown_rule_rejected(self):
         text = BASIC + "\n[study]\nselection_rules = median\n"
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigFileError) as err:
             study_parameters(parse_config_text(text))
+        assert err.value.line == 11
+        assert ("[study] selection_rules: unknown selection rule 'median'"
+                in str(err.value))
+
+    @pytest.mark.parametrize("rules,message", [
+        ("lower, blend:2", "blend selection needs a weight in [0, 1]"),
+        ("lower, blend:-0.5", "blend selection needs a weight in [0, 1]"),
+        ("lower, blend", "only the blend rule takes a weight, and it needs one"),
+        ("upper:0.5", "only the blend rule takes a weight, and it needs one"),
+        ("blend:x", "cannot parse blend weight"),
+    ], ids=["weight-above-1", "weight-below-0", "bare-blend", "weight-on-upper",
+            "unparsed-weight"])
+    def test_rule_errors_name_their_line(self, rules, message):
+        # the reaction entry checks each listed rule at parse time
+        text = BASIC + f"\n[study]\nselection_rules = {rules}\n"
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == 11
+        assert f"[study] selection_rules: {message}" in str(err.value)
 
     @pytest.mark.parametrize("key", ["seed", "n_random_probes"])
     def test_negative_count_names_its_line(self, key):
@@ -364,7 +390,6 @@ alpha = 1
 delta = 1e-6
 
 [solver]
-mode = penalty
 newton_tol = 1e-10
 max_newton = 100
 eps_grad = 0
@@ -394,7 +419,6 @@ class TestOwnerRulesAnchored:
         ("solver", "eps_grad", "-1"),
         ("solver", "newton_tol", "0"),
         ("solver", "max_newton", "0"),
-        ("solver", "mode", "explicit"),
         ("boundary", "delta", "-1"),
         ("boundary", "delta", "0"),
         ("boundary", "name", "nope"),
@@ -440,6 +464,17 @@ class TestOwnerRulesAnchored:
             parse_config_text(BASIC.replace("q = 3\n", ""))
         assert err.value.line == 5
         assert "[phase] q: required key is missing" in str(err.value)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(ROOT.glob("demos/configs/*.cfg")) + sorted(ROOT.glob("tools/*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_shipped_config_parses(path):
+    # a removed key or a tightened rule cannot silently break a shipped file
+    exp = config.load_config(path).experiment
+    assert exp.solver.rho == exp.schedule[0]
 
 
 class TestOutputParameters:

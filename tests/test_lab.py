@@ -15,7 +15,6 @@ from conftest import (
     reference_study_candidates,
 )
 from dpobstacle import lab
-from dpobstacle.assembly import constraint_set
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import (
     ConfigurationError,
@@ -100,7 +99,7 @@ class TestSampling:
         mesh = interval(32)
         spec = make_spec(mesh, p=2.5, q=3.0, mu=lambda x: x, phi=0.05,
                          react=reaction("constant", value=1.0), eps=1e-8)
-        cfg = SolverConfig(rho=1e-8, max_newton=1, picard_fallback=False)
+        cfg = SolverConfig(rho=1e-8, max_newton=1)
         with pytest.raises(EmptySampleError):
             sample_solution_set(spec, cfg, n_starts=2, seed=0)
 
@@ -332,7 +331,8 @@ class TestQPOracle:
         spec = make_spec(mesh, p=2.0, q=2.0, mu=0.0,
                          react=reaction("constant", value=1.0))
         sol = qp_oracle(spec, mode="projected_gradient")
-        direct = solve_penalized(spec, SolverConfig(mode="unconstrained"))
+        # phi = inf at every node: the penalty term vanishes
+        direct = solve_penalized(spec, SolverConfig())
         assert direct.converged
         assert np.max(np.abs(sol.values - direct.solution.values)) <= 1e-9
         assert sol.active.size == 0

@@ -10,7 +10,6 @@ import scipy.sparse.linalg as spla
 from conftest import (interval, make_spec, rectangle, reference_solve_penalized,
                       reference_vi_residual)
 from dpobstacle import assembly, lab, solver
-from dpobstacle.assembly import constraint_set
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import ConfigurationError
 from dpobstacle.solver import (
@@ -111,21 +110,19 @@ class TestNewtonSolve:
         assert np.array_equal(a.solution.values, b.solution.values)
         assert a.iterations == b.iterations
 
-    def test_penalty_and_envelope_modes_agree(self):
-        # "moreau_yosida" is an alias of "penalty" that the report echoes
-        spec = _poisson_spec(32, phi=0.1)
-        pen = solve_penalized(spec, SolverConfig(rho=1e-6, mode="penalty"))
-        env = solve_penalized(spec, SolverConfig(rho=1e-6, mode="moreau_yosida"))
-        assert np.array_equal(pen.solution.values, env.solution.values)
-        assert pen.iterations == env.iterations
-        assert pen.residual_norm == env.residual_norm
-        assert pen.mode == "penalty"
-        assert env.mode == "moreau_yosida"
-
     def test_unknown_mode_rejected(self):
-        spec = _poisson_spec(8)
-        with pytest.raises(ConfigurationError):
-            solve_penalized(spec, SolverConfig(mode="primal_dual"))
+        # the penalty is the one approximation; there is no mode to choose
+        with pytest.raises(TypeError):
+            SolverConfig(mode="penalty")
+
+    def test_obstacle_free_problem_has_no_penalty_and_no_floor(self, rng):
+        spec = _poisson_spec(32)
+        u = rng.normal(size=spec.mesh.n_nodes)
+        vec, diag = assembly.penalty_term(spec, u, 1e-12)
+        assert not np.any(vec) and not np.any(diag)
+        assert solver._fp_floor(spec, SolverConfig(rho=1e-12)) == 0.0
+        report = solve_penalized(spec, SolverConfig(rho=1e-12))
+        assert report.converged and report.effective_tol == 1e-10
 
 
 def _digest(*arrays):
@@ -176,8 +173,6 @@ class TestLoopReference:
          {("picard", ""), ("picard", "forced"),
           ("picard", "forced regularized"),
           ("picard", "fixed-point system unsolvable")}),
-        ("picard", SolverConfig(rho=1.0, picard_fallback=False),
-         {("newton", "rejected: no fallback")}),
         ("singular", SolverConfig(max_newton=8), {("newton", "regularized")}),
     ])
     def test_bitwise_equal_with_same_calls(self, monkeypatch, case, cfg, steps):
@@ -193,7 +188,7 @@ class TestLoopReference:
             ref.solution.values, ref.eta)
         for name in ("residual_norm", "iterations", "converged",
                      "obstacle_violation_sup", "obstacle_violation_l1",
-                     "effective_tol", "mode", "rho"):
+                     "effective_tol", "rho"):
             assert getattr(new, name) == getattr(ref, name), name
 
 
@@ -266,7 +261,7 @@ class TestContinuation:
         mesh = interval(32)
         spec = make_spec(mesh, p=2.5, q=3.0, mu=lambda x: x, phi=0.02,
                          react=reaction("constant", value=1.0), eps=1e-8)
-        cfg = SolverConfig(max_newton=1, picard_fallback=False)
+        cfg = SolverConfig(max_newton=1)
         reports = continuation(spec, [1.0, 0.1, 0.01], cfg)
         assert 1 <= len(reports) <= 3
         assert not reports[-1].converged
@@ -280,7 +275,7 @@ class TestInequalityResidual:
         schedule = [10.0 ** -k for k in range(11)]
         report = continuation(spec, schedule, SolverConfig())[-1]
         assert report.converged
-        K = constraint_set(spec)
+        K = spec.constraints
         u = K.project_values(report.solution.values)
         return spec, K, u, report.eta
 
@@ -351,7 +346,7 @@ def _vi_state(spec, seed=0):
     n = spec.mesh.n_nodes
     u = rng.uniform(-0.1, 0.2, n)
     u[rng.random(n) < 0.3] = 0.0
-    return constraint_set(spec).project_values(u), rng.normal(size=n)
+    return spec.constraints.project_values(u), rng.normal(size=n)
 
 
 def _hex_pair(spec, u, eta, probes):
@@ -366,7 +361,7 @@ class TestInequalityResidualLoopReference:
     @pytest.mark.parametrize("case", sorted(_VI_CASES))
     def test_documented_probe_family(self, case):
         spec = _VI_CASES[case]()
-        K = constraint_set(spec)
+        K = spec.constraints
         u, eta = _vi_state(spec)
         probes = lab._probe_set(spec, K, u, 3, 0.01, 8)
         # the family holds unchanged probes (Dirichlet bumps and bumps
@@ -382,7 +377,7 @@ class TestInequalityResidualLoopReference:
     @pytest.mark.parametrize("case", sorted(_VI_CASES))
     def test_unchanged_probes_give_the_same_zero(self, case):
         spec = _VI_CASES[case]()
-        K = constraint_set(spec)
+        K = spec.constraints
         u, eta = _vi_state(spec)
         bumped = []
         for i in range(spec.mesh.n_nodes):
@@ -398,7 +393,7 @@ class TestInequalityResidualLoopReference:
     @pytest.mark.parametrize("case", sorted(_VI_CASES))
     def test_single_coordinate_and_dense_probes(self, case):
         spec = _VI_CASES[case]()
-        K = constraint_set(spec)
+        K = spec.constraints
         u, eta = _vi_state(spec, seed=1)
         rng = np.random.default_rng(2)
         free = np.flatnonzero(~spec.mesh.dirichlet_mask)
@@ -424,8 +419,8 @@ class TestInequalityResidualLoopReference:
         monkeypatch.setattr(lab, "vi_residual", checked)
         schedule = [10.0 ** -k for k in range(7)]
         for case in sorted(_VI_CASES):
-            spec = _VI_CASES[case]().with_reaction(
-                reaction("interval", lo=0.5, hi=8.0))
+            spec = dataclasses.replace(
+                _VI_CASES[case](), reaction=reaction("interval", lo=0.5, hi=8.0))
             lab.kuratowski_study(spec, schedule, SolverConfig(), n_starts=2,
                                  selection_rules=["lower", "upper"], seed=1,
                                  n_random_probes=8)
@@ -447,14 +442,14 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.rho == 1.0
-        assert cfg.mode == "penalty"
         assert cfg.newton_tol == 1e-10
-        assert cfg.picard_fallback
+        assert cfg.max_newton == 100
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "rho", "newton_tol", "max_newton"]
 
     @pytest.mark.parametrize("field,value", [
         ("newton_tol", 0.0), ("newton_tol", -1e-10), ("newton_tol", float("nan")),
-        ("max_newton", 0), ("max_newton", 2.5), ("mode", "explicit"),
-        ("rho", 0.0),
+        ("max_newton", 0), ("max_newton", 2.5), ("rho", 0.0),
     ])
     def test_rules_name_their_field(self, field, value):
         with pytest.raises(ConfigurationError) as err:
