@@ -16,8 +16,17 @@ Lower-order terms use vertex-lumped quadrature: the obstacle penalty
 ``(w_i / rho) (u_i - phi_i)^+`` (derivative taken as zero at the kink; in the
 lumped metric this is also the Moreau-Yosida envelope gradient), the
 reaction selection evaluated at nodes with a volume-averaged nodal gradient,
-and the smoothed boundary flux on the natural boundary part.  Dirichlet rows
-of the assembled system are replaced by the identity.
+and the smoothed boundary flux on the natural boundary part.
+
+The Jacobian is one ``data`` array on the mesh's cached
+:class:`~dpobstacle.meshing.BlockPattern`: the operator blocks, plus the
+penalty and boundary diagonal, plus the reaction Jacobian (whose unreached
+slots are explicit zeros), summed slot by slot in that order.  Dirichlet rows
+are then replaced by identity rows, whatever they held (``inf`` and ``NaN``
+included), and ``eliminate_zeros`` drops the exact zeros, as the sums of
+scipy matrices this replaces did; the result is bit for bit that sum.  A
+residual-only call (``with_jacobian=False``) builds no Jacobian at all, the
+reaction's included.
 """
 
 from __future__ import annotations
@@ -97,7 +106,8 @@ class ProblemSpec:
 
 @dataclass
 class AssembledSystem:
-    """Masked residual/Jacobian pair; Dirichlet rows are identity rows."""
+    """Masked residual/Jacobian pair; Dirichlet rows are identity rows and
+    the CSR Jacobian stores no exact zeros."""
 
     residual: np.ndarray
     jacobian: sp.csr_matrix | None
@@ -198,11 +208,16 @@ def penalty_term(spec: ProblemSpec, u, rho):
     return vec, diag
 
 
-def reaction_term(spec: ProblemSpec, u):
+def reaction_term(spec: ProblemSpec, u, with_jacobian=True):
     """Reaction residual ``-w_i eta_i``, its Jacobian, and the selection.
 
     The nodal gradient entering the selection is the volume-weighted average
-    of the adjacent element gradients.
+    of the adjacent element gradients, ``xi_k = D_k u``.  The Jacobian is a
+    CSR matrix on the mesh's :class:`~dpobstacle.meshing.BlockPattern`:
+    ``-w d(eta)/ds`` on the diagonal plus each ``D_k`` with row ``i`` scaled
+    by ``-w_i d(eta)/d(xi_k)``, summed in that order; the slots that no term
+    reaches hold explicit zeros.  ``with_jacobian=False`` skips it and
+    returns ``None`` in its place.
     """
     mesh = spec.mesh
     vals = nodal_values(u)
@@ -211,12 +226,15 @@ def reaction_term(spec: ProblemSpec, u):
     eta, de_ds, de_dg = spec.reaction.select_with_partials(mesh.nodes, vals, xi)
     w = mesh.node_volume_weights
     vec = -w * eta
-    jac = sp.diags(-w * de_ds).tocsr()
-    for k, Dk in enumerate(D):
-        col = de_dg[:, k]
+    if not with_jacobian:
+        return vec, None, eta
+    pattern = mesh.block_pattern
+    data = np.zeros(pattern.nnz)
+    data[pattern.diagonal] = -w * de_ds
+    for Dk, (rows, slots), col in zip(D, mesh.nodal_gradient_slots, de_dg.T):
         if np.any(col != 0.0):
-            jac = jac + sp.diags(-w * col) @ Dk
-    return vec, jac.tocsr(), eta
+            data[slots] += (-w * col)[rows] * Dk.data
+    return vec, pattern.matrix(data), eta
 
 
 def boundary_term(spec: ProblemSpec, u):
@@ -246,16 +264,6 @@ def clarke_directional(spec: ProblemSpec, u, v) -> float:
     return float(np.dot(bw[idx], spec.boundary.clarke_directional(s, t)))
 
 
-def _mask_system(mesh, r, J, vals):
-    mask = mesh.dirichlet_mask
-    r = r.copy()
-    r[mask] = vals[mask]
-    if J is not None:
-        free = sp.diags((~mask).astype(float))
-        J = (free @ J + sp.diags(mask.astype(float))).tocsr()
-    return r, J
-
-
 def assemble_system(
     spec: ProblemSpec,
     u,
@@ -274,7 +282,9 @@ def assemble_system(
     r = operator_residual(spec, vals)
     diag_extra = np.zeros_like(r)
 
-    react_vec, react_jac, eta = reaction_term(spec, vals)
+    # the fixed-point linearization also freezes the selection
+    react_vec, react_jac, eta = reaction_term(
+        spec, vals, with_jacobian=with_jacobian and not frozen)
     r = r + react_vec
     bnd_vec, bnd_diag = boundary_term(spec, vals)
     r = r + bnd_vec
@@ -284,12 +294,16 @@ def assemble_system(
     r = r + pen_vec
     diag_extra += pen_diag
 
+    mask = spec.mesh.dirichlet_mask
+    r[mask] = vals[mask]
     J = None
     if with_jacobian:
+        pattern = spec.mesh.block_pattern
         J = operator_jacobian(spec, vals, frozen=frozen)
-        J = J + sp.diags(diag_extra)
-        if not frozen:
-            # the fixed-point linearization also freezes the selection
-            J = J + react_jac
-    r, J = _mask_system(spec.mesh, r, J, vals)
+        J.data[pattern.diagonal] += diag_extra
+        if react_jac is not None:
+            J.data += react_jac.data
+        J.data[pattern.dirichlet_slots] = 0.0
+        J.data[pattern.diagonal[mask]] = 1.0
+        J.eliminate_zeros()
     return AssembledSystem(residual=r, jacobian=J, eta=eta)

@@ -742,13 +742,14 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     mesh = spec.mesh
     p = spec.phase.p
     notes = []
-    S = mesh.scatter_blocks(mesh.element_volumes[:, None, None] * mesh.gradient_gram)
     free = ~mesh.dirichlet_mask
     idx = np.flatnonzero(free)
-    S_ff = S[np.ix_(idx, idx)].toarray()
     bw = mesh.gamma2_weights
 
     if p == 2.0:
+        # the dense eigenproblems are the only readers of the stiffness
+        S = mesh.scatter_blocks(mesh.element_volumes[:, None, None] * mesh.gradient_gram)
+        S_ff = S[np.ix_(idx, idx)].toarray()
         M_ff = np.diag(mesh.node_volume_weights[idx])
         sig = scipy.linalg.eigh(S_ff, M_ff, eigvals_only=True,
                                 subset_by_index=[0, 0])[0]

@@ -5,9 +5,14 @@ is built with the per-element gradient maps (``dim x nverts`` matrices acting
 on local nodal values), element volumes and a tagged list of boundary faces.
 Everything derived from those (lumped volume weights, the Dirichlet mask, the
 natural-boundary nodes and their lumped weights, ``G_e^T G_e``, the
-element-block scatter pattern, the nodal-gradient matrices and the element
-patch of every node) is a
+:class:`BlockPattern` of the element blocks, the nodal-gradient matrices and
+their slots in that pattern, and the element patch of every node) is a
 ``functools.cached_property``: computed on first use and kept on the mesh.
+The block pattern is the one CSR structure every element-block matrix is
+built on (operator Jacobians, the ``check`` stiffness, the nodal-gradient
+maps, the reaction Jacobian): a matrix is a ``data`` array of its slots,
+summed in the order scipy's COO->CSR conversion adds duplicates, so each sum
+is bit for bit the scipy one without a sort per call.
 The boundary is split into a Dirichlet part (``gamma1``, where trial functions
 vanish) and a natural part (``gamma2``, where nonsmooth boundary terms act);
 the Dirichlet part must have positive measure.  A face is natural when its
@@ -27,6 +32,7 @@ from .errors import ConfigurationError
 __all__ = [
     "BoundaryPartition",
     "Mesh",
+    "BlockPattern",
     "DiscreteFunction",
     "nodal_values",
     "build_interval_mesh",
@@ -180,20 +186,16 @@ class Mesh:
         return np.einsum("eka,ekb->eab", G, G)
 
     @cached_property
-    def _block_pattern(self):
-        """int32 (rows, cols) of the flattened element blocks."""
-        nv = self.dim + 1
-        elements = self.elements.astype(np.int32)
-        return (np.repeat(elements, nv, axis=1).ravel(),
-                np.tile(elements, (1, nv)).ravel())
+    def block_pattern(self):
+        """The :class:`BlockPattern` of the element blocks (built on first
+        use)."""
+        return BlockPattern.for_mesh(self)
 
     def scatter_blocks(self, blocks):
         """CSR sum of element blocks: ``blocks[e, a, b]`` adds to entry
-        ``(elements[e, a], elements[e, b])`` through a cached pattern."""
-        rows, cols = self._block_pattern
-        return sp.csr_matrix(
-            (np.ravel(blocks), (rows, cols)), shape=(self.n_nodes, self.n_nodes)
-        )
+        ``(elements[e, a], elements[e, b])``; the matrix stores every entry
+        of the pattern, explicit zeros included."""
+        return self.block_pattern.matrix(self.block_pattern.sum_blocks(blocks))
 
     def scatter_vector(self, local):
         """Nodal sum of element vectors: ``local[e, a]`` adds to node
@@ -223,10 +225,112 @@ class Mesh:
             mats.append(D.tocsr())
         return mats
 
+    @cached_property
+    def nodal_gradient_slots(self):
+        """Per ``D_k`` of :attr:`nodal_gradient_matrices`, the row and the
+        :attr:`block_pattern` slot of every stored entry, in stored order."""
+        pattern = self.block_pattern
+        n = np.int64(self.n_nodes)
+        keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
+        out = []
+        for D in self.nodal_gradient_matrices:
+            rows = np.repeat(np.arange(self.n_nodes, dtype=np.int32), np.diff(D.indptr))
+            slots = np.searchsorted(keys, rows * n + D.indices).astype(np.int32)
+            out.append((rows, slots))
+        return out
+
     def element_gradients(self, values):
         """Constant gradient per element, shape (n_elements, dim)."""
         local = values[self.elements]  # (n_el, nv)
         return np.einsum("ekv,ev->ek", self.gradient_maps, local)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockPattern:
+    """The CSR pattern of a mesh's element blocks and the order in which the
+    blocks sum into it.
+
+    ``indptr``/``indices`` are the canonical (sorted, duplicate-free) CSR
+    structure of the element adjacency; a matrix on the pattern is one
+    ``data`` array of ``nnz`` slots.  Entry ``k`` of the flattened blocks
+    (``blocks[e, a, b]`` at row ``elements[e, a]``, column
+    ``elements[e, b]``) adds into one slot, and each slot takes its addends
+    left to right in the order scipy's COO->CSR conversion adds duplicates:
+    ``first[s]`` starts slot ``s``, then each layer ``(slots, addends)``
+    adds ``flat[addends]`` to ``data[slots]``.  scipy sorts each row with an
+    unstable sort (beyond 16 entries), so the order is read off scipy's own
+    ``sort_indices`` run on the entry numbers, and the sums are bit for bit
+    those of ``csr_matrix((blocks.ravel(), (rows, cols)))``.
+    ``diagonal[i]`` is the slot of ``(i, i)`` and ``dirichlet_slots`` are
+    the slots on Dirichlet rows.  The arrays are int32 and read-only; each
+    matrix from :meth:`matrix` owns copies of the structure, because
+    in-place methods such as ``eliminate_zeros`` compact ``indices``.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    first: np.ndarray
+    layers: tuple
+    diagonal: np.ndarray
+    dirichlet_slots: np.ndarray
+
+    @classmethod
+    def for_mesh(cls, mesh):
+        n, nv = mesh.n_nodes, mesh.dim + 1
+        elements = mesh.elements.astype(np.int32)
+        rows = np.repeat(elements, nv, axis=1).ravel()
+        cols = np.tile(elements, (1, nv)).ravel()
+        # COO->CSR keeps each row's entries in order of appearance; then
+        # scipy sorts each row by column
+        order = np.argsort(rows, kind="stable")
+        counts = np.bincount(rows, minlength=n)
+        ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(counts, out=ptr[1:])
+        S = sp.csr_matrix((order.astype(float), cols[order], ptr), shape=(n, n))
+        S.sort_indices()
+        entry, col = S.data.astype(np.int32), S.indices
+        row = np.repeat(np.arange(n, dtype=np.int32), counts)
+        new = np.ones(entry.size, dtype=bool)
+        new[1:] = (col[1:] != col[:-1]) | (row[1:] != row[:-1])
+        slot = np.cumsum(new, dtype=np.int32) - 1
+        rank = np.arange(entry.size, dtype=np.int32) - np.flatnonzero(new)[slot]
+        layers = tuple((slot[rank == j], entry[rank == j])
+                       for j in range(1, int(rank.max()) + 1))
+        slot_row, indices = row[new], col[new]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(slot_row, minlength=n), out=indptr[1:])
+        pattern = cls(
+            n=n,
+            indptr=indptr,
+            indices=indices,
+            first=entry[new],
+            layers=layers,
+            diagonal=np.flatnonzero(slot_row == indices).astype(np.int32),
+            dirichlet_slots=np.flatnonzero(
+                mesh.dirichlet_mask[slot_row]).astype(np.int32),
+        )
+        for a in (indptr, indices, pattern.first, pattern.diagonal,
+                  pattern.dirichlet_slots, *(a for layer in layers for a in layer)):
+            a.flags.writeable = False
+        return pattern
+
+    @property
+    def nnz(self):
+        return self.indices.size
+
+    def sum_blocks(self, blocks):
+        """Slot data of the sum of element blocks ``(n_elements, nv, nv)``."""
+        flat = np.ravel(blocks)
+        data = flat[self.first]
+        for slots, addends in self.layers:
+            data[slots] += flat[addends]
+        return data
+
+    def matrix(self, data):
+        """CSR matrix with this pattern and ``data`` (not copied)."""
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)

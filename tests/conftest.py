@@ -21,6 +21,7 @@ from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import (
     BoundaryPartition,
     DiscreteFunction,
+    Mesh,
     build_interval_mesh,
     build_rect_mesh,
 )
@@ -69,6 +70,29 @@ def make_spec(mesh, p=2.0, q=2.0, mu=0.0, phi=None, react=None, bnd=None,
     )
 
 
+def shuffled(mesh, seed):
+    """The mesh with its nodes relabelled and its elements reordered."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(mesh.n_nodes)
+    order = rng.permutation(mesh.n_elements)
+    nodes = np.empty_like(mesh.nodes)
+    nodes[label] = mesh.nodes
+    return Mesh(dim=mesh.dim, nodes=nodes, elements=label[mesh.elements][order],
+                boundary_faces=[(tuple(int(label[i]) for i in face), tag)
+                                for face, tag in mesh.boundary_faces],
+                element_volumes=mesh.element_volumes[order],
+                gradient_maps=mesh.gradient_maps[order])
+
+
+# rows beyond 16 entries (2D interiors), where scipy's per-row sort is not
+# stable, and a mesh with relabelled nodes and reordered elements
+PATTERN_MESHES = [
+    lambda: interval(17, gamma2=("right",)),
+    lambda: rectangle(9, 7, gamma2=("right", "top")),
+    lambda: shuffled(rectangle(8, 6, gamma2=("left",)), 3),
+]
+
+
 def random_function(mesh, rng, scale=1.0, masked=False):
     vals = rng.uniform(-scale, scale, mesh.n_nodes)
     if masked:
@@ -100,6 +124,110 @@ def reference_scatter_blocks(mesh, blocks):
             for b, j in enumerate(conn):
                 out[i, j] += blocks[e][a][b]
     return out
+
+
+def reference_coo_scatter_blocks(mesh, blocks):
+    """Element blocks summed by scipy's COO->CSR conversion (duplicates
+    added in the order of its per-row sort)."""
+    nv = mesh.dim + 1
+    elements = mesh.elements.astype(np.int32)
+    rows = np.repeat(elements, nv, axis=1).ravel()
+    cols = np.tile(elements, (1, nv)).ravel()
+    return sp.csr_matrix((np.ravel(blocks), (rows, cols)),
+                         shape=(mesh.n_nodes, mesh.n_nodes))
+
+
+def reference_nodal_gradient_matrices(mesh):
+    """The maps ``D_k`` as products of a row-scaling ``sp.diags`` and the
+    COO-summed blocks ``|e| G_e[k, b]``."""
+    nv = mesh.dim + 1
+    patch_vol = mesh.scatter_vector(np.repeat(mesh.element_volumes, nv))
+    mats = []
+    for k in range(mesh.dim):
+        blocks = np.broadcast_to(
+            mesh.element_volumes[:, None, None] * mesh.gradient_maps[:, k, None, :],
+            (mesh.n_elements, nv, nv))
+        D = sp.diags(1.0 / patch_vol) @ reference_coo_scatter_blocks(mesh, blocks)
+        mats.append(D.tocsr())
+    return mats
+
+
+def reference_assemble_system(spec, u, rho=1.0, with_jacobian=True,
+                              frozen=False):
+    """``assembly.assemble_system`` as scipy matrix algebra: the operator
+    blocks summed through COO, ``sp.diags`` for the diagonal terms, the
+    reaction Jacobian as a sum of CSR matrices, and the Dirichlet rows
+    replaced by ``diags(free) @ J + diags(mask)``.  Every CSR addition and
+    product drops exact zeros."""
+    mesh = spec.mesh
+    vals = np.asarray(u.values if isinstance(u, DiscreteFunction) else u, float)
+    r = assembly.operator_residual(spec, vals)
+    diag_extra = np.zeros_like(r)
+
+    D = reference_nodal_gradient_matrices(mesh)
+    xi = np.column_stack([Dk @ vals for Dk in D])
+    eta, de_ds, de_dg = spec.reaction.select_with_partials(mesh.nodes, vals, xi)
+    w = mesh.node_volume_weights
+    r = r + -w * eta
+    react_jac = sp.diags(-w * de_ds).tocsr()
+    for k, Dk in enumerate(D):
+        col = de_dg[:, k]
+        if np.any(col != 0.0):
+            react_jac = react_jac + sp.diags(-w * col) @ Dk
+    react_jac = react_jac.tocsr()
+
+    bnd_vec, bnd_diag = assembly.boundary_term(spec, vals)
+    r = r + bnd_vec
+    diag_extra += bnd_diag
+    pen_vec, pen_diag = assembly.penalty_term(spec, vals, rho)
+    r = r + pen_vec
+    diag_extra += pen_diag
+
+    J = None
+    if with_jacobian:
+        grads, ge, g2 = assembly._gradient_state(spec, vals)
+        p, q, mu = spec.phase.p, spec.phase.q, spec.phase.mu
+        coef = assembly._coef(spec, ge)
+        blocks = (mesh.element_volumes * coef)[:, None, None] * mesh.gradient_gram
+        if not frozen:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fac = ((p - 2.0) * ge ** (p - 2.0)
+                       + mu * (q - 2.0) * ge ** (q - 2.0)) / g2
+            fac = np.where(g2 > 0.0, fac, 0.0)
+            Gg = np.einsum("ekv,ek->ev", mesh.gradient_maps, grads)
+            blocks = blocks + (mesh.element_volumes * fac)[:, None, None] * (
+                Gg[:, :, None] * Gg[:, None, :])
+        J = reference_coo_scatter_blocks(mesh, blocks) + sp.diags(diag_extra)
+        if not frozen:
+            J = J + react_jac
+    mask = mesh.dirichlet_mask
+    r = r.copy()
+    r[mask] = vals[mask]
+    if J is not None:
+        free = sp.diags((~mask).astype(float))
+        J = (free @ J + sp.diags(mask.astype(float))).tocsr()
+    return assembly.AssembledSystem(residual=r, jacobian=J, eta=eta)
+
+
+def csr_bytes(J):
+    return [(a.dtype.str, a.tobytes()) for a in (J.data, J.indices, J.indptr)]
+
+
+def _lifted(J):
+    # the regularized retry of solver._solve_direction
+    return J + sp.diags(1e-12 * (1.0 + np.abs(J.diagonal())))
+
+
+def assert_same_system(new, ref):
+    """Byte equality of residual, selection and the Jacobian handed to
+    ``spsolve`` (as CSC), plain and lifted."""
+    assert new.residual.tobytes() == ref.residual.tobytes()
+    assert new.eta.tobytes() == ref.eta.tobytes()
+    assert (new.jacobian is None) == (ref.jacobian is None)
+    if ref.jacobian is not None:
+        for J, J_ref in ((new.jacobian, ref.jacobian),
+                         (_lifted(new.jacobian), _lifted(ref.jacobian))):
+            assert csr_bytes(J.tocsc()) == csr_bytes(J_ref.tocsc())
 
 
 def reference_scatter_vector(mesh, local):

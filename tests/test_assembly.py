@@ -7,11 +7,14 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (
+    PATTERN_MESHES,
+    assert_same_system,
     interval,
     make_spec,
     obstacle_fn,
     random_function,
     rectangle,
+    reference_assemble_system,
     reference_energy,
 )
 from dpobstacle.assembly import (
@@ -437,3 +440,56 @@ class TestProblemSpecValidation:
         assert a.iterations == b.iterations
         assert a.solution.values.tobytes() == b.solution.values.tobytes()
         assert a.eta.tobytes() == b.eta.tobytes()
+
+
+def _gate_spec(mesh, p, react, phi_inf):
+    """A two-phase spec with a convective reaction, ``abs`` on gamma2 and an
+    obstacle that is ``+inf`` on part of the domain when ``phi_inf``."""
+    x = mesh.nodes[:, 0]
+    spec = make_spec(mesh, p=p, q=p + 0.7, mu=lambda x, *_: 0.5 + 0.5 * x,
+                     phi=0.05, react=react,
+                     bnd=boundary_potential("abs", alpha=0.4))
+    if phi_inf:
+        phi = np.where(x > 0.5, np.inf, 0.05 + 0.1 * x)
+        spec = dataclasses.replace(spec, obstacle=DiscreteFunction(
+            mesh, phi, allow_infinite=True))
+    return spec
+
+
+class TestFixedPatternAssembly:
+    """The cached-pattern assembly is byte for byte the scipy matrix algebra
+    of ``conftest.reference_assemble_system``."""
+
+    def test_residual_only_reaction_has_no_jacobian(self):
+        mesh = rectangle(4, 3)
+        spec = make_spec(mesh, react=reaction("convective_linear", c0=1.0,
+                                              c1=0.5, c2=0.3))
+        u = np.linspace(0.0, 1.0, mesh.n_nodes)
+        vec, jac, eta = reaction_term(spec, u, with_jacobian=False)
+        full = reaction_term(spec, u)
+        assert jac is None
+        assert vec.tobytes() == full[0].tobytes() and eta.tobytes() == full[2].tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mesh_fn", PATTERN_MESHES)
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    @pytest.mark.parametrize("phi_inf", [False, True])
+    @pytest.mark.parametrize("react", [
+        reaction("convective_linear", c0=1.0, c1=-3.0, c2=0.7),
+        reaction("constant", value=4.0),
+    ], ids=["convective", "constant"])
+    def test_system_is_the_matrix_algebra(self, mesh_fn, p, phi_inf, react):
+        mesh = mesh_fn()
+        spec = _gate_spec(mesh, p, react, phi_inf)
+        rng = np.random.default_rng(7)
+        states = [np.zeros(mesh.n_nodes), 0.3 * np.sin(3.0 * mesh.nodes[:, 0])]
+        # the last scale overflows the operator blocks to inf and their sums
+        # to NaN, on Dirichlet rows too
+        states += [rng.uniform(-s, s, mesh.n_nodes) for s in (0.01, 0.2, 1e3, 1e300)]
+        for u in states:
+            for rho in (1.0, 1e-6):
+                for with_jacobian, frozen in ((False, False), (True, False),
+                                              (True, True)):
+                    kw = dict(rho=rho, with_jacobian=with_jacobian, frozen=frozen)
+                    assert_same_system(assemble_system(spec, u, **kw),
+                                       reference_assemble_system(spec, u, **kw))

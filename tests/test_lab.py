@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import (
     interval,
@@ -454,6 +455,22 @@ class TestHypothesisChecks:
         again = validate_hypotheses(spec)
         assert (again.lambda1_est, again.lambda2_est) == (report.lambda1_est,
                                                           report.lambda2_est)
+
+    @pytest.mark.parametrize("p, densified", [(2.5, 0), (2.0, 1)])
+    def test_stiffness_is_densified_only_when_p_is_2(self, monkeypatch, p,
+                                                     densified):
+        # only the p = 2 eigenproblems read the dense free-node stiffness
+        calls = []
+        toarray = sp.csr_matrix.toarray
+        monkeypatch.setattr(sp.csr_matrix, "toarray",
+                            lambda self, *a, **k: calls.append(self.shape)
+                            or toarray(self, *a, **k))
+        mesh = interval(16, gamma2=("right",))
+        spec = make_spec(mesh, p=p, q=3.0, mu=0.5, eps=1e-8,
+                         bnd=boundary_potential("abs", alpha=0.1))
+        report = validate_hypotheses(spec)
+        assert len(calls) == densified
+        assert report.lambda1_certified == report.lambda2_certified == (p == 2.0)
 
     def test_report_is_json_serialisable(self):
         # lambda1 from the eigenvalue solve is a numpy scalar

@@ -5,9 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (
+    PATTERN_MESHES,
+    csr_bytes,
     interval,
     rectangle,
+    reference_coo_scatter_blocks,
     reference_element_gradient,
+    reference_nodal_gradient_matrices,
     reference_scatter_blocks,
     reference_scatter_vector,
 )
@@ -144,6 +148,7 @@ class TestGeometryInvariants:
     @pytest.mark.parametrize("name", [
         "node_volume_weights", "dirichlet_mask", "gamma2_nodes",
         "gradient_gram", "nodal_gradient_matrices", "node_patches",
+        "block_pattern", "nodal_gradient_slots",
     ])
     def test_derived_data_is_computed_once(self, name):
         mesh = rectangle(3, 2, gamma2=("right",))
@@ -199,6 +204,37 @@ class TestScatter:
         for e in range(mesh.n_elements):
             G = mesh.gradient_maps[e]
             assert np.allclose(mesh.gradient_gram[e], G.T @ G, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("mesh_fn", PATTERN_MESHES)
+    def test_scatter_blocks_is_the_coo_sum(self, mesh_fn):
+        mesh = mesh_fn()
+        nv = mesh.dim + 1
+        rng = np.random.default_rng(11)
+        for blocks in (rng.normal(size=(mesh.n_elements, nv, nv)),
+                       np.zeros((mesh.n_elements, nv, nv)),
+                       mesh.element_volumes[:, None, None] * mesh.gradient_gram):
+            S = mesh.scatter_blocks(blocks)
+            assert isinstance(S, sp.csr_matrix)
+            assert csr_bytes(S) == csr_bytes(reference_coo_scatter_blocks(mesh, blocks))
+
+    @pytest.mark.parametrize("mesh_fn", PATTERN_MESHES)
+    def test_nodal_gradient_matrices_keep_their_stored_order(self, mesh_fn):
+        mesh = mesh_fn()
+        for D, ref in zip(mesh.nodal_gradient_matrices,
+                          reference_nodal_gradient_matrices(mesh), strict=True):
+            assert csr_bytes(D) == csr_bytes(ref)
+
+    def test_pattern_is_read_only_and_matrices_own_their_structure(self):
+        mesh = rectangle(4, 3)
+        pattern = mesh.block_pattern
+        assert mesh.block_pattern is pattern
+        with pytest.raises(ValueError):
+            pattern.indices[0] = 0
+        indices = pattern.indices.copy()
+        S = mesh.scatter_blocks(np.zeros((mesh.n_elements, 3, 3)))
+        S.eliminate_zeros()  # compacts the matrix's own indices in place
+        assert S.nnz == 0
+        assert np.array_equal(pattern.indices, indices)
 
 
 class TestBoundaryWeights:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import (interval, make_spec, rectangle, reference_solve_penalized,
+from conftest import (assert_same_system, interval, make_spec, rectangle,
+                      reference_assemble_system, reference_solve_penalized,
                       reference_vi_residual)
 from dpobstacle import assembly, lab, solver
 from dpobstacle.catalog import boundary_potential, reaction
@@ -190,6 +191,83 @@ class TestLoopReference:
                      "obstacle_violation_sup", "obstacle_violation_l1",
                      "effective_tol", "rho"):
             assert getattr(new, name) == getattr(ref, name), name
+
+    @pytest.mark.parametrize("case", ["picard", "singular"])
+    def test_every_system_is_the_matrix_algebra(self, monkeypatch, case):
+        # the loop above calls the package assembly on both sides; this
+        # checks each system of the solve, the overflowing trial states of
+        # the blow-up included, against the scipy matrix algebra of conftest
+        spec, cfg = ((_picard_spec(), SolverConfig(rho=1.0)) if case == "picard"
+                     else (_singular_spec(), SolverConfig(max_newton=8)))
+        assemble = solver.assemble_system
+        calls = []
+
+        def checked(spec, u, **kwargs):
+            new = assemble(spec, u, **kwargs)
+            assert_same_system(new, reference_assemble_system(spec, u, **kwargs))
+            calls.append((kwargs["with_jacobian"], kwargs["frozen"],
+                          float(np.max(np.abs(new.residual)))))
+            return new
+
+        monkeypatch.setattr(solver, "assemble_system", checked)
+        solve_penalized(spec, cfg)
+        kinds = {c[:2] for c in calls}
+        assert {(True, False), (False, False)} <= kinds
+        if case == "picard":
+            assert (True, True) in kinds
+            # residuals whose squares overflow in the norm
+            assert max(c[2] for c in calls) > 1e155
+
+
+@pytest.fixture(scope="module")
+def tenfold_mesh():
+    # 3,249 nodes: ten times the largest 2D mesh of the other tests
+    return rectangle(56, 56, gamma2=("right",))
+
+
+def _steps(report):
+    return {(t.direction, t.note) for t in report.iteration_trace}
+
+
+class TestTenfoldScale:
+    """The fp floor, the regularized retry and the Picard fallback on a 2D
+    mesh of 3,249 nodes; each case checks from its trace that it took its
+    branch and still converged."""
+
+    def test_fp_floor_sets_the_tolerance(self, tenfold_mesh):
+        spec = make_spec(tenfold_mesh, phi=0.05, react=reaction("constant", value=8.0))
+        reports = continuation(spec, [1e-3, 1e-6, 1e-9, 1e-12], SolverConfig())
+        last = reports[-1]
+        free = ~tenfold_mesh.dirichlet_mask
+        floor = (4.0 * np.finfo(float).eps * 1.05 / 1e-12
+                 * np.sqrt(np.sum(tenfold_mesh.node_volume_weights[free])))
+        assert all(r.converged for r in reports)
+        assert last.effective_tol == pytest.approx(floor, rel=1e-12)
+        # converged only because of the floor: the final residual lies above
+        # the Newton tolerance
+        assert 1e-10 < last.iteration_trace[-1].residual_norm <= last.effective_tol
+
+    def test_singular_newton_system_is_regularized(self, tenfold_mesh):
+        # p > 2 and eps_grad = 0: the Jacobian vanishes at the zero start
+        spec = make_spec(tenfold_mesh, p=2.2, q=2.5, mu=lambda x, y: 0.5 + 0.5 * x,
+                         phi=0.0, react=reaction("constant", value=8.0),
+                         bnd=boundary_potential("abs", alpha=0.1))
+        report = solve_penalized(spec, SolverConfig(rho=1e-2))
+        assert ("newton", "regularized") in _steps(report)
+        assert report.converged
+
+    def test_picard_fallback_converges(self, tenfold_mesh):
+        # the kink of |u| at the zero start hides the reaction slope from
+        # the Newton system: line searches fail until the fixed point takes
+        # over and converges
+        spec = make_spec(tenfold_mesh, phi=0.02,
+                         react=reaction("sign_band", slope=40.0, offset=0.1,
+                                        rule="upper"),
+                         bnd=boundary_potential("abs", alpha=0.1))
+        report = solve_penalized(spec, SolverConfig(rho=1e-2, max_newton=150))
+        steps = _steps(report)
+        assert ("picard", "") in steps and ("picard", "forced") in steps
+        assert report.converged
 
 
 class TestContinuation:
