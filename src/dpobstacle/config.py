@@ -36,7 +36,7 @@ Sections and keys (defaults in parentheses):
 * ``[study]`` — ``seed`` (0; every command echoes it), ``selection_rules``
   (the single configured rule; each listed rule is checked by the reaction
   entry through :func:`~dpobstacle.lab.selection_variants`), ``vi_tol``
-  (1e-8), and the thresholds ``n_starts``, ``dedup_tol``,
+  (1e-8, finite and >= 0), and the thresholds ``n_starts``, ``dedup_tol``,
   ``cauchy_factor``, ``cauchy_window``, ``probe_bump`` and
   ``n_random_probes``, whose defaults are those of
   :func:`~dpobstacle.lab.kuratowski_study`.
@@ -456,7 +456,12 @@ def study_parameters(cfg: ExperimentConfig) -> dict:
 
 
 def vi_tolerance(cfg: ExperimentConfig) -> float:
-    return _const(cfg, "study", "vi_tol", 1e-8)
+    """``[study] vi_tol`` (1e-8), checked by
+    :func:`~dpobstacle.lab.check_study` (finite and >= 0)."""
+    vi_tol = _const(cfg, "study", "vi_tol", 1e-8)
+    with _anchored(cfg, "study", "vi_tol"):
+        check_study(vi_tol=vi_tol)
+    return vi_tol
 
 
 def output_parameters(cfg: ExperimentConfig):

@@ -77,26 +77,29 @@ MAX_ENUM_NODES = 14
 # fail after PG_MAX_ITER iterations
 PG_TOL = 1e-12
 PG_MAX_ITER = 2_000_000
-# study parameter -> (bound, strict, count): the value must exceed the bound,
-# or reach it when not strict, and a count must be an integer
+# study parameter -> (bound, strict, count): the value must be finite and
+# exceed the bound, or reach it when not strict, and a count must be an
+# integer; ``vi_tol`` is the tolerance a certificate is read against
 STUDY_RULES = {"n_starts": (1, False, True), "cauchy_window": (1, False, True),
                "dedup_tol": (0, True, False), "cauchy_factor": (0, True, False),
                "probe_bump": (0, True, False), "seed": (0, False, True),
-               "n_random_probes": (0, False, True)}
+               "n_random_probes": (0, False, True), "vi_tol": (0, False, False)}
 
 
 def check_study(**values):
     """Check the given study parameters against ``STUDY_RULES``; the first
     that breaks its rule raises :class:`ConfigurationError` naming it in
-    ``param``."""
+    ``param``.  The test is written so that NaN and ``inf`` fail it."""
     for name, value in values.items():
         bound, strict, count = STUDY_RULES[name]
         if count and not isinstance(value, numbers.Integral):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}",
                                      param=name)
-        if not (value > bound if strict else value >= bound):
+        if not ((value > bound if strict else value >= bound) and value < np.inf):
+            finite = "" if count else "finite and "
             raise ConfigurationError(
-                f"{name} must be {'>' if strict else '>='} {bound}, got {value}",
+                f"{name} must be {finite}{'>' if strict else '>='} {bound}, "
+                f"got {value}",
                 param=name,
             )
 
@@ -312,24 +315,25 @@ class KuratowskiDiagnostics:
 
 
 def _probe_set(spec, K, u_vals, seed, bump_rel, n_random):
-    """Documented probe family: the projected candidate, projected coordinate
-    bumps at every node, and seeded random admissible states near the
-    candidate."""
+    """Documented probe family, in this order: the projected candidate, the
+    projected coordinate bumps ``+scale`` then ``-scale`` at every node, and
+    ``n_random`` seeded random admissible states near the candidate, where
+    ``scale`` is ``bump_rel`` times the candidate's sup norm (``bump_rel``
+    itself at a zero candidate).  The family is built as one stacked array,
+    projected in place, and returned as the list of its rows."""
     scale = bump_rel * float(np.max(np.abs(u_vals)))
     if scale == 0.0:
         scale = bump_rel
-    probes = [K.project_values(u_vals)]
     n = u_vals.size
-    for i in range(n):
-        for sgn in (1.0, -1.0):
-            v = u_vals.copy()
-            v[i] += sgn * scale
-            probes.append(K.project_values(v))
+    probes = np.empty((1 + 2 * n + n_random, n))
+    probes[:1 + 2 * n] = u_vals
+    nodes = np.arange(n)
+    probes[1 + 2 * nodes, nodes] += scale
+    probes[2 + 2 * nodes, nodes] += -1.0 * scale
     rng = np.random.default_rng((seed, 97))
     noise = rng.normal(size=(n_random, n)) * scale
-    for k in range(n_random):
-        probes.append(K.project_values(u_vals + noise[k]))
-    return probes
+    np.add(u_vals, noise, out=probes[1 + 2 * n:])
+    return list(K.project_values(probes, out=probes))
 
 
 def kuratowski_study(
@@ -417,12 +421,17 @@ def kuratowski_study(
                 probe_count=0,
             )))
     K = spec.constraints
-    candidates = []
-    for c, cand in _dedup(spec.mesh, found, dedup_tol, key=lambda f: f[1]):
+
+    def certify(c, cand):
+        # each probe family (1 + 2 n + n_random_probes rows) is freed before
+        # the next one is built
         u_vals = cand.solution.values
         probes = _probe_set(spec, K, u_vals, seed, probe_bump, n_random_probes)
         vi = vi_residual(c.spec, K.project_values(u_vals), cand.eta, probes)
-        candidates.append(replace(cand, vi_value=vi, probe_count=len(probes)))
+        return replace(cand, vi_value=vi, probe_count=len(probes))
+
+    candidates = [certify(c, cand) for c, cand in
+                  _dedup(spec.mesh, found, dedup_tol, key=lambda f: f[1])]
 
     # d(u_{n+1}, sample_n) along the principal candidate's chain (which has
     # every stage), or along the first chain that reaches stage n + 1

@@ -43,6 +43,8 @@ class ConstraintSet:
     ``obstacle`` entries may be ``+inf`` (unconstrained node).  The obstacle
     must be >= 0 where finite so that the zero vector belongs to the set, and
     may not be NaN or ``-inf``; errors name ``param`` ``obstacle``.
+    :meth:`contains` and :meth:`project_values` act on one nodal vector or
+    on a stack of them, row by row, with the same arithmetic per entry.
     """
 
     mesh: Mesh
@@ -70,14 +72,20 @@ class ConstraintSet:
                    dirichlet_mask=mesh.dirichlet_mask)
 
     def contains(self, values, tol=0.0):
+        """Whether ``values`` lies in the set up to ``tol``: a bool for one
+        nodal vector, and one bool per row for a stack of them (shape
+        ``(..., n_nodes)``)."""
         values = np.asarray(values, dtype=float)
-        below = np.all(values <= self.obstacle + tol)
-        pinned = np.all(np.abs(values[self.dirichlet_mask]) <= tol)
-        return bool(below and pinned)
+        below = np.all(values <= self.obstacle + tol, axis=-1)
+        pinned = np.all(np.abs(values[..., self.dirichlet_mask]) <= tol, axis=-1)
+        inside = below & pinned
+        return bool(inside) if inside.ndim == 0 else inside
 
-    def project_values(self, values):
-        out = np.minimum(np.asarray(values, dtype=float), self.obstacle)
-        out[self.dirichlet_mask] = 0.0
+    def project_values(self, values, out=None):
+        """The projection of one nodal vector, or of each row of a stack;
+        ``out=values`` projects in place."""
+        out = np.minimum(np.asarray(values, dtype=float), self.obstacle, out=out)
+        out[..., self.dirichlet_mask] = 0.0
         return out
 
     def envelope_value(self, values, eps):

@@ -40,7 +40,6 @@ from .assembly import (
     ProblemSpec,
     apply_operator,  # noqa: F401  perfbench/tracing.py wraps solver.apply_operator
     assemble_system,
-    clarke_directional,
     operator_coefficient,
 )
 from .errors import ConfigurationError
@@ -55,8 +54,11 @@ __all__ = ["SolverConfig", "SolveReport", "TraceEntry", "solve_penalized",
 DAMPING_FACTOR = 0.5
 MAX_HALVINGS = 40
 ARMIJO = 1e-4
-# membership tolerance for the probes of :func:`vi_residual`
+# membership tolerance for the probes of :func:`vi_residual`, and the number
+# of probes it stacks into one batch (bounds the batch arrays to about
+# 64 x (n_nodes + n_elements) floats)
 TOL_MEMBERSHIP = 1e-12
+VI_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -292,48 +294,60 @@ def vi_residual(spec: ProblemSpec, u, eta, probes) -> float:
     negative tolerance chosen by the caller) is a necessary certificate for
     ``u`` solving the obstacle inequality with selection ``eta``.  Probes
     outside the admissible set (beyond ``TOL_MEMBERSHIP``, 1e-12) raise
-    :class:`ConfigurationError`.
+    :class:`ConfigurationError`, as does an empty probe set.
 
     The element gradients of ``u`` and the diffusion coefficient are computed
-    once per call.  A coordinate probe (``v - u`` nonzero at one node at
-    most) changes the gradient only on that node's element patch, so its
-    operator pairing costs O(patch) element work instead of O(elements); the
-    result is bit-identical to the full-element sum, because one nonzero
-    nodal value makes every patch gradient an exact product.
+    once per call, and the probes are certified in stacks of ``VI_CHUNK``
+    rows: one membership test, one ``v - u`` and one boundary evaluation per
+    stack.  A coordinate probe (``v - u`` nonzero at one node) changes the
+    gradient only on that node's element patch; the patches of a stack's
+    coordinate probes share one gradient evaluation, O(patch) element work
+    per probe instead of O(elements).  Every probe's value is bit-identical
+    to its own full-element sum: one nonzero nodal value makes every patch
+    gradient an exact product, and the three sums of each probe (operator,
+    boundary, selection) are each one ``ddot`` over a full-length contiguous
+    row, added in that order.  A batched matrix-vector product, a strided
+    view or a patch-only dot would group those sums differently and move the
+    last bits.
     """
-    K = spec.constraints
     mesh = spec.mesh
+    K = spec.constraints
     u_vals = nodal_values(u)
+    rows = [nodal_values(v) for v in probes]
+    if not rows:
+        raise ConfigurationError("probe set must be nonempty")
     # everything that depends on u alone, computed once
     grads_u, coef = operator_coefficient(spec, u_vals)
     w_eta = mesh.node_volume_weights * np.asarray(eta, float)
+    gamma2 = mesh.gamma2_nodes
+    bw = mesh.gamma2_weights[gamma2]
+    s = u_vals[gamma2]
     best = np.inf
-    for v in probes:
-        v_vals = nodal_values(v)
-        if not K.contains(v_vals, tol=TOL_MEMBERSHIP):
+    for first in range(0, len(rows), VI_CHUNK):
+        V = np.array(rows[first:first + VI_CHUNK])
+        if not np.all(K.contains(V, tol=TOL_MEMBERSHIP)):
             raise ConfigurationError("a probe direction is not admissible")
-        dv = v_vals - u_vals
-        # the elements where grad(v - u) can be nonzero
-        nonzero = np.flatnonzero(dv)
-        if nonzero.size > 1:
-            patch = slice(None)
-        elif nonzero.size:
-            patch = mesh.node_patches[nonzero[0]]
-        else:
-            patch = nonzero
-        grads_v = np.einsum("ekv,ev->ek", mesh.gradient_maps[patch],
-                            dv[mesh.elements[patch]])
-        # one ddot per probe over a full-length contiguous 1D array: a
-        # batched matrix-vector product, a strided view or a patch-only dot
-        # groups the sum differently and moves the last bits of the result
-        terms = np.zeros(mesh.n_elements)
-        terms[patch] = coef[patch] * np.sum(grads_u[patch] * grads_v, axis=1)
-        value = (
-            float(np.dot(mesh.element_volumes, terms))
-            + clarke_directional(spec, u_vals, dv)
-            - float(np.dot(w_eta, dv))
-        )
-        best = min(best, value)
-    if not probes:
-        raise ConfigurationError("probe set must be nonempty")
+        DV = V - u_vals
+        support = np.count_nonzero(DV, axis=1)
+        # per-element operator terms; rows without support stay zero
+        T = np.zeros((len(DV), mesh.n_elements))
+        single = np.flatnonzero(support == 1)
+        if single.size:
+            patches = [mesh.node_patches[i]
+                       for i in np.argmax(DV[single] != 0, axis=1)]
+            elems = np.concatenate(patches)
+            owner = np.repeat(single, [p.size for p in patches])
+            grads_v = np.einsum("ekv,ev->ek", mesh.gradient_maps[elems],
+                                DV[owner[:, None], mesh.elements[elems]])
+            T[owner, elems] = coef[elems] * np.sum(grads_u[elems] * grads_v, axis=1)
+        for r in np.flatnonzero(support > 1):
+            grads_v = np.einsum("ekv,ev->ek", mesh.gradient_maps,
+                                DV[r][mesh.elements])
+            T[r] = coef * np.sum(grads_u * grads_v, axis=1)
+        C = spec.boundary.clarke_directional(s, DV[:, gamma2])
+        for r in range(len(DV)):
+            value = (float(np.dot(mesh.element_volumes, T[r]))
+                     + float(np.dot(bw, C[r]))
+                     - float(np.dot(w_eta, DV[r])))
+            best = min(best, value)
     return float(best)

@@ -334,6 +334,26 @@ class TestStudy:
         assert "[study]" in err and "must be >= 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value,rule", [
+        ("probe_bump", "inf", "finite and > 0"),
+        ("dedup_tol", "inf", "finite and > 0"),
+        ("cauchy_factor", "inf", "finite and > 0"),
+        ("vi_tol", "nan", "finite and >= 0"),
+        ("vi_tol", "inf", "finite and >= 0"),
+        ("vi_tol", "-1", "finite and >= 0"),
+    ])
+    def test_non_finite_study_threshold_is_config_error(
+            self, cfg_file, tmp_path, capsys, key, value, rule):
+        # these once ran the whole study and then died writing study.json
+        # (exit 1), or, for vi_tol = -1, passed silently
+        text = STUDY.replace("seed = 11", f"seed = 11\n{key} = {value}")
+        out = tmp_path / "out"
+        code = main(["study", "--config", cfg_file(text), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: line 22: [study] {key}: {key} must be {rule}, got ")
+        assert not out.exists()
+
     def test_builds_the_experiment_once(self, cfg_file, tmp_path,
                                         monkeypatch):
         calls = {}

@@ -306,6 +306,7 @@ _BAD_THRESHOLDS = [
     ("dedup_tol", float("nan")), ("cauchy_factor", 0.0), ("cauchy_window", 0),
     ("probe_bump", -1.0), ("n_random_probes", -1), ("n_starts", 1.5),
     ("cauchy_window", 1.5), ("seed", 0.5), ("n_random_probes", 2.5),
+    ("dedup_tol", np.inf), ("cauchy_factor", np.inf), ("probe_bump", np.inf),
 ]
 
 
@@ -336,7 +337,8 @@ class TestStudyRules:
 
     def test_least_values_accepted(self):
         lab.check_study(n_starts=1, cauchy_window=1, seed=0, n_random_probes=0,
-                        dedup_tol=1e-300, cauchy_factor=1e-300, probe_bump=1e-300)
+                        dedup_tol=1e-300, cauchy_factor=1e-300, probe_bump=1e-300,
+                        vi_tol=0.0)
         # numpy integers count as integers
         lab.check_study(n_starts=np.int64(1), cauchy_window=np.int32(1),
                         seed=np.uint8(0), n_random_probes=np.int64(0))
@@ -344,10 +346,20 @@ class TestStudyRules:
                                 n_starts=1, cauchy_window=1, n_random_probes=0)
         assert [c.probe_count for c in diag.candidates] == [1 + 2 * 17]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, -1e-300])
+    def test_vi_tolerance_is_finite_and_nonnegative(self, value):
+        with pytest.raises(ConfigurationError) as err:
+            lab.check_study(vi_tol=value)
+        assert err.value.param == "vi_tol"
+        assert "vi_tol must be finite and >= 0" in str(err.value)
+
     def test_rule_table_covers_every_echoed_threshold(self):
         diag = kuratowski_study(_contact_spec(16), [1.0, 0.1], SolverConfig(),
                                 n_starts=1)
-        assert set(diag.thresholds) | {"n_starts", "seed"} == set(lab.STUDY_RULES)
+        # vi_tol is the tolerance the config reads certificates against; the
+        # study itself does not take it
+        assert (set(diag.thresholds) | {"n_starts", "seed", "vi_tol"}
+                == set(lab.STUDY_RULES))
 
 
 class TestQPOracle:

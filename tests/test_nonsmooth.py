@@ -106,6 +106,70 @@ class TestContains:
         assert not K.contains(u)
 
 
+class TestStacks:
+    """``contains`` and ``project_values`` on a stack of rows against a loop
+    over the rows."""
+
+    def _mixed_set(self, rng):
+        # finite and +inf obstacle entries, both endpoints pinned
+        mesh = interval(8)
+        phi = rng.uniform(0.1, 1.0, mesh.n_nodes)
+        phi[[2, 5]] = np.inf
+        return ConstraintSet.from_problem(mesh, phi)
+
+    def _stack(self, K, rng, rows=12):
+        S = K.project_values(rng.uniform(-2, 2, (rows, K.mesh.n_nodes)))
+        S[3, 4] = K.obstacle[4] + 1e-9  # above the cap, inside tol=1e-8
+        S[5, 2] = 1e300  # an unconstrained node takes any value
+        S[7, 0] = 1e-6  # a pinned node off zero
+        S[9, 6] = K.obstacle[6] + 0.5  # above the cap
+        return S
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-8])
+    def test_contains_row_by_row(self, rng, tol):
+        K = self._mixed_set(rng)
+        S = self._stack(K, rng)
+        inside = K.contains(S, tol=tol)
+        assert inside.shape == (len(S),) and inside.dtype == bool
+        assert inside.tolist() == [K.contains(row, tol=tol) for row in S]
+        assert inside.tolist().count(False) == (3 if tol == 0.0 else 2)
+        nested = S.reshape(3, 4, -1)
+        assert np.array_equal(K.contains(nested, tol=tol), inside.reshape(3, 4))
+
+    def test_one_bad_row(self, rng):
+        K = self._mixed_set(rng)
+        S = K.project_values(rng.uniform(-2, 2, (64, K.mesh.n_nodes)))
+        assert np.all(K.contains(S))
+        S[-1, 0] = 1e-3  # the last row leaves the set at a pinned node
+        inside = K.contains(S, tol=1e-12)
+        assert np.flatnonzero(~inside).tolist() == [63]
+
+    def test_project_row_by_row(self, rng):
+        K = self._mixed_set(rng)
+        S = rng.uniform(-2, 2, (12, K.mesh.n_nodes))
+        S[:, 2] = 1e300
+        kept = S.copy()
+        loop = np.array([K.project_values(row) for row in S])
+        out = K.project_values(S)
+        assert out.tobytes() == loop.tobytes()
+        assert S.tobytes() == kept.tobytes()  # the input is not modified
+        assert np.all(out[:, 2] == 1e300)
+        assert np.all(out[:, K.dirichlet_mask] == 0.0)
+        # out=S projects in place
+        assert K.project_values(S, out=S) is S
+        assert S.tobytes() == loop.tobytes()
+
+    def test_one_vector_unchanged(self, rng):
+        K = self._mixed_set(rng)
+        u = rng.uniform(-2, 2, K.mesh.n_nodes)
+        assert type(K.contains(u)) is bool and K.contains(u) is False
+        assert K.contains(K.project_values(u)) is True
+        out = K.project_values(u.tolist())
+        assert out.shape == u.shape
+        assert out.tobytes() == np.where(K.dirichlet_mask, 0.0,
+                                         np.minimum(u, K.obstacle)).tobytes()
+
+
 class TestEnvelope:
     def _middle_node_setup(self):
         # nodes 0, 1, 2; lumped weights [0.5, 1.0, 0.5]; only the middle

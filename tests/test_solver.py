@@ -13,6 +13,7 @@ from conftest import (assert_same_system, interval, make_spec, rectangle,
 from dpobstacle import assembly, lab, solver
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import ConfigurationError
+from dpobstacle.meshing import DiscreteFunction
 from dpobstacle.solver import (
     SolveReport,
     SolverConfig,
@@ -535,11 +536,76 @@ class TestInequalityResidualLoopReference:
         assert len(seen) == 2 * len(_VI_CASES)
         assert float.hex(0.0) in seen
 
+    @pytest.mark.parametrize("chunk", [1, 7, solver.VI_CHUNK])
+    def test_probes_across_chunks(self, monkeypatch, chunk):
+        # shuffled so that every stack mixes unchanged, coordinate and dense
+        # probes; the value does not depend on the stack size
+        spec = _VI_CASES["2d p>2 abs"]()
+        u, eta = _vi_state(spec, seed=4)
+        family = lab._probe_set(spec, spec.constraints, u, 5, 0.01, 8)
+        order = np.random.default_rng(6).permutation(len(family))
+        probes = [family[i] for i in order] + family[:38]
+        assert len(probes) > 2 * solver.VI_CHUNK
+        assert len(probes) % solver.VI_CHUNK != 0
+        monkeypatch.setattr(solver, "VI_CHUNK", chunk)
+        new, ref = _hex_pair(spec, u, eta, probes)
+        assert new == ref
+
+    def test_study_size_probe_family(self):
+        # the 1,089-node case of the study benchmark
+        spec = make_spec(
+            rectangle(32, 32, gamma2=("right",)), p=2.5, q=3.0,
+            mu=lambda x, y: 0.5 + 0.5 * x, phi=lambda x, y: 0.05 + 0.1 * x,
+            bnd=boundary_potential("abs", alpha=0.1))
+        u, eta = _vi_state(spec, seed=3)
+        probes = lab._probe_set(spec, spec.constraints, u, 0, 0.01, 32)
+        assert len(probes) == 1 + 2 * 1089 + 32
+        new, ref = _hex_pair(spec, u, eta, probes)
+        assert new == ref
+
+    @pytest.mark.parametrize("case", ["1d p=q=2 abs", "2d p>2 abs",
+                                      "1d p>2 nonconvex_well"])
+    def test_coordinate_bump_at_the_kink(self, case):
+        # s = 0 on the natural boundary part: the directional derivative of
+        # abs / nonconvex_well takes its |t| branch there
+        spec = _VI_CASES[case]()
+        K = spec.constraints
+        u, eta = _vi_state(spec, seed=2)
+        gamma2 = spec.mesh.gamma2_nodes
+        u[gamma2[::2]] = 0.0
+        probes = []
+        for i in gamma2:
+            for bump in (0.01, -0.01):
+                v = u.copy()
+                v[i] += bump
+                probes.append(K.project_values(v))
+        assert any(u[i] == 0.0 and not np.array_equal(v, u)
+                   for i, v in zip(np.repeat(gamma2, 2), probes))
+        new, ref = _hex_pair(spec, u, eta, probes)
+        assert new == ref
+        for v in probes:
+            new, ref = _hex_pair(spec, u, eta, [v])
+            assert new == ref
+
+    def test_functions_and_arrays_mixed(self):
+        spec = _VI_CASES["1d p>2 nonconvex_well"]()
+        mesh = spec.mesh
+        u, eta = _vi_state(spec, seed=5)
+        family = lab._probe_set(spec, spec.constraints, u, 1, 0.02, 6)
+        probes = [DiscreteFunction(mesh, v) if k % 3 == 0 else
+                  v.tolist() if k % 3 == 1 else v
+                  for k, v in enumerate(family)]
+        new = vi_residual(spec, DiscreteFunction(mesh, u), eta, probes)
+        assert float.hex(new) == float.hex(reference_vi_residual(spec, u, eta, family))
+
     def test_error_paths(self):
         spec = _VI_CASES["2d p>2 abs"]()
         u, eta = _vi_state(spec)
+        # the one bad probe sits in the last, partial stack
+        late = [u] * (2 * solver.VI_CHUNK + 5) + [u + 1.0]
         for probes, message in (([u, u + 1.0], "not admissible"),
-                                ([], "nonempty")):
+                                (late, "not admissible"),
+                                ([], "nonempty"), ((), "nonempty")):
             for fn in (vi_residual, reference_vi_residual):
                 with pytest.raises(ConfigurationError, match=message):
                     fn(spec, u, eta, probes)
