@@ -63,7 +63,6 @@ from .errors import (
     EmptySampleError,
     EvaluationError,
     OracleFailure,
-    SingularOperatorError,
 )
 from .expressions import Expression, compile_expression
 from .lab import (
@@ -98,7 +97,6 @@ from .musielak import (
 from .nonsmooth import (
     ConstraintSet,
     plus_part,
-    project,
 )
 from .solver import (
     SolveReport,
@@ -142,7 +140,6 @@ __all__ = [
     "ReactionSpec",
     "SELECTION_RULES",
     "SampleMember",
-    "SingularOperatorError",
     "SolutionSample",
     "SolveReport",
     "SolverConfig",
@@ -171,7 +168,6 @@ __all__ = [
     "parse_config_text",
     "penalty_term",
     "plus_part",
-    "project",
     "qp_oracle",
     "reaction",
     "reaction_term",

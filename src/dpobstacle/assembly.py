@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .catalog import BoundaryPotentialSpec, ReactionSpec
-from .errors import ConfigurationError, SingularOperatorError
+from .errors import ConfigurationError
 from .meshing import DiscreteFunction, Mesh, nodal_values
 from .musielak import PhaseConfig
 from .nonsmooth import ConstraintSet
@@ -65,9 +65,10 @@ class ProblemSpec:
 
     The obstacle is nodal with ``+inf`` marking unconstrained nodes; its
     rule (nonnegative where finite) belongs to the cached ``constraints``.
-    ``eps_grad`` must be >= 0, and positive whenever an exponent lies below
-    2, since the diffusion coefficient is then singular at vanishing
-    gradients; left out, it is 0 when both exponents are >= 2, else 1e-8.
+    ``eps_grad`` must be finite and >= 0, and ``eps_grad**2`` positive (no
+    underflow) whenever an exponent lies below 2, since the diffusion
+    coefficient is then singular at vanishing gradients; left out, it is 0
+    when both exponents are >= 2, else 1e-8.
     Derived data is cached; a ``replace``-d spec starts empty.
     """
 
@@ -87,13 +88,14 @@ class ProblemSpec:
         singular = min(self.phase.p, self.phase.q) < 2.0
         if self.eps_grad is None:
             object.__setattr__(self, "eps_grad", 1e-8 if singular else 0.0)
-        if not self.eps_grad >= 0:
-            raise ConfigurationError("eps_grad must be >= 0", param="eps_grad")
-        if singular and not self.eps_grad > 0:
+        if not 0 <= self.eps_grad < np.inf:
+            raise ConfigurationError(f"eps_grad must be finite and >= 0, got "
+                                     f"{self.eps_grad}", param="eps_grad")
+        if singular and not self.eps_grad * self.eps_grad > 0:
             raise ConfigurationError(
-                "an exponent below 2 requires a positive gradient "
-                "regularization eps_grad", param="eps_grad"
-            )
+                "an exponent below 2 requires a gradient regularization "
+                f"eps_grad whose square is positive, got {self.eps_grad}",
+                param="eps_grad")
 
     @cached_property
     def constraints(self) -> ConstraintSet:
@@ -117,13 +119,7 @@ class AssembledSystem:
 def _gradient_state(spec, u):
     grads = spec.mesh.element_gradients(nodal_values(u))
     g2 = np.sum(grads * grads, axis=1) + spec.eps_grad * spec.eps_grad
-    ge = np.sqrt(g2)
-    p, q = spec.phase.p, spec.phase.q
-    if min(p, q) < 2.0 and np.any(ge == 0.0):
-        raise SingularOperatorError(
-            "zero regularized gradient with an exponent below 2"
-        )
-    return grads, ge, g2
+    return grads, np.sqrt(g2), g2
 
 
 def _coef(spec, ge):

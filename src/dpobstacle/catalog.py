@@ -7,10 +7,12 @@ single-valued *selection* picked by a rule (``lower``, ``upper``,
 used by the assumption checker.
 
 Boundary potentials ``j`` are locally Lipschitz in the trace value; each entry
-provides the value, the generalized-gradient interval, the exact generalized
-directional derivative, and a gradient selection (with its derivative) for
-assembly, smoothed at the potential's own ``delta`` (default 1e-6), which
-must be >= 0, and > 0 for the entries with a kink.
+provides the value, the generalized-gradient interval ``[lo, hi]``, and a
+gradient selection (with its derivative) for assembly, smoothed at the
+potential's own ``delta`` (default 1e-6), which must be finite and >= 0, and
+> 0 for the entries with a kink.  The generalized directional derivative is
+the interval's support function ``j°(s; t) = max(lo t, hi t)`` (Clarke
+1983, Prop. 2.1.2), derived for every entry.
 """
 
 from __future__ import annotations
@@ -253,23 +255,32 @@ REACTION_NAMES = tuple(sorted(_REACTIONS))
 REACTION_PARAMETERS = frozenset(k for entry in _REACTIONS.values() for k in entry[0])
 
 
+def _entry_params(defaults, params, entry):
+    """An entry's defaults overridden by ``params``, as floats; an unknown
+    name or a value that is not finite (NaN included) raises."""
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ConfigurationError(f"unknown parameter(s) {sorted(unknown)} for {entry}")
+    full = {**defaults, **{k: float(v) for k, v in params.items()}}
+    for key, value in full.items():
+        if not -np.inf < value < np.inf:
+            raise ConfigurationError(f"{key} must be finite, got {value}", param=key)
+    return full
+
+
 def reaction(name, rule="midpoint", blend=None, **params):
     """Build a :class:`ReactionSpec` from the catalog.
 
-    Unknown names or parameters raise :class:`ConfigurationError`; the interval
-    must satisfy ``f_lo <= f_hi`` on a probe grid, checked at construction.
+    Unknown names or parameters and non-finite parameter values raise
+    :class:`ConfigurationError`; the interval must satisfy ``f_lo <= f_hi``
+    on a probe grid, checked at construction.
     """
     if name not in _REACTIONS:
         raise ConfigurationError(
             f"unknown reaction {name!r}; choose from {REACTION_NAMES}", param="name"
         )
     defaults, bounds, partials, growth_fn, state_dep = _REACTIONS[name]
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown parameter(s) {sorted(unknown)} for reaction {name!r}"
-        )
-    full = {**defaults, **{k: float(v) for k, v in params.items()}}
+    full = _entry_params(defaults, params, f"reaction {name!r}")
     spec = ReactionSpec(
         name=name,
         params=tuple(sorted(full.items())),
@@ -307,15 +318,14 @@ class BoundaryPotentialSpec:
     delta: float
     _value: callable = field(repr=False)
     _interval: callable = field(repr=False)
-    _directional: callable = field(repr=False)
     _smoothed: callable = field(repr=False)
     _smoothed_deriv: callable = field(repr=False)
 
     def __post_init__(self):
-        if not (self.delta > 0 or self.smooth and self.delta == 0):
+        if not (0 < self.delta < np.inf or self.smooth and self.delta == 0):
             kink = "" if self.smooth else f", and > 0 as {self.name!r} has a kink"
-            raise ConfigurationError(f"delta must be >= 0{kink}, got {self.delta}",
-                                     param="delta")
+            raise ConfigurationError(
+                f"delta must be finite and >= 0{kink}, got {self.delta}", param="delta")
 
     def value(self, s):
         return np.asarray(self._value(dict(self.params), np.asarray(s, float)), float)
@@ -325,12 +335,10 @@ class BoundaryPotentialSpec:
         return np.asarray(lo, float), np.asarray(hi, float)
 
     def clarke_directional(self, s, t):
-        """Exact generalized directional derivative, vectorized over nodes."""
-        return np.asarray(
-            self._directional(dict(self.params), np.asarray(s, float),
-                              np.asarray(t, float)),
-            float,
-        )
+        """``max(lo t, hi t)`` over :meth:`clarke_interval`, for one direction
+        per node or a stack of them (``t`` of shape ``(rows, len(s))``)."""
+        lo, hi = self.clarke_interval(s)
+        return np.maximum(lo * t, hi * t)
 
     def smoothed_grad(self, s):
         return np.asarray(
@@ -353,10 +361,6 @@ def _zero_interval(p, s):
     return z, z.copy()
 
 
-def _zero_dir(p, s, t):
-    return np.zeros(np.broadcast(s, t).shape)
-
-
 def _abs_val(p, s):
     return p["alpha"] * np.abs(s)
 
@@ -365,12 +369,6 @@ def _abs_interval(p, s):
     a = p["alpha"]
     sgn = np.sign(s)
     return np.where(s == 0, -a, a * sgn), np.where(s == 0, a, a * sgn)
-
-
-def _abs_dir(p, s, t):
-    a = p["alpha"]
-    s, t = np.broadcast_arrays(s, t)
-    return np.where(s == 0, a * np.abs(t), a * np.sign(s) * t)
 
 
 def _abs_smoothed(p, s, delta):
@@ -388,10 +386,6 @@ def _quad_val(p, s):
 def _quad_interval(p, s):
     g = p["alpha"] * s
     return g, g.copy()
-
-
-def _quad_dir(p, s, t):
-    return p["alpha"] * s * t
 
 
 def _quad_smoothed(p, s, delta):
@@ -419,12 +413,6 @@ def _well_interval(p, s):
     return np.where(s == 0, -a * c, branch), np.where(s == 0, a * c, branch)
 
 
-def _well_dir(p, s, t):
-    a, c = p["alpha"], p["center"]
-    s, t = np.broadcast_arrays(s, t)
-    return np.where(s == 0, a * c * np.abs(t), _well_branch(p, s) * t)
-
-
 def _well_smoothed(p, s, delta):
     a, c = p["alpha"], p["center"]
     inner = a * s * (delta - c) / delta
@@ -437,32 +425,32 @@ def _well_smoothed_deriv(p, s, delta):
 
 
 _BOUNDARIES = {
-    # name: (defaults, value, interval, directional, smoothed, smoothed_deriv,
+    # name: (defaults, value, interval, smoothed, smoothed_deriv,
     #        growth builder, smooth, quadratic, shift bound)
     "zero": (
         {},
-        _zero_val, _zero_interval, _zero_dir, lambda p, s, d: np.zeros_like(s),
+        _zero_val, _zero_interval, lambda p, s, d: np.zeros_like(s),
         lambda p, s, d: np.zeros_like(s),
         lambda p: BoundaryGrowth(),
         True, True, 0.0,
     ),
     "abs": (
         {"alpha": 1.0},
-        _abs_val, _abs_interval, _abs_dir, _abs_smoothed, _abs_smoothed_deriv,
+        _abs_val, _abs_interval, _abs_smoothed, _abs_smoothed_deriv,
         lambda p: BoundaryGrowth(b_j=abs(p["alpha"]), c_j=abs(p["alpha"]),
                                  theta1=1.0),
         False, False, 1.0,
     ),
     "smooth_quadratic": (
         {"alpha": 1.0},
-        _quad_val, _quad_interval, _quad_dir, _quad_smoothed, _quad_smoothed_deriv,
+        _quad_val, _quad_interval, _quad_smoothed, _quad_smoothed_deriv,
         lambda p: BoundaryGrowth(a_j=abs(p["alpha"]), c_j=abs(p["alpha"]),
                                  theta1=2.0),
         True, True, 0.0,
     ),
     "nonconvex_well": (
         {"alpha": 1.0, "center": 1.0},
-        _well_val, _well_interval, _well_dir, _well_smoothed, _well_smoothed_deriv,
+        _well_val, _well_interval, _well_smoothed, _well_smoothed_deriv,
         lambda p: BoundaryGrowth(
             a_j=abs(p["alpha"]),
             b_j=abs(p["alpha"] * p["center"]),
@@ -488,14 +476,9 @@ def boundary_potential(name, delta=1e-6, **params):
             f"unknown boundary potential {name!r}; choose from {BOUNDARY_NAMES}",
             param="name",
         )
-    (defaults, val, interval, directional, smoothed, smoothed_deriv,
+    (defaults, val, interval, smoothed, smoothed_deriv,
      growth_fn, smooth, quadratic, shift) = _BOUNDARIES[name]
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown parameter(s) {sorted(unknown)} for boundary potential {name!r}"
-        )
-    full = {**defaults, **{k: float(v) for k, v in params.items()}}
+    full = _entry_params(defaults, params, f"boundary potential {name!r}")
     if "alpha" in full and full["alpha"] < 0:
         raise ConfigurationError("boundary potential strength alpha must be >= 0",
                                  param="alpha")
@@ -511,7 +494,6 @@ def boundary_potential(name, delta=1e-6, **params):
         delta=float(delta),
         _value=val,
         _interval=interval,
-        _directional=directional,
         _smoothed=smoothed,
         _smoothed_deriv=smoothed_deriv,
     )

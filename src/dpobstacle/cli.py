@@ -85,7 +85,7 @@ def _write_csv(path, rows):
 def _ensure_out(args, exp):
     out_dir = exp.out_dir if args.out is None else args.out
     os.makedirs(out_dir, exist_ok=True)
-    return out_dir, exp.formats
+    return out_dir
 
 
 def _load(args):
@@ -120,7 +120,7 @@ def _node_rows(mesh, digest, seed, header, columns):
 def cmd_solve(args) -> int:
     exp, digest, seed = _load(args)
     report = solve_penalized(exp.spec, exp.solver)
-    out_dir, formats = _ensure_out(args, exp)
+    out_dir = _ensure_out(args, exp)
 
     payload = {
         "config_sha256": digest,
@@ -135,15 +135,13 @@ def cmd_solve(args) -> int:
         "obstacle_violation_l1": report.obstacle_violation_l1,
         "iteration_trace": [asdict(t) for t in report.iteration_trace],
     }
-    if "json" in formats:
-        _write_json(os.path.join(out_dir, "report.json"), payload)
-    if "csv" in formats:
-        phi = exp.spec.obstacle.values
-        viol = plus_part(report.solution, phi).values
-        rows = _node_rows(exp.spec.mesh, digest, seed,
-                          ["u", "phi", "eta", "violation"],
-                          [report.solution.values, phi, report.eta, viol])
-        _write_csv(os.path.join(out_dir, "solution.csv"), rows)
+    _write_json(os.path.join(out_dir, "report.json"), payload)
+    phi = exp.spec.obstacle.values
+    viol = plus_part(report.solution, phi).values
+    rows = _node_rows(exp.spec.mesh, digest, seed,
+                      ["u", "phi", "eta", "violation"],
+                      [report.solution.values, phi, report.eta, viol])
+    _write_csv(os.path.join(out_dir, "solution.csv"), rows)
     if not report.converged:
         print(
             f"solve did not converge: residual {report.residual_norm:.3e} "
@@ -167,24 +165,22 @@ def cmd_study(args) -> int:
         threads=args.threads,
         **{**exp.study, "seed": seed},
     )
-    out_dir, formats = _ensure_out(args, exp)
+    out_dir = _ensure_out(args, exp)
     traces = [nearest_point_trace(diag, cand.solution) for cand in diag.candidates]
     payload = {
         "config_sha256": digest,
         "seed": seed,
         "vi_tol": exp.vi_tol,
-        "diagnostics": diag.to_json_dict(include_solutions=True),
+        "diagnostics": diag.to_json_dict(),
         "nearest_point_traces": [
             [{"rho": r, "member": m, "distance": d} for r, m, d in trace]
             for trace in traces
         ],
     }
-    if "json" in formats:
-        _write_json(os.path.join(out_dir, "study.json"), payload)
-    if "csv" in formats:
-        rows = diag.csv_rows(traces)
-        cooked = [["config_sha256", digest], ["seed", str(seed)]] + rows
-        _write_csv(os.path.join(out_dir, "study.csv"), cooked)
+    _write_json(os.path.join(out_dir, "study.json"), payload)
+    rows = diag.csv_rows(traces)
+    cooked = [["config_sha256", digest], ["seed", str(seed)]] + rows
+    _write_csv(os.path.join(out_dir, "study.csv"), cooked)
     n_cand = len(diag.candidates)
     print(
         f"study finished: {len(exp.schedule)} stages, {n_cand} limit "
@@ -224,7 +220,7 @@ def cmd_oracle(args) -> int:
     exp, digest, seed = _load(args)
     spec = exp.spec
     sol = qp_oracle(spec)
-    out_dir, formats = _ensure_out(args, exp)
+    out_dir = _ensure_out(args, exp)
     payload = {
         "config_sha256": digest,
         "seed": seed,
@@ -235,12 +231,10 @@ def cmd_oracle(args) -> int:
         "values": [float(v) for v in sol.values],
         "multipliers": [float(v) for v in sol.multipliers],
     }
-    if "json" in formats:
-        _write_json(os.path.join(out_dir, "oracle.json"), payload)
-    if "csv" in formats:
-        rows = _node_rows(spec.mesh, digest, seed, ["u", "phi", "multiplier"],
-                          [sol.values, spec.obstacle.values, sol.multipliers])
-        _write_csv(os.path.join(out_dir, "oracle.csv"), rows)
+    _write_json(os.path.join(out_dir, "oracle.json"), payload)
+    rows = _node_rows(spec.mesh, digest, seed, ["u", "phi", "multiplier"],
+                      [sol.values, spec.obstacle.values, sol.multipliers])
+    _write_csv(os.path.join(out_dir, "oracle.csv"), rows)
     print(
         f"oracle ({sol.mode}): objective {sol.objective!r}, "
         f"{len(sol.active)} active node(s); outputs in {out_dir}"

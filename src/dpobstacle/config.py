@@ -14,7 +14,9 @@ owner only when written, so the owner's default applies otherwise.  Each
 owner raises a :class:`ConfigurationError` naming its parameter in
 ``param``, and one helper re-raises it as a :class:`ConfigFileError` at
 that key's line (``_PARAM_KEYS`` maps ``obstacle`` to ``phi``, ``rule`` to
-``selection``, ``sides`` to ``gamma2``), else at the section line.
+``selection``, ``sides`` to ``gamma2``, ``n_elements`` to ``n``), else at the
+section line.  Every number an owner takes must be finite, so ``inf`` and
+``nan`` fail at their line too (only ``phi = inf`` means "no obstacle").
 ``[reaction]`` / ``[boundary]`` parameter names come from the catalog
 registries.
 
@@ -40,14 +42,13 @@ Sections and keys (defaults in parentheses):
   ``cauchy_factor``, ``cauchy_window``, ``probe_bump`` and
   ``n_random_probes``, whose defaults are those of
   :func:`~dpobstacle.lab.kuratowski_study`.
-* ``[output]`` — ``dir`` (``out``), ``formats`` (``json,csv``).
+* ``[output]`` — ``dir`` (``out``); every command writes both its JSON and
+  its CSV file there.
 
 Parsing builds the whole experiment once (problem, solver config, schedule,
 study parameters, VI tolerance, output settings) as the cached
 ``ExperimentConfig.experiment``, so every semantic error surfaces at parse
 time and callers read the built objects instead of building them again.
-Parsed configurations serialize back to a canonical text that re-parses to
-an equal structure.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .meshing import (
     build_rect_mesh,
 )
 from .musielak import PhaseConfig
-from .solver import SolverConfig, check_schedule
+from .solver import SolverConfig, check_schedule, stages
 
 __all__ = [
     "Experiment",
@@ -109,11 +110,9 @@ _KNOWN_KEYS = {
     "study": {"n_starts", "seed", "selection_rules", "dedup_tol",
               "cauchy_factor", "cauchy_window", "vi_tol", "probe_bump",
               "n_random_probes"},
-    "output": {"dir", "formats"},
+    "output": {"dir"},
 }
 _CATALOG_KEYS = {"reaction": REACTION_PARAMETERS, "boundary": BOUNDARY_PARAMETERS}
-_SECTION_ORDER = ("mesh", "phase", "obstacle", "reaction", "boundary",
-                  "solver", "study", "output")
 _REQUIRED_SECTIONS = ("mesh", "phase")
 
 
@@ -126,7 +125,6 @@ class Experiment(NamedTuple):
     study: dict  # keyword arguments of ``kuratowski_study``
     vi_tol: float
     out_dir: str
-    formats: list
 
 
 @dataclass
@@ -147,18 +145,6 @@ class ExperimentConfig:
     def get(self, section, key, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def serialize(self) -> str:
-        """Canonical text form; re-parses to an equal configuration."""
-        out = []
-        for sec in _SECTION_ORDER:
-            if sec not in self.sections:
-                continue
-            out.append(f"[{sec}]")
-            for key, value in sorted(self.sections[sec].items()):
-                out.append(f"{key} = {value}")
-            out.append("")
-        return "\n".join(out)
-
     @cached_property
     def schedule(self) -> list:
         """The validated ``[solver] schedule``, parsed once."""
@@ -171,15 +157,14 @@ class ExperimentConfig:
 
     @cached_property
     def experiment(self) -> Experiment:
-        """Every block built and validated, in the order errors are reported."""
-        return Experiment(
-            build_problem(self),
-            build_solver_config(self),
-            self.schedule,
-            study_parameters(self),
-            vi_tolerance(self),
-            *output_parameters(self),
-        )
+        """Every block built and validated, in the order errors are reported;
+        the problem of each schedule stage (its ``eps_grad`` and ``delta``
+        scaled down) is checked by its owner too."""
+        spec, solver = build_problem(self), build_solver_config(self)
+        with _anchored(self, "solver", "schedule"):
+            stages(spec, self.schedule, solver)
+        return Experiment(spec, solver, self.schedule, study_parameters(self),
+                          vi_tolerance(self), output_parameters(self))
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -253,8 +238,10 @@ def _fail(cfg, section, key, message):
 _PARAM_KEYS = {
     "obstacle": ("obstacle", "phi"),
     "eps_grad": ("solver", "eps_grad"),
+    "delta": ("boundary", "delta"),
     "rule": ("reaction", "selection"),
     "sides": ("mesh", "gamma2"),
+    "n_elements": ("mesh", "n"),
 }
 
 
@@ -341,7 +328,8 @@ def _build_phase(cfg, mesh):
     p = _const(cfg, "phase", "p")
     q = _const(cfg, "phase", "q")
     mu_expr = _expression(cfg, "phase", "mu", mesh.dim, "0")
-    with _anchored(cfg, "phase"):
+    # the weight is sampled and checked here, so its errors name ``mu``
+    with _anchored(cfg, "phase", "mu"):
         return PhaseConfig.for_mesh(mesh, p, q, mu_expr)
 
 
@@ -464,9 +452,6 @@ def vi_tolerance(cfg: ExperimentConfig) -> float:
     return vi_tol
 
 
-def output_parameters(cfg: ExperimentConfig):
-    formats = _comma_list(cfg.get("output", "formats", "json,csv"))
-    for fmt in formats:
-        if fmt not in ("json", "csv"):
-            _fail(cfg, "output", "formats", f"unknown format {fmt!r}")
-    return cfg.get("output", "dir", "out"), formats
+def output_parameters(cfg: ExperimentConfig) -> str:
+    """The ``[output] dir`` (``out``)."""
+    return cfg.get("output", "dir", "out")

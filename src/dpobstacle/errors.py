@@ -3,16 +3,16 @@
 Every precondition violation raises :class:`ConfigurationError` from the
 object whose rule it is, naming the parameter in ``param`` when one breaks
 it; :class:`ConfigFileError` anchors such an error at a config-file line.
-Numerical breakdowns that are the caller's responsibility to avoid
-(degenerate exponents with unregularized gradients, singular operators)
-raise the dedicated types below so callers can tell them apart from bugs.
+A degenerate operator is such a violation: ``ProblemSpec`` refuses a
+gradient regularization that cannot keep the coefficient finite, so no
+solve meets a singular one.  An oracle that cannot certify its solution and
+a sample with no converged solve raise the dedicated types below.
 """
 
 __all__ = [
     "ConfigurationError",
     "ConfigFileError",
     "EvaluationError",
-    "SingularOperatorError",
     "OracleFailure",
     "EmptySampleError",
 ]
@@ -39,10 +39,6 @@ class ConfigFileError(ConfigurationError):
 
 class EvaluationError(ValueError):
     """An expression could not be evaluated on the requested points."""
-
-
-class SingularOperatorError(RuntimeError):
-    """A linearized operator is singular beyond what regularization repairs."""
 
 
 class OracleFailure(RuntimeError):

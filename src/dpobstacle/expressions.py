@@ -13,6 +13,8 @@ the only functions are ``abs``, ``min``, ``max``, ``exp``, ``sin``
 (``min``/``max`` take exactly two arguments, the rest one).  Compiled
 expressions evaluate vectorized over numpy arrays.  :func:`require_coordinates`
 rejects an expression that uses a coordinate the mesh lacks (``y`` in 1D).
+Every failure, an expression nested deeper than Python's recursion limit
+included, raises :class:`~dpobstacle.errors.EvaluationError`.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.variables = set()  # the coordinates the text uses
 
     def peek(self):
         return self.tokens[self.k]
@@ -138,6 +141,7 @@ class _Parser:
                     )
                 return ("call", val, args)
             if val in _VARIABLES:
+                self.variables.add(val)
                 return ("var", val)
             raise EvaluationError(f"unknown identifier {val!r} in {self.text!r}")
         if kind == "op" and val == "(":
@@ -145,20 +149,6 @@ class _Parser:
             self.expect_op(")")
             return node
         raise EvaluationError(f"unexpected token in {self.text!r}")
-
-
-def _free_variables(node, out):
-    tag = node[0]
-    if tag == "var":
-        out.add(node[1])
-    elif tag == "call":
-        for child in node[2]:
-            _free_variables(child, out)
-    elif tag in ("add", "sub", "mul", "div", "pow"):
-        _free_variables(node[1], out)
-        _free_variables(node[2], out)
-    elif tag == "neg":
-        _free_variables(node[1], out)
 
 
 def _evaluate(node, env):
@@ -192,10 +182,16 @@ class Expression:
 
     def __init__(self, text):
         self.text = text.strip()
-        self.ast = _Parser(self.text).parse()
-        vars_ = set()
-        _free_variables(self.ast, vars_)
-        self.variables = frozenset(vars_)
+        parser = _Parser(self.text)
+        try:
+            self.ast = parser.parse()
+        except RecursionError:
+            raise self._too_deep() from None
+        self.variables = frozenset(parser.variables)
+
+    def _too_deep(self):
+        return EvaluationError(
+            f"expression of {len(self.text)} characters is nested too deeply")
 
     def __call__(self, x, y=None):
         env = {"x": np.asarray(x, dtype=float)}
@@ -210,6 +206,8 @@ class Expression:
                 out = _evaluate(self.ast, env)
             except FloatingPointError as exc:
                 raise EvaluationError(f"evaluating {self.text!r}: {exc}") from exc
+            except RecursionError:
+                raise self._too_deep() from None
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(env["x"])).copy()
 
     def __repr__(self):

@@ -242,7 +242,7 @@ class KuratowskiDiagnostics:
     seed: int
     spec: ProblemSpec
 
-    def to_json_dict(self, include_solutions=True):
+    def to_json_dict(self):
         return {
             "rhos": list(map(float, self.rhos)),
             "violation_sup": list(map(float, self.violation_sup)),
@@ -261,12 +261,8 @@ class KuratowskiDiagnostics:
                     "vi_value": float(c.vi_value),
                     "probe_count": int(c.probe_count),
                     "step_distances": list(map(float, c.step_distances)),
-                    **(
-                        {"solution": c.solution.values.tolist(),
-                         "eta": c.eta.tolist()}
-                        if include_solutions
-                        else {}
-                    ),
+                    "solution": c.solution.values.tolist(),
+                    "eta": c.eta.tolist(),
                 }
                 for c in self.candidates
             ],
@@ -636,18 +632,6 @@ class HypothesisReport:
     smallness_lhs: float
     passes: bool
     notes: list
-
-    def to_json_dict(self):
-        return {
-            "lambda1_est": float(self.lambda1_est),
-            "lambda2_est": float(self.lambda2_est),
-            "lambda1_certified": self.lambda1_certified,
-            "lambda2_certified": self.lambda2_certified,
-            "deltas": {k: float(v) for k, v in self.deltas.items()},
-            "smallness_lhs": float(self.smallness_lhs),
-            "passes": self.passes,
-            "notes": list(self.notes),
-        }
 
 
 def _p_norm(weights, u, p):

@@ -379,15 +379,18 @@ def nodal_values(u):
 
 
 def build_interval_mesh(a, b, n_elements, partition=None):
-    """Uniform mesh of (a, b) with ``n_elements`` segments.
+    """Uniform mesh of (a, b) with ``n_elements`` segments; ``a < b`` must be
+    finite (a ``ConfigurationError`` names the end that breaks it).
 
     The two endpoint faces are single-node faces tagged by ``partition``
     (default: both Dirichlet).
     """
-    if not (b > a):
-        raise ConfigurationError(f"interval requires b > a, got ({a}, {b})")
+    for param, holds in (("a", -np.inf < a < np.inf), ("b", a < b < np.inf)):
+        if not holds:
+            raise ConfigurationError(f"interval requires finite a < b, got ({a}, {b})",
+                                     param=param)
     if n_elements < 1:
-        raise ConfigurationError("need at least one element")
+        raise ConfigurationError("need at least one element", param="n_elements")
     partition = partition or BoundaryPartition()
     x = np.linspace(a, b, n_elements + 1)
     nodes = x[:, None]
@@ -418,10 +421,13 @@ def build_rect_mesh(lx, ly, nx, ny, partition=None):
     Each of the ``nx * ny`` cells is split into two triangles along the
     diagonal from its lower-left to its upper-right corner, giving
     ``2 nx ny`` elements.  Boundary edges are tagged by the partition's
-    sides at their midpoints (default: all Dirichlet).
+    sides at their midpoints (default: all Dirichlet).  Extents and cell
+    counts must be finite and positive; an error names the first that is not.
     """
-    if lx <= 0 or ly <= 0 or nx < 1 or ny < 1:
-        raise ConfigurationError("rectangle requires positive extents and cell counts")
+    for param, value in (("lx", lx), ("ly", ly), ("nx", nx), ("ny", ny)):
+        if not 0 < value < np.inf:
+            raise ConfigurationError("rectangle requires finite positive extents "
+                                     f"and cell counts, got {param}={value}", param=param)
     partition = partition or BoundaryPartition()
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)

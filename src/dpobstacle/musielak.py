@@ -55,10 +55,11 @@ class PhaseConfig:
     mu: np.ndarray  # (n_elements,)
 
     def __post_init__(self):
-        if not (1.0 < self.p <= self.q):
-            raise ConfigurationError(
-                f"exponents must satisfy 1 < p <= q, got p={self.p}, q={self.q}"
-            )
+        for param, holds in (("p", 1.0 < self.p), ("q", self.p <= self.q < np.inf)):
+            if not holds:
+                raise ConfigurationError(
+                    f"exponents must satisfy 1 < p <= q < inf, got p={self.p}, "
+                    f"q={self.q}", param=param)
         mu = np.asarray(self.mu, dtype=float)
         object.__setattr__(self, "mu", mu)
         if mu.shape != (self.mesh.n_elements,):

@@ -31,7 +31,6 @@ from .meshing import DiscreteFunction, Mesh, nodal_values
 
 __all__ = [
     "ConstraintSet",
-    "project",
     "plus_part",
 ]
 
@@ -102,13 +101,6 @@ class ConstraintSet:
             raise ConfigurationError("envelope parameter eps must be positive")
         d = np.asarray(values, dtype=float) - self.project_values(values)
         return self.mesh.node_volume_weights * d / eps
-
-
-def project(u: DiscreteFunction, K: ConstraintSet) -> DiscreteFunction:
-    """Metric projection onto the constraint set (clip, then pin Dirichlet)."""
-    if u.mesh is not K.mesh:
-        raise ConfigurationError("function and constraint set live on different meshes")
-    return DiscreteFunction(u.mesh, K.project_values(u.values))
 
 
 def plus_part(u: DiscreteFunction, phi) -> DiscreteFunction:

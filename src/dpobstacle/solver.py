@@ -73,8 +73,8 @@ class SolverConfig:
 
     def __post_init__(self):
         for param, holds, rule in (
-            ("rho", self.rho > 0, "be positive"),
-            ("newton_tol", self.newton_tol > 0, "be positive"),
+            ("rho", 0 < self.rho < np.inf, "be finite and positive"),
+            ("newton_tol", 0 < self.newton_tol < np.inf, "be finite and positive"),
             ("max_newton", isinstance(self.max_newton, numbers.Integral),
              "be an integer"),
             ("max_newton", self.max_newton >= 1, "be >= 1"),
@@ -344,7 +344,9 @@ def vi_residual(spec: ProblemSpec, u, eta, probes) -> float:
             grads_v = np.einsum("ekv,ev->ek", mesh.gradient_maps,
                                 DV[r][mesh.elements])
             T[r] = coef * np.sum(grads_u * grads_v, axis=1)
-        C = spec.boundary.clarke_directional(s, DV[:, gamma2])
+        # the column selection is laid out column-major, and so is the
+        # elementwise j° of it: copy to contiguous rows for the ddot below
+        C = np.ascontiguousarray(spec.boundary.clarke_directional(s, DV[:, gamma2]))
         for r in range(len(DV)):
             value = (float(np.dot(mesh.element_volumes, T[r]))
                      + float(np.dot(bw, C[r]))

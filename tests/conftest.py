@@ -453,6 +453,25 @@ def reference_vi_residual(spec, u, eta, probes):
     return float(best)
 
 
+def reference_clarke_directional(potential, s, t):
+    """The generalized directional derivative of a catalog boundary potential
+    by the formula each entry once wrote out by hand, frozen here: the
+    catalog now derives it from the Clarke interval."""
+    p = dict(potential.params)
+    s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
+    if potential.name == "zero":
+        return np.zeros(s.shape)
+    if potential.name == "abs":
+        a = p["alpha"]
+        return np.where(s == 0, a * np.abs(t), a * np.sign(s) * t)
+    if potential.name == "smooth_quadratic":
+        return p["alpha"] * s * t
+    if potential.name == "nonconvex_well":
+        a, c = p["alpha"], p["center"]
+        return np.where(s == 0, a * c * np.abs(t), a * (s - c * np.sign(s)) * t)
+    raise AssertionError(f"no frozen formula for {potential.name!r}")
+
+
 def reference_sample(spec, schedule, cfg, n_starts, selection_rules=None,
                      seed=0, dedup_tol=1e-6):
     """Stage 0 of ``lab.kuratowski_study`` as the one-problem sampler it

@@ -30,7 +30,7 @@ from dpobstacle.assembly import (
     reaction_term,
 )
 from dpobstacle.catalog import boundary_potential, reaction
-from dpobstacle.errors import ConfigurationError, SingularOperatorError
+from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import DiscreteFunction, build_interval_mesh
 from dpobstacle.solver import SolverConfig, solve_penalized
 
@@ -143,10 +143,11 @@ class TestOperator:
     def test_degenerate_gradient_needs_regularization(self):
         mesh = interval(4)
         u = np.ones(mesh.n_nodes)  # zero gradient everywhere
-        # a floor whose square underflows leaves the coefficient singular
-        tiny = make_spec(mesh, p=1.5, q=2.5, mu=0.5, eps=1e-200)
-        with pytest.raises(SingularOperatorError):
-            apply_operator(tiny, u, u)
+        # a floor whose square underflows would leave the coefficient
+        # singular, so the problem refuses it at construction
+        with pytest.raises(ConfigurationError) as err:
+            make_spec(mesh, p=1.5, q=2.5, mu=0.5, eps=1e-200)
+        assert err.value.param == "eps_grad"
         # the problem's own stored floor keeps the same call finite
         spec = make_spec(mesh, p=1.5, q=2.5, mu=0.5, eps=1e-8)
         assert np.isfinite(apply_operator(spec, u, u))
@@ -404,11 +405,26 @@ class TestProblemSpecValidation:
         smooth = dataclasses.replace(make_spec(mesh, p=2.0, q=3.0), eps_grad=None)
         assert smooth.eps_grad == 0.0
 
+    def test_least_eps_grad_below_exponent_two(self):
+        # the square of the floor must not underflow to 0; a subnormal
+        # square still keeps the coefficient finite
+        mesh = interval(4)
+        u = np.ones(mesh.n_nodes)  # zero gradient everywhere
+        for eps in (1e-170, 1e-200, 1e-300):
+            with pytest.raises(ConfigurationError) as err:
+                make_spec(mesh, p=1.5, q=2.5, eps=eps)
+            assert err.value.param == "eps_grad"
+        spec = make_spec(mesh, p=1.5, q=2.5, eps=1e-160)
+        assert 0 < spec.eps_grad * spec.eps_grad < np.finfo(float).tiny
+        assert np.isfinite(apply_operator(spec, u, u))
+
     def test_rules_name_their_parameter(self):
         mesh = interval(4)
         for kwargs, param in ((dict(phi=-0.5), "obstacle"),
                               (dict(eps=-1e-8), "eps_grad"),
                               (dict(eps=float("nan")), "eps_grad"),
+                              (dict(eps=float("inf")), "eps_grad"),
+                              (dict(p=1.5, q=2.5, eps=float("inf")), "eps_grad"),
                               (dict(p=1.5, q=2.5, eps=0.0), "eps_grad")):
             with pytest.raises(ConfigurationError) as err:
                 make_spec(mesh, **kwargs)

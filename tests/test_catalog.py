@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import reference_clarke_directional
 from dpobstacle.catalog import (
     BOUNDARY_NAMES,
     REACTION_NAMES,
@@ -86,6 +87,18 @@ class TestReactionBounds:
             reaction("sigmoid")
         with pytest.raises(ConfigurationError):
             reaction("constant", frequency=2.0)
+
+    @pytest.mark.parametrize("name,params", [
+        ("constant", {"value": np.nan}), ("constant", {"value": np.inf}),
+        ("interval", {"lo": -np.inf}), ("sign_band", {"slope": np.nan}),
+        ("convective_linear", {"c2": np.inf}),
+    ])
+    def test_parameters_must_be_finite(self, name, params):
+        (param,) = params
+        with pytest.raises(ConfigurationError) as err:
+            reaction(name, **params)
+        assert err.value.param == param
+        assert f"{param} must be finite" in str(err.value)
 
 
 class TestSelection:
@@ -264,6 +277,21 @@ class TestBoundaryValues:
         assert g.a_j == 1.0 and g.b_j == 1.0
         assert g.c_j == 1.5 and g.d_j == 0.5 and g.theta1 == 2.0
 
+    @pytest.mark.parametrize("name,params,param", [
+        ("abs", {"alpha": np.nan}, "alpha"),
+        ("abs", {"alpha": np.inf}, "alpha"),
+        ("nonconvex_well", {"center": np.inf}, "center"),
+        ("smooth_quadratic", {"alpha": -np.inf}, "alpha"),
+        ("abs", {"delta": np.inf}, "delta"),
+        ("zero", {"delta": np.inf}, "delta"),
+        ("smooth_quadratic", {"delta": np.nan}, "delta"),
+    ])
+    def test_values_must_be_finite(self, name, params, param):
+        with pytest.raises(ConfigurationError) as err:
+            boundary_potential(name, **params)
+        assert err.value.param == param
+        assert "finite" in str(err.value)
+
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             boundary_potential("abs", alpha=-1.0)
@@ -275,17 +303,47 @@ class TestBoundaryValues:
             boundary_potential("hinge")
 
 
+# one entry per catalog name, with parameters off the defaults
+_POTENTIALS = {
+    "zero": {},
+    "abs": {"alpha": 0.3},
+    "smooth_quadratic": {"alpha": 2.5},
+    "nonconvex_well": {"alpha": 0.7, "center": 0.4},
+}
+
+
 class TestDirectionalCalculus:
-    @pytest.mark.parametrize("name", BOUNDARY_NAMES)
-    def test_matches_interval_support_function(self, name):
-        # generalized directional derivative = max over the interval of v * t
-        b = boundary_potential(name)
-        for t in (-1.7, 0.0, 2.3):
-            tv = np.full_like(S_GRID, t)
-            lo, hi = b.clarke_interval(S_GRID)
-            expected = np.maximum(lo * t, hi * t)
-            assert np.allclose(b.clarke_directional(S_GRID, tv), expected,
-                               atol=1e-12)
+    def test_every_entry_has_a_case(self):
+        assert sorted(_POTENTIALS) == sorted(BOUNDARY_NAMES)
+
+    @pytest.mark.parametrize("name", sorted(_POTENTIALS))
+    def test_matches_the_frozen_formulas(self, name, rng):
+        # the support function of the interval gives the values of the
+        # hand-written formulas it replaces, on signed zeros, the kinks
+        # (0 and the well's +-center) and random points
+        b = boundary_potential(name, **_POTENTIALS[name])
+        special = [0.0, -0.0, 0.4, -0.4, 1e-300, -1e-300, 3.0, -3.0]
+        s_vals = np.concatenate([special, rng.uniform(-2, 2, 24)])
+        t_vals = np.concatenate([special, rng.uniform(-2, 2, 24)])
+        s, t = (a.ravel() for a in np.meshgrid(s_vals, t_vals))
+        new = b.clarke_directional(s, t)
+        ref = reference_clarke_directional(b, s, t)
+        assert new.shape == ref.shape == s.shape
+        assert np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("name", sorted(_POTENTIALS))
+    def test_stacked_directions(self, name, rng):
+        # one row of directions per probe, as ``vi_residual`` passes them
+        b = boundary_potential(name, **_POTENTIALS[name])
+        s = np.concatenate([[0.0, -0.0, 0.4, -0.4], rng.uniform(-2, 2, 9)])
+        T = rng.uniform(-2, 2, (6, s.size))
+        T[rng.random(T.shape) < 0.3] = 0.0
+        T[0] = -0.0
+        new = b.clarke_directional(s, T)
+        assert new.shape == T.shape
+        assert np.array_equal(new, reference_clarke_directional(b, s, T))
+        for row, t in zip(new, T):
+            assert np.array_equal(row, b.clarke_directional(s, t))
 
     @pytest.mark.parametrize("name", BOUNDARY_NAMES)
     def test_positive_homogeneity(self, name):

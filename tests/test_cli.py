@@ -117,6 +117,41 @@ class TestSolve:
         assert "config error" in err
         assert "line" in err
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("schedule = 1e-4", "schedule = 1e-4\nnewton_tol = inf", "[solver] newton_tol"),
+        ("eps_grad = 1e-200", "eps_grad = inf", "[solver] eps_grad"),
+        ("p = 2\nq = 2", "p = inf\nq = inf", "[phase] q"),
+        ("n = 16", "b = inf\nn = 16", "[mesh] b"),
+        ("dim = 1\nn = 16", "dim = 2\nlx = inf\nly = 1\nnx = 4\nny = 4",
+         "[mesh] lx"),
+        ("value = 1", "value = nan", "[reaction] value"),
+        ("value = 1", "value = inf", "[reaction] value"),
+        ("alpha = 0.5", "alpha = nan", "[boundary] alpha"),
+        ("alpha = 0.5", "alpha = inf", "[boundary] alpha"),
+        ("center = 0.1", "center = inf", "[boundary] center"),
+        ("center = 0.1", "center = 0.1\ndelta = inf", "[boundary] delta"),
+        ("p = 2\n", "p = 1.8\n", "[solver] eps_grad"),
+        ("q = 2", "q = 2\nmu = " + "-" * 3000 + "1", "[phase] mu"),
+        ("p = 2\n", "p = " + "(" * 300 + "2" + ")" * 300 + "\n", "[phase] p"),
+    ], ids=["newton_tol-inf", "eps_grad-inf", "p-q-inf", "b-inf", "lx-inf",
+            "value-nan", "value-inf", "alpha-nan", "alpha-inf", "center-inf",
+            "delta-inf", "eps_grad-underflow", "mu-signs", "p-parentheses"])
+    def test_bad_value_is_config_error_at_its_line(self, cfg_file, tmp_path,
+                                                   capsys, old, new, key):
+        # each of these once gave a raw ValueError, SingularOperatorError or
+        # RecursionError (exit 1), or solved with a non-finite setting
+        text = (CONTACT.replace("n = 16", "n = 16\ngamma2 = right")
+                + "eps_grad = 1e-200\n\n[boundary]\nname = nonconvex_well\n"
+                "alpha = 0.5\ncenter = 0.1\n").replace(old, new, 1)
+        out = tmp_path / "out"
+        code = main(["solve", "--config", cfg_file(text), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        line = next(n for n, ln in enumerate(text.splitlines(), start=1)
+                    if ln.startswith(key.split()[1] + " = "))
+        assert capsys.readouterr().err.startswith(
+            f"config error: line {line}: {key}: ")
+        assert not out.exists()
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path)])

@@ -64,12 +64,6 @@ class TestParsing:
         assert cfg.get("phase", "mu") == "0.5"
         assert cfg.get("solver", "schedule") is None
 
-    def test_round_trip_through_serialize(self):
-        cfg = parse_config_text(CONTACT)
-        again = parse_config_text(cfg.serialize())
-        assert again == cfg
-        assert again.serialize() == cfg.serialize()
-
     def test_unknown_section(self):
         with pytest.raises(ConfigFileError) as err:
             parse_config_text(BASIC + "\n[forcing]\nf = 1\n")
@@ -486,6 +480,118 @@ class TestOwnerRulesAnchored:
         assert "[phase] q: required key is missing" in str(err.value)
 
 
+RECT = """\
+[mesh]
+dim = 2
+lx = 1
+ly = 1
+nx = 3
+ny = 3
+gamma2 = right
+
+[phase]
+p = 2
+q = 2
+
+[boundary]
+name = nonconvex_well
+alpha = 1
+center = 0.5
+"""
+
+
+def _key_line(text, section, key):
+    current = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif current == section and line.startswith(f"{key} = "):
+            return lineno
+    raise AssertionError(f"[{section}] {key} is not in the file")
+
+
+def _with_values(text, edits):
+    """``text`` with the value of each ``(section, key)`` replaced."""
+    lines = text.splitlines()
+    for (section, key), value in edits.items():
+        lines[_key_line(text, section, key) - 1] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+class TestNonFiniteValues:
+    """``inf`` and ``nan`` break the rule of the owner that takes the value,
+    and the error names the line of its key; at parse time, not in a solve."""
+
+    @pytest.mark.parametrize("text,edits,key", [
+        (FULL, {("solver", "newton_tol"): "inf"}, ("solver", "newton_tol")),
+        (FULL, {("solver", "eps_grad"): "inf"}, ("solver", "eps_grad")),
+        (FULL, {("phase", "q"): "inf"}, ("phase", "q")),
+        (FULL, {("phase", "p"): "inf", ("phase", "q"): "inf"}, ("phase", "q")),
+        (FULL, {("phase", "p"): "nan"}, ("phase", "p")),
+        (FULL.replace("n = 8\n", "b = 1\nn = 8\n"), {("mesh", "b"): "inf"},
+         ("mesh", "b")),
+        (FULL.replace("n = 8\n", "a = 0\nn = 8\n"), {("mesh", "a"): "-inf"},
+         ("mesh", "a")),
+        (RECT, {("mesh", "lx"): "inf"}, ("mesh", "lx")),
+        (RECT, {("mesh", "ly"): "nan"}, ("mesh", "ly")),
+        (FULL, {("reaction", "lo"): "nan"}, ("reaction", "lo")),
+        (FULL, {("reaction", "hi"): "inf"}, ("reaction", "hi")),
+        (FULL, {("boundary", "alpha"): "nan"}, ("boundary", "alpha")),
+        (FULL, {("boundary", "alpha"): "inf"}, ("boundary", "alpha")),
+        (FULL, {("boundary", "delta"): "inf"}, ("boundary", "delta")),
+        (RECT, {("boundary", "center"): "inf"}, ("boundary", "center")),
+    ], ids=["newton_tol-inf", "eps_grad-inf", "q-inf", "p-q-inf", "p-nan",
+            "b-inf", "a-inf", "lx-inf", "ly-nan", "lo-nan", "hi-inf", "alpha-nan",
+            "alpha-inf", "delta-inf", "center-inf"])
+    def test_error_names_the_line_of_the_key(self, text, edits, key):
+        text = _with_values(text, edits)
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == _key_line(text, *key)
+        assert f"[{key[0]}] {key[1]}:" in str(err.value)
+
+    def test_element_count_names_its_line(self):
+        text = _with_values(FULL, {("mesh", "n"): "0"})
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == _key_line(text, "mesh", "n")
+
+    @pytest.mark.parametrize("edits,key", [
+        # eps_grad^2 underflows to 0 at the base problem ...
+        ({("phase", "p"): "1.8", ("solver", "eps_grad"): "1e-200"},
+         ("solver", "eps_grad")),
+        # ... or only at the last stage, scaled by rho / schedule[0]
+        ({("phase", "p"): "1.8", ("solver", "eps_grad"): "1e-150",
+          ("solver", "newton_tol"): "1e-10\nschedule = 1, 1e-30"},
+         ("solver", "eps_grad")),
+        ({("boundary", "delta"): "1e-300",
+          ("solver", "newton_tol"): "1e-10\nschedule = 1, 1e-30"},
+         ("boundary", "delta")),
+    ], ids=["base", "stage", "stage-delta"])
+    def test_underflowing_regularization_names_its_line(self, edits, key):
+        text = _with_values(FULL, edits)
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == _key_line(text, *key)
+        assert f"[{key[0]}] {key[1]}:" in str(err.value)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("mu", "-" * 3000 + "1", "nested too deeply"),
+        ("p", "(" * 300 + "2" + ")" * 300, "nested too deeply"),
+        ("mu", "+".join(["x"] * 5000), "nested too deeply"),
+        ("mu", "exp(1000*x)", "overflow"),
+        ("mu", "x - 1", "weight mu must be finite and >= 0"),
+    ], ids=["mu-signs", "p-parentheses", "mu-long-sum", "mu-overflow",
+            "mu-negative"])
+    def test_bad_expression_names_its_line(self, key, value, message):
+        # a weight that fails when sampled names its key, not the section
+        text = _with_values(BASIC, {("phase", key): value})
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == _key_line(text, "phase", key)
+        assert f"[phase] {key}: " in str(err.value) and message in str(err.value)
+
+
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(ROOT.glob("demos/configs/*.cfg")) + sorted(ROOT.glob("tools/*.cfg"))
 
@@ -499,10 +605,12 @@ def test_every_shipped_config_parses(path):
 
 class TestOutputParameters:
     def test_defaults(self):
-        out_dir, formats = output_parameters(parse_config_text(BASIC))
-        assert "json" in formats and "csv" in formats
+        assert output_parameters(parse_config_text(BASIC)) == "out"
 
     def test_unknown_format_rejected(self):
-        text = BASIC + "\n[output]\nformats = json, yaml\n"
-        with pytest.raises(ConfigFileError):
-            output_parameters(parse_config_text(text))
+        # every command writes both files; ``formats`` is no key any more
+        text = BASIC + "\n[output]\nformats = json\n"
+        with pytest.raises(ConfigFileError) as err:
+            parse_config_text(text)
+        assert err.value.line == text.splitlines().index("formats = json") + 1
+        assert "unknown key 'formats'" in str(err.value)

@@ -108,6 +108,23 @@ class TestErrors:
         with pytest.raises(EvaluationError):
             Expression("exp(x)")(1.0e4)
 
+    @pytest.mark.parametrize("text", [
+        "-" * 3000 + "1",
+        "(" * 300 + "2" + ")" * 300,
+        "2^" * 2000 + "1",
+        "abs(" * 400 + "x" + ")" * 400,
+        "+".join(["x"] * 5000),
+    ], ids=["signs", "parentheses", "powers", "calls", "long-sum"])
+    def test_nesting_beyond_the_recursion_limit(self, text):
+        # the parser fails on deep nesting, the evaluation on a long chain
+        with pytest.raises(EvaluationError) as err:
+            compile_expression(text)(0.5)
+        assert "nested too deeply" in str(err.value)
+
+    def test_moderate_nesting_evaluates(self):
+        assert compile_expression("-" * 100 + "1")(0.0) == 1.0
+        assert compile_expression("(" * 50 + "x" + ")" * 50)(2.0) == 2.0
+
 
 class TestIdentity:
     def test_equality_and_hash(self):

@@ -58,6 +58,21 @@ class TestIntervalMesh:
             build_interval_mesh(0.0, 1.0, 0)
 
 
+    @pytest.mark.parametrize("a,b,param", [
+        (0.0, np.inf, "b"), (-np.inf, 1.0, "a"), (np.nan, 1.0, "a"),
+        (0.0, np.nan, "b"), (1.0, 0.0, "b"),
+    ])
+    def test_ends_must_be_finite(self, a, b, param):
+        with pytest.raises(ConfigurationError) as err:
+            build_interval_mesh(a, b, 4)
+        assert err.value.param == param
+
+    def test_element_count_names_its_parameter(self):
+        with pytest.raises(ConfigurationError) as err:
+            build_interval_mesh(0.0, 1.0, 0)
+        assert err.value.param == "n_elements"
+
+
 class TestRectMesh:
     def test_single_cell(self):
         mesh = build_rect_mesh(1.0, 1.0, 1, 1)
@@ -83,6 +98,16 @@ class TestRectMesh:
                                             dim=2)
         with pytest.raises(ConfigurationError):
             build_rect_mesh(1.0, 1.0, 2, 2, partition=part)
+
+    @pytest.mark.parametrize("args,param", [
+        ((np.inf, 1.0, 2, 2), "lx"), ((1.0, np.nan, 2, 2), "ly"),
+        ((1.0, -np.inf, 2, 2), "ly"), ((1.0, 1.0, 0, 2), "nx"),
+        ((1.0, 1.0, 2, 0), "ny"),
+    ])
+    def test_extents_must_be_finite(self, args, param):
+        with pytest.raises(ConfigurationError) as err:
+            build_rect_mesh(*args)
+        assert err.value.param == param
 
     def test_invalid_extents(self):
         with pytest.raises(ConfigurationError):

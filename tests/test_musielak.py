@@ -270,6 +270,15 @@ class TestPhaseConfigValidation:
         cfg = phase(mesh, 2.0, 2.0, 0.5)  # equal exponents are allowed
         assert cfg.p == cfg.q == 2.0
 
+    @pytest.mark.parametrize("p,q,param", [
+        (2.0, np.inf, "q"), (np.inf, np.inf, "q"), (np.nan, 2.0, "p"),
+        (2.0, np.nan, "q"), (1.0, 2.0, "p"), (3.0, 2.0, "q"),
+    ])
+    def test_exponents_must_be_finite(self, p, q, param):
+        with pytest.raises(ConfigurationError) as err:
+            phase(interval(4), p, q, 0.5)
+        assert err.value.param == param
+
     def test_weight_validation(self):
         mesh = interval(4)
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,7 @@ import pytest
 from conftest import interval, obstacle_fn
 from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import DiscreteFunction
-from dpobstacle.nonsmooth import ConstraintSet, plus_part, project
+from dpobstacle.nonsmooth import ConstraintSet, plus_part
 
 
 def _free_set(mesh, phi):
@@ -68,17 +68,6 @@ class TestProjection:
             v = rng.uniform(-3, 3, mesh.n_nodes)
             du = np.dot(w, (K.project_values(u) - K.project_values(v)) ** 2)
             assert du <= np.dot(w, (u - v) ** 2) + 1e-15
-
-    def test_project_function_wrapper_checks_mesh(self, rng):
-        mesh = interval(5)
-        K = _free_set(mesh, np.ones(mesh.n_nodes))
-        u = DiscreteFunction(mesh, rng.uniform(-2, 2, mesh.n_nodes))
-        out = project(u, K)
-        assert out.mesh is mesh
-        assert np.array_equal(out.values, K.project_values(u.values))
-        other = DiscreteFunction.constant(interval(4), 0.0)
-        with pytest.raises(ConfigurationError):
-            project(other, K)
 
     def test_infinite_cap_means_no_clipping(self):
         mesh = interval(4)

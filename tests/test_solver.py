@@ -332,6 +332,20 @@ class TestContinuation:
         with pytest.raises(ConfigurationError):
             check_schedule(bad)
 
+    def test_stage_problems_obey_the_problem_rules(self):
+        # each stage scales eps_grad and delta by rho / schedule[0]; a stage
+        # whose eps_grad squares to 0 (p < 2) or whose delta underflows to 0
+        # (kinked potential) is refused before any solve
+        mesh = interval(8, gamma2=("right",))
+        for param, spec in (
+                ("eps_grad", make_spec(mesh, p=1.8, q=2.0, eps=1e-150, phi=0.1)),
+                ("delta", make_spec(mesh, phi=0.1, bnd=boundary_potential(
+                    "abs", alpha=0.1, delta=1e-300)))):
+            assert len(solver.stages(spec, [1.0, 1e-8], SolverConfig())) == 2
+            with pytest.raises(ConfigurationError) as err:
+                solver.stages(spec, [1.0, 1e-8, 1e-30], SolverConfig())
+            assert err.value.param == param
+
     def test_checked_schedule_is_floats(self):
         assert check_schedule((1, 0.5, 1e-3)) == [1.0, 0.5, 1e-3]
 
@@ -563,6 +577,38 @@ class TestInequalityResidualLoopReference:
         new, ref = _hex_pair(spec, u, eta, probes)
         assert new == ref
 
+    @pytest.mark.parametrize("alpha", [1.0, 10.0])
+    def test_long_natural_boundary_dense_probes(self, alpha):
+        # 97 nodes on the natural boundary part and dense probes, half of
+        # them moving only the traces there, so the boundary sums are long
+        # and, with a strong potential, do not vanish in the rounding of the
+        # operator term.  Each probe is certified alone and as a stack of
+        # four equal rows: a batched product over the stack groups the
+        # boundary sum differently from one ddot per probe
+        spec = make_spec(
+            rectangle(32, 32, gamma2=("right", "top", "bottom")), p=2.5, q=3.0,
+            mu=lambda x, y: 0.5 + 0.5 * x, phi=0.05,
+            bnd=boundary_potential("abs", alpha=alpha))
+        gamma2 = spec.mesh.gamma2_nodes
+        assert gamma2.size == 97
+        K = spec.constraints
+        u, eta = _vi_state(spec, seed=7)
+        rng = np.random.default_rng(8)
+        probes = []
+        for k in range(40):
+            v = u.copy()
+            if k % 2:
+                v[gamma2] += 0.05 * rng.normal(size=gamma2.size)
+            else:
+                v += 0.05 * rng.normal(size=u.size)
+            probes.append(K.project_values(v))
+        for v in probes:
+            for stack in ([v], [v] * 4):
+                new, ref = _hex_pair(spec, u, eta, stack)
+                assert new == ref
+        new, ref = _hex_pair(spec, u, eta, probes)
+        assert new == ref
+
     @pytest.mark.parametrize("case", ["1d p=q=2 abs", "2d p>2 abs",
                                       "1d p>2 nonconvex_well"])
     def test_coordinate_bump_at_the_kink(self, case):
@@ -623,6 +669,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("field,value", [
         ("newton_tol", 0.0), ("newton_tol", -1e-10), ("newton_tol", float("nan")),
         ("max_newton", 0), ("max_newton", 2.5), ("rho", 0.0),
+        ("rho", float("inf")), ("rho", float("nan")), ("newton_tol", float("inf")),
     ])
     def test_rules_name_their_field(self, field, value):
         with pytest.raises(ConfigurationError) as err:
