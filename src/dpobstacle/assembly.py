@@ -31,7 +31,7 @@ reaction's included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "ProblemSpec",
     "AssembledSystem",
     "operator_energy",
-    "operator_coefficient",
     "apply_operator",
     "operator_residual",
     "operator_jacobian",
@@ -69,7 +68,8 @@ class ProblemSpec:
     underflow) whenever an exponent lies below 2, since the diffusion
     coefficient is then singular at vanishing gradients; left out, it is 0
     when both exponents are >= 2, else 1e-8.
-    Derived data is cached; a ``replace``-d spec starts empty.
+    Derived data is cached; a ``replace``-d spec starts empty, and a
+    :meth:`derive`-d one shares it.
     """
 
     mesh: Mesh
@@ -100,6 +100,21 @@ class ProblemSpec:
     @cached_property
     def constraints(self) -> ConstraintSet:
         return ConstraintSet.from_problem(self.mesh, self.obstacle.values)
+
+    def derive(self, **changes):
+        """This problem with ``changes`` to fields other than the mesh and
+        the obstacle, checked as at construction.  Unlike ``replace`` it
+        shares this problem's ``constraints``, the one cached entry, which
+        depends on the mesh and the obstacle alone."""
+        if not changes.keys().isdisjoint({"mesh", "obstacle"}):
+            raise ValueError("derive keeps the mesh and the obstacle")
+        unknown = changes.keys() - {f.name for f in fields(self)}
+        if unknown:
+            raise TypeError(f"ProblemSpec has no field {sorted(unknown)[0]!r}")
+        spec = object.__new__(ProblemSpec)
+        spec.__dict__.update(vars(self), **changes)
+        spec.__post_init__()
+        return spec
 
     @property
     def has_gamma2(self):
@@ -139,19 +154,11 @@ def operator_energy(spec: ProblemSpec, u) -> float:
     return float(np.dot(spec.mesh.element_volumes, dens))
 
 
-def operator_coefficient(spec: ProblemSpec, u):
-    """Element gradients of ``u`` and the diffusion coefficient
-    ``g^(p-2) + mu g^(q-2)`` per element: the factors of the operator
-    pairing at ``u`` that do not depend on the direction."""
-    grads, ge, _ = _gradient_state(spec, u)
-    return grads, _coef(spec, ge)
-
-
 def apply_operator(spec: ProblemSpec, u, v) -> float:
     """Energy pairing of the operator at ``u`` against ``v``."""
-    grads_u, coef = operator_coefficient(spec, u)
+    grads_u, ge, _ = _gradient_state(spec, u)
     dots = np.sum(grads_u * spec.mesh.element_gradients(nodal_values(v)), axis=1)
-    return float(np.dot(spec.mesh.element_volumes, coef * dots))
+    return float(np.dot(spec.mesh.element_volumes, _coef(spec, ge) * dots))
 
 
 def operator_residual(spec: ProblemSpec, u) -> np.ndarray:

@@ -16,8 +16,8 @@ convergence:
 * limit candidates (chains whose step distances contract by a fixed factor
   over a trailing window), deduplicated and then certified, once per
   distinct limit, by a variational-inequality residual against a documented
-  finite probe set (a coordinate probe costs O(patch), see
-  :func:`~dpobstacle.solver.vi_residual`),
+  finite probe set, as a nodal sum in O(n) per explicit probe and per bump
+  state (see :func:`~dpobstacle.solver.vi_residual`),
 * nearest-point traces from a limit candidate back through the samples.
 
 A finite multi-start sample is a surrogate for the full solution set and the
@@ -53,6 +53,7 @@ from .solver import (
     check_schedule,
     continuation,
     solve_penalized,  # noqa: F401  perfbench/tracing.py wraps lab.solve_penalized
+    stages,
     vi_residual,
 )
 
@@ -174,7 +175,7 @@ def selection_variants(react, selection_rules):
 def _rule_variants(spec, selection_rules):
     if not selection_rules:
         return [(spec.reaction.rule, spec)]
-    return [(label, replace(spec, reaction=react))
+    return [(label, spec.derive(reaction=react))
             for label, react in selection_variants(spec.reaction, selection_rules)]
 
 
@@ -310,26 +311,25 @@ class KuratowskiDiagnostics:
         return clarke_directional(self.spec, u.values, member.values - u.values)
 
 
-def _probe_set(spec, K, u_vals, seed, bump_rel, n_random):
-    """Documented probe family, in this order: the projected candidate, the
-    projected coordinate bumps ``+scale`` then ``-scale`` at every node, and
-    ``n_random`` seeded random admissible states near the candidate, where
-    ``scale`` is ``bump_rel`` times the candidate's sup norm (``bump_rel``
-    itself at a zero candidate).  The family is built as one stacked array,
-    projected in place, and returned as the list of its rows."""
+def _probe_set(K, u_vals, seed, bump_rel, n_random):
+    """Documented probe family of a candidate, as ``(probes, bumps)``.
+
+    ``probes`` holds the projected candidate and ``n_random`` seeded random
+    admissible states near it; ``bumps`` holds the two projected states
+    ``P(u + scale)`` and ``P(u - scale)``, where ``scale`` is ``bump_rel``
+    times the candidate's sup norm (``bump_rel`` itself at a zero
+    candidate).  The projection acts node by node, so a bump state holds the
+    family's coordinate probes ``P(u +- scale e_i)`` at every node ``i``, as
+    :func:`~dpobstacle.solver.vi_residual` reads them: the family has
+    ``1 + 2 n + n_random`` probes in ``(3 + n_random) x n`` floats."""
     scale = bump_rel * float(np.max(np.abs(u_vals)))
     if scale == 0.0:
         scale = bump_rel
-    n = u_vals.size
-    probes = np.empty((1 + 2 * n + n_random, n))
-    probes[:1 + 2 * n] = u_vals
-    nodes = np.arange(n)
-    probes[1 + 2 * nodes, nodes] += scale
-    probes[2 + 2 * nodes, nodes] += -1.0 * scale
     rng = np.random.default_rng((seed, 97))
-    noise = rng.normal(size=(n_random, n)) * scale
-    np.add(u_vals, noise, out=probes[1 + 2 * n:])
-    return list(K.project_values(probes, out=probes))
+    noise = rng.normal(size=(n_random, u_vals.size)) * scale
+    probes = K.project_values(np.vstack([u_vals, u_vals + noise]))
+    bumps = K.project_values(np.array([u_vals + scale, u_vals - scale]))
+    return probes, bumps
 
 
 def kuratowski_study(
@@ -359,8 +359,9 @@ def kuratowski_study(
     Chains whose trailing ``cauchy_window`` step distances contract by
     ``cauchy_factor`` yield limit candidates; these are deduplicated in chain
     order first, and each kept candidate is then certified once, under its
-    own chain's selection rule and base (first-stage) problem, by a
-    variational-inequality residual over the documented probe set.  With
+    own chain's selection rule and base (first-stage) problem, smoothed at
+    the last stage's boundary ``delta``, by a variational-inequality
+    residual over the documented probe set.  With
     ``threads > 1`` whole chains run concurrently; the results do not depend
     on ``threads``, because each solve depends only on its own chain.  Every
     threshold is checked by :func:`check_study`, and the schedule by
@@ -416,15 +417,16 @@ def kuratowski_study(
                 vi_value=float("nan"),
                 probe_count=0,
             )))
-    K = spec.constraints
 
     def certify(c, cand):
-        # each probe family (1 + 2 n + n_random_probes rows) is freed before
-        # the next one is built
-        u_vals = cand.solution.values
-        probes = _probe_set(spec, K, u_vals, seed, probe_bump, n_random_probes)
-        vi = vi_residual(c.spec, K.project_values(u_vals), cand.eta, probes)
-        return replace(cand, vi_value=vi, probe_count=len(probes))
+        # the certificate is taken at the projected candidate, probes[0],
+        # with the boundary smoothing of the last stage, which solved it
+        probes, bumps = _probe_set(spec.constraints, cand.solution.values, seed,
+                                   probe_bump, n_random_probes)
+        last = stages(c.spec, schedule, cfg)[-1][0]
+        vi = vi_residual(c.spec.derive(boundary=last.boundary), probes[0],
+                         cand.eta, probes, bumps)
+        return replace(cand, vi_value=vi, probe_count=len(probes) + bumps.size)
 
     candidates = [certify(c, cand) for c, cand in
                   _dedup(spec.mesh, found, dedup_tol, key=lambda f: f[1])]

@@ -5,9 +5,9 @@ is built with the per-element gradient maps (``dim x nverts`` matrices acting
 on local nodal values), element volumes and a tagged list of boundary faces.
 Everything derived from those (lumped volume weights, the Dirichlet mask, the
 natural-boundary nodes and their lumped weights, ``G_e^T G_e``, the
-:class:`BlockPattern` of the element blocks, the nodal-gradient matrices and
-their slots in that pattern, and the element patch of every node) is a
-``functools.cached_property``: computed on first use and kept on the mesh.
+:class:`BlockPattern` of the element blocks, and the nodal-gradient matrices
+and their slots in that pattern) is a ``functools.cached_property``: computed
+on first use and kept on the mesh.
 The block pattern is the one CSR structure every element-block matrix is
 built on (operator Jacobians, the ``check`` stiffness, the nodal-gradient
 maps, the reaction Jacobian): a matrix is a ``data`` array of its slots,
@@ -168,16 +168,6 @@ class Mesh:
                 w[a] += 0.5 * length
                 w[b] += 0.5 * length
         return w
-
-    @cached_property
-    def node_patches(self):
-        """Element patch of every node: ``node_patches[i]`` is the sorted
-        array of the elements that have node ``i`` as a vertex."""
-        flat = self.elements.ravel()
-        order = np.argsort(flat, kind="stable")
-        owners = order // (self.dim + 1)
-        ends = np.cumsum(np.bincount(flat, minlength=self.n_nodes))
-        return np.split(owners, ends[:-1])
 
     @cached_property
     def gradient_gram(self):

@@ -80,10 +80,9 @@ class ConstraintSet:
         inside = below & pinned
         return bool(inside) if inside.ndim == 0 else inside
 
-    def project_values(self, values, out=None):
-        """The projection of one nodal vector, or of each row of a stack;
-        ``out=values`` projects in place."""
-        out = np.minimum(np.asarray(values, dtype=float), self.obstacle, out=out)
+    def project_values(self, values):
+        """The projection of one nodal vector, or of each row of a stack."""
+        out = np.minimum(np.asarray(values, dtype=float), self.obstacle)
         out[..., self.dirichlet_mask] = 0.0
         return out
 

@@ -40,7 +40,7 @@ from .assembly import (
     ProblemSpec,
     apply_operator,  # noqa: F401  perfbench/tracing.py wraps solver.apply_operator
     assemble_system,
-    operator_coefficient,
+    operator_residual,
 )
 from .errors import ConfigurationError
 from .meshing import DiscreteFunction, nodal_values
@@ -54,11 +54,8 @@ __all__ = ["SolverConfig", "SolveReport", "TraceEntry", "solve_penalized",
 DAMPING_FACTOR = 0.5
 MAX_HALVINGS = 40
 ARMIJO = 1e-4
-# membership tolerance for the probes of :func:`vi_residual`, and the number
-# of probes it stacks into one batch (bounds the batch arrays to about
-# 64 x (n_nodes + n_elements) floats)
+# membership tolerance for the probes of :func:`vi_residual`
 TOL_MEMBERSHIP = 1e-12
-VI_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -257,13 +254,14 @@ def stages(spec: ProblemSpec, schedule, cfg: SolverConfig):
     """One ``(problem, solver config)`` pair per stage of a schedule that
     passes :func:`check_schedule`.  A stage's config takes its schedule entry
     as ``rho``, and its problem's gradient regularization and boundary
-    smoothing are the base problem's scaled by ``rho / schedule[0]``."""
+    smoothing are the base problem's scaled by ``rho / schedule[0]``; every
+    stage problem shares the base problem's ``constraints``."""
     schedule = check_schedule(schedule)
     pairs = []
     for rho in schedule:
         factor = rho / schedule[0]
         boundary = replace(spec.boundary, delta=spec.boundary.delta * factor)
-        pairs.append((replace(spec, eps_grad=spec.eps_grad * factor, boundary=boundary),
+        pairs.append((spec.derive(eps_grad=spec.eps_grad * factor, boundary=boundary),
                       replace(cfg, rho=rho)))
     return pairs
 
@@ -285,71 +283,63 @@ def continuation(spec: ProblemSpec, schedule, cfg: SolverConfig, initial=None):
     return reports
 
 
-def vi_residual(spec: ProblemSpec, u, eta, probes) -> float:
+def vi_residual(spec: ProblemSpec, u, eta, probes, bumps=()) -> float:
     """Variational-inequality certificate against a finite probe set.
 
     For each admissible probe ``v`` the value
-    ``<A u, v - u> + boundary directional term - <eta, v - u>_w`` is computed;
-    the minimum over probes is returned.  A nonnegative minimum (above a small
-    negative tolerance chosen by the caller) is a necessary certificate for
-    ``u`` solving the obstacle inequality with selection ``eta``.  Probes
-    outside the admissible set (beyond ``TOL_MEMBERSHIP``, 1e-12) raise
-    :class:`ConfigurationError`, as does an empty probe set.
+    ``F(v) = <A u, v - u> + sum_gamma2 bw_i j°(s_i; v_i - u_i) - <eta, v - u>_w``
+    is computed, and the minimum over the probes is returned.  A nonnegative
+    minimum (above a small negative tolerance chosen by the caller) is a
+    necessary certificate for ``u`` solving the obstacle inequality with
+    selection ``eta``.  ``probes`` are explicit states; each state ``b`` of
+    ``bumps`` stands for its ``n_nodes`` coordinate probes, ``u`` with node
+    ``i`` replaced by ``b_i``.  Probes and bump states outside the admissible
+    set (beyond ``TOL_MEMBERSHIP``, 1e-12), and ``u`` there when bump states
+    are given, raise :class:`ConfigurationError`, as does an empty probe set.
 
-    The element gradients of ``u`` and the diffusion coefficient are computed
-    once per call, and the probes are certified in stacks of ``VI_CHUNK``
-    rows: one membership test, one ``v - u`` and one boundary evaluation per
-    stack.  A coordinate probe (``v - u`` nonzero at one node) changes the
-    gradient only on that node's element patch; the patches of a stack's
-    coordinate probes share one gradient evaluation, O(patch) element work
-    per probe instead of O(elements).  Every probe's value is bit-identical
-    to its own full-element sum: one nonzero nodal value makes every patch
-    gradient an exact product, and the three sums of each probe (operator,
-    boundary, selection) are each one ``ddot`` over a full-length contiguous
-    row, added in that order.  A batched matrix-vector product, a strided
-    view or a patch-only dot would group those sums differently and move the
-    last bits.
+    ``F`` is a nodal sum: with ``a = operator_residual(u) - w eta``,
+    ``<A u, d> - <eta, d>_w = a . d``, and the boundary term is a sum over the
+    Gamma_2 nodes.  So ``a`` is computed once, an explicit probe's value is the
+    row sum of its nodal terms, and a coordinate probe's value is one entry
+    of its bump state's terms (a one-node direction has one nonzero term):
+    O(n) per probe and per bump state.  An exactly zero minimum is ``+0.0``.
+
+    Kink: for a potential with a kink, a Gamma_2 trace with
+    ``|s| < spec.boundary.delta`` is certified as sitting on the kink
+    ``s = 0``.  Inside that band the smoothed gradient that ``u`` solved with
+    lies in the Clarke interval at 0.  A limit pinned at the kink carries a
+    trace inside the band (for ``abs``, ``delta`` times its flux over
+    ``alpha``), which the one-sided ``j°`` at the trace itself would reject.
+    The caller passes the problem smoothed as ``u`` was solved (the study:
+    its last stage's ``delta``).  For the kinked potentials snapping can
+    only raise ``j°``.
     """
     mesh = spec.mesh
-    K = spec.constraints
     u_vals = nodal_values(u)
     rows = [nodal_values(v) for v in probes]
+    n_explicit = len(rows)
+    rows += [nodal_values(b) for b in bumps]
     if not rows:
         raise ConfigurationError("probe set must be nonempty")
-    # everything that depends on u alone, computed once
-    grads_u, coef = operator_coefficient(spec, u_vals)
-    w_eta = mesh.node_volume_weights * np.asarray(eta, float)
+    K = spec.constraints
+    T = np.array(rows)
+    inside = np.all(K.contains(T, tol=TOL_MEMBERSHIP))
+    if n_explicit < len(rows):  # coordinate probes carry u's other entries
+        inside = inside and K.contains(u_vals, tol=TOL_MEMBERSHIP)
+    if not inside:
+        raise ConfigurationError("a probe direction is not admissible")
+    a = operator_residual(spec, u_vals) - mesh.node_volume_weights * np.asarray(eta)
     gamma2 = mesh.gamma2_nodes
-    bw = mesh.gamma2_weights[gamma2]
     s = u_vals[gamma2]
-    best = np.inf
-    for first in range(0, len(rows), VI_CHUNK):
-        V = np.array(rows[first:first + VI_CHUNK])
-        if not np.all(K.contains(V, tol=TOL_MEMBERSHIP)):
-            raise ConfigurationError("a probe direction is not admissible")
-        DV = V - u_vals
-        support = np.count_nonzero(DV, axis=1)
-        # per-element operator terms; rows without support stay zero
-        T = np.zeros((len(DV), mesh.n_elements))
-        single = np.flatnonzero(support == 1)
-        if single.size:
-            patches = [mesh.node_patches[i]
-                       for i in np.argmax(DV[single] != 0, axis=1)]
-            elems = np.concatenate(patches)
-            owner = np.repeat(single, [p.size for p in patches])
-            grads_v = np.einsum("ekv,ev->ek", mesh.gradient_maps[elems],
-                                DV[owner[:, None], mesh.elements[elems]])
-            T[owner, elems] = coef[elems] * np.sum(grads_u[elems] * grads_v, axis=1)
-        for r in np.flatnonzero(support > 1):
-            grads_v = np.einsum("ekv,ev->ek", mesh.gradient_maps,
-                                DV[r][mesh.elements])
-            T[r] = coef * np.sum(grads_u * grads_v, axis=1)
-        # the column selection is laid out column-major, and so is the
-        # elementwise j° of it: copy to contiguous rows for the ddot below
-        C = np.ascontiguousarray(spec.boundary.clarke_directional(s, DV[:, gamma2]))
-        for r in range(len(DV)):
-            value = (float(np.dot(mesh.element_volumes, T[r]))
-                     + float(np.dot(bw, C[r]))
-                     - float(np.dot(w_eta, DV[r])))
-            best = min(best, value)
-    return float(best)
+    if not spec.boundary.smooth:
+        s = np.where(np.abs(s) < spec.boundary.delta, 0.0, s)
+    # the nodal terms of every direction v - u, computed in place
+    T -= u_vals
+    boundary = mesh.gamma2_weights[gamma2] * spec.boundary.clarke_directional(
+        s, T[:, gamma2])
+    T *= a
+    T[:, gamma2] += boundary
+    best = min(np.min(T[:n_explicit].sum(axis=1), initial=np.inf),
+               np.min(T[n_explicit:], initial=np.inf))
+    # a * 0.0 is -0.0 where a < 0: report an exactly zero minimum as +0.0
+    return float(best) + 0.0

@@ -453,6 +453,29 @@ def reference_vi_residual(spec, u, eta, probes):
     return float(best)
 
 
+def reference_probe_set(spec, K, u_vals, seed, bump_rel, n_random):
+    """The study's probe family as one ``(1 + 2 n + n_random) x n`` array
+    (the projected candidate, the coordinate bumps ``+scale`` then ``-scale``
+    at every node, the seeded random states), frozen from before the family
+    was passed as two bump states: returned as the list of its rows.  The
+    in-place projection is written out here."""
+    scale = bump_rel * float(np.max(np.abs(u_vals)))
+    if scale == 0.0:
+        scale = bump_rel
+    n = u_vals.size
+    probes = np.empty((1 + 2 * n + n_random, n))
+    probes[:1 + 2 * n] = u_vals
+    nodes = np.arange(n)
+    probes[1 + 2 * nodes, nodes] += scale
+    probes[2 + 2 * nodes, nodes] += -1.0 * scale
+    rng = np.random.default_rng((seed, 97))
+    noise = rng.normal(size=(n_random, n)) * scale
+    np.add(u_vals, noise, out=probes[1 + 2 * n:])
+    np.minimum(probes, K.obstacle, out=probes)
+    probes[:, K.dirichlet_mask] = 0.0
+    return list(probes)
+
+
 def reference_clarke_directional(potential, s, t):
     """The generalized directional derivative of a catalog boundary potential
     by the formula each entry once wrote out by hand, frozen here: the
@@ -515,7 +538,8 @@ def reference_study_candidates(spec, schedule, cfg, n_starts, selection_rules,
         if not all(b <= cauchy_factor * a for a, b in zip(seq[:-1], seq[1:])):
             continue
         u_vals = sols[-1]
-        probes = lab._probe_set(spec, K, u_vals, seed, probe_bump, n_random_probes)
+        probes = reference_probe_set(spec, K, u_vals, seed, probe_bump,
+                                     n_random_probes)
         vi = reference_vi_residual(c.spec, K.project_values(u_vals), run[-1].eta,
                                    probes)
         candidates.append(lab.LimitCandidate(

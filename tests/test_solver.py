@@ -2,18 +2,20 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import (assert_same_system, interval, make_spec, rectangle,
-                      reference_assemble_system, reference_solve_penalized,
-                      reference_vi_residual)
+                      reference_assemble_system, reference_probe_set,
+                      reference_solve_penalized, reference_vi_residual)
 from dpobstacle import assembly, lab, solver
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import DiscreteFunction
+from dpobstacle.nonsmooth import ConstraintSet
 from dpobstacle.solver import (
     SolveReport,
     SolverConfig,
@@ -297,6 +299,29 @@ class TestTenfoldScale:
         assert report.converged
 
 
+class TestCertificateMemory:
+    def test_peak_is_linear_in_the_nodes(self, tenfold_mesh):
+        # the study's probe family and certificate at 3,249 nodes peak near
+        # 100 floats per node (35 rows of n); a family of n x n floats, or
+        # the (2n + 33) x n array, is 20 times the bound
+        spec = make_spec(tenfold_mesh, p=2.5, q=3.0, mu=lambda x, y: 0.5 + 0.5 * x,
+                         phi=0.05, bnd=boundary_potential("abs", alpha=0.1))
+        u, eta = _vi_state(spec)
+
+        def certify():
+            probes, bumps = lab._probe_set(spec.constraints, u, 0, 0.01, 32)
+            return vi_residual(spec, probes[0], eta, probes, bumps)
+
+        first = certify()  # the mesh and the spec cache their derived data
+        tracemalloc.start()
+        try:
+            assert certify() == first
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * 8 * tenfold_mesh.n_nodes
+
+
 class TestContinuation:
     def _contact_spec(self):
         return _poisson_spec(32, phi=0.02)
@@ -345,6 +370,41 @@ class TestContinuation:
             with pytest.raises(ConfigurationError) as err:
                 solver.stages(spec, [1.0, 1e-8, 1e-30], SolverConfig())
             assert err.value.param == param
+
+    def test_stage_problems_share_the_constraint_set(self, monkeypatch):
+        # the obstacle does not change along the schedule, nor between the
+        # selection rules: no stage or chain problem builds or checks the
+        # set again, and each still gets its own regularization
+        spec = make_spec(interval(16, gamma2=("right",)), p=1.8, q=2.5, phi=0.05,
+                         bnd=boundary_potential("abs", alpha=0.3, delta=1e-3),
+                         eps=1e-4)
+        K = spec.constraints
+        built = []
+        real = ConstraintSet.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(ConstraintSet, "__post_init__", counted)
+        schedule = [1.0, 0.1, 0.01]
+        pairs = solver.stages(spec, schedule, SolverConfig())
+        chains = lab._rule_variants(spec, ["lower", "upper"])
+        assert not built
+        assert all(stage.constraints is K for stage, _ in pairs)
+        assert all(chain.constraints is K for _, chain in chains)
+        assert [stage.eps_grad for stage, _ in pairs] == [1e-4 * r for r in schedule]
+        assert [stage.boundary.delta for stage, _ in pairs] == [
+            1e-3 * r for r in schedule]
+        assert [chain.reaction.rule for _, chain in chains] == ["lower", "upper"]
+        assert spec.eps_grad == 1e-4 and spec.boundary.delta == 1e-3
+        for field in ("mesh", "obstacle"):
+            with pytest.raises(ValueError):
+                spec.derive(**{field: getattr(spec, field)})
+        # an unknown field is refused, as by dataclasses.replace
+        for make in (spec.derive, lambda **kw: dataclasses.replace(spec, **kw)):
+            with pytest.raises(TypeError):
+                make(eps=1e-3)
 
     def test_checked_schedule_is_floats(self):
         assert check_schedule((1, 0.5, 1e-3)) == [1.0, 0.5, 1e-3]
@@ -471,30 +531,81 @@ def _vi_state(spec, seed=0):
     return spec.constraints.project_values(u), rng.normal(size=n)
 
 
-def _hex_pair(spec, u, eta, probes):
-    return (float.hex(vi_residual(spec, u, eta, probes)),
-            float.hex(reference_vi_residual(spec, u, eta, probes)))
+def _coordinate_probes(u, bumps):
+    """The coordinate probes that the bump states stand for: ``u`` with node
+    ``i`` replaced by ``b_i``, for every state ``b`` and node ``i``."""
+    probes = []
+    for b in bumps:
+        for i in range(u.size):
+            v = u.copy()
+            v[i] = b[i]
+            probes.append(v)
+    return probes
+
+
+def _family_scale(spec, u, eta, family):
+    """The family's largest |value|, probe by probe through the frozen loop."""
+    return max(abs(reference_vi_residual(spec, u, eta, [v])) for v in family)
+
+
+def _reference_values(spec, u, eta, family):
+    """The frozen loop's value of each probe, under the certificate's kink
+    rule: where a kinked potential's Gamma_2 trace lies inside
+    ``spec.boundary.delta``, the value moves by the change of its ``j°``
+    term when that trace is taken as 0."""
+    g = spec.mesh.gamma2_nodes
+    s = u[g]
+    at = s if spec.boundary.smooth else np.where(np.abs(s) < spec.boundary.delta, 0.0, s)
+    bw = spec.mesh.gamma2_weights[g]
+    j0 = spec.boundary.clarke_directional
+    return [reference_vi_residual(spec, u, eta, [v])
+            + np.sum(bw * (j0(at, v[g] - s) - j0(s, v[g] - s))) for v in family]
+
+
+def _assert_close(spec, u, eta, probes, bumps=()):
+    """``vi_residual`` on ``(probes, bumps)`` against the frozen loop on the
+    full family (the probes, then the coordinate probes of the bump states),
+    under the kink rule of :func:`_reference_values`: equal to 1e-12 of the
+    family's largest |value|.  Returns both values."""
+    u_vals = u.values if isinstance(u, DiscreteFunction) else u
+    family = [v.values if isinstance(v, DiscreteFunction) else np.asarray(v, float)
+              for v in probes] + _coordinate_probes(u_vals, bumps)
+    new = vi_residual(spec, u, eta, probes, bumps)
+    values = _reference_values(spec, u_vals, eta, family)
+    ref = min(values)
+    assert abs(new - ref) <= 1e-12 * max(map(abs, values))
+    return new, ref
 
 
 class TestInequalityResidualLoopReference:
-    """``vi_residual`` against the per-probe full-element loop in ``conftest``,
-    bit for bit (``float.hex`` also tells the zeros apart)."""
+    """``vi_residual`` against the per-probe full-element loop in ``conftest``
+    on the same probe family, to 1e-12 of the family's largest |value|: the
+    nodal sum ``a . d`` groups the operator pairing differently from the
+    element sum."""
 
     @pytest.mark.parametrize("case", sorted(_VI_CASES))
     def test_documented_probe_family(self, case):
         spec = _VI_CASES[case]()
         K = spec.constraints
         u, eta = _vi_state(spec)
-        probes = lab._probe_set(spec, K, u, 3, 0.01, 8)
+        family = reference_probe_set(spec, K, u, 3, 0.01, 8)
         # the family holds unchanged probes (Dirichlet bumps and bumps
         # clipped at the obstacle), coordinate probes and dense probes
-        support = {min(np.count_nonzero(v - u), 2) for v in probes}
+        support = {min(np.count_nonzero(v - u), 2) for v in family}
         assert support == {0, 1, 2}
         clipped = [i for i in np.flatnonzero(~spec.mesh.dirichlet_mask)
                    if u[i] == spec.obstacle.values[i]]
         assert clipped
-        new, ref = _hex_pair(spec, u, eta, probes)
-        assert new == ref
+        # the two bump states hold the same family, bit for bit: the
+        # frozen order interleaves +scale and -scale node by node
+        probes, bumps = lab._probe_set(K, u, 3, 0.01, 8)
+        plus, minus = np.split(np.array(_coordinate_probes(probes[0], bumps)), 2)
+        rebuilt = [probes[0], *np.stack([plus, minus], axis=1).reshape(-1, u.size),
+                   *probes[1:]]
+        assert np.array(rebuilt).tobytes() == np.array(family).tobytes()
+        new = vi_residual(spec, probes[0], eta, probes, bumps)
+        ref = reference_vi_residual(spec, u, eta, family)
+        assert abs(new - ref) <= 1e-12 * _family_scale(spec, u, eta, family)
 
     @pytest.mark.parametrize("case", sorted(_VI_CASES))
     def test_unchanged_probes_give_the_same_zero(self, case):
@@ -509,8 +620,23 @@ class TestInequalityResidualLoopReference:
             if np.array_equal(v, u):
                 bumped.append(v)
         assert bumped
-        new, ref = _hex_pair(spec, u, eta, bumped)
-        assert new == ref == float.hex(0.0)
+        zero = float.hex(0.0)
+        assert float.hex(vi_residual(spec, u, eta, bumped)) == zero
+        assert float.hex(reference_vi_residual(spec, u, eta, bumped)) == zero
+
+    @pytest.mark.parametrize("case", sorted(_VI_CASES))
+    def test_an_exact_zero_is_positive(self, case):
+        # u itself, as an explicit probe and as every coordinate probe of
+        # the bump state u: each term is a_i * 0.0, and a strong selection
+        # makes every a_i negative, so every term off Gamma_2 is -0.0
+        spec = _VI_CASES[case]()
+        u, _ = _vi_state(spec)
+        eta = np.full(u.size, 1e6)
+        a = assembly.operator_residual(spec, u) - spec.mesh.node_volume_weights * eta
+        assert np.all(a < 0)
+        for probes, bumps in (([u], ()), ([], [u]), ([u], [u])):
+            value = vi_residual(spec, u, eta, probes, bumps)
+            assert float.hex(value) == float.hex(0.0)
 
     @pytest.mark.parametrize("case", sorted(_VI_CASES))
     def test_single_coordinate_and_dense_probes(self, case):
@@ -522,21 +648,22 @@ class TestInequalityResidualLoopReference:
         for i in free:
             v = u.copy()
             v[i] -= 0.03
-            new, ref = _hex_pair(spec, u, eta, [v])
-            assert new == ref
+            _assert_close(spec, u, eta, [v])
+        # the same coordinate probes as one bump state
+        lowered = u.copy()
+        lowered[free] -= 0.03
+        _assert_close(spec, u, eta, [u], bumps=[lowered])
         for _ in range(5):
             v = K.project_values(u + 0.02 * rng.normal(size=u.size))
-            new, ref = _hex_pair(spec, u, eta, [v])
-            assert new == ref
+            _assert_close(spec, u, eta, [v])
 
     def test_study_candidates(self, monkeypatch):
         seen = []
 
-        def checked(spec, u, eta, probes):
-            new, ref = _hex_pair(spec, u, eta, probes)
-            assert new == ref
+        def checked(spec, u, eta, probes, bumps):
+            new, _ = _assert_close(spec, u, eta, probes, bumps)
             seen.append(new)
-            return float.fromhex(new)
+            return new
 
         monkeypatch.setattr(lab, "vi_residual", checked)
         schedule = [10.0 ** -k for k in range(7)]
@@ -548,22 +675,16 @@ class TestInequalityResidualLoopReference:
                                  n_random_probes=8)
         # two distinct limits per case, some certified at exactly zero
         assert len(seen) == 2 * len(_VI_CASES)
-        assert float.hex(0.0) in seen
+        assert float.hex(0.0) in map(float.hex, seen)
 
-    @pytest.mark.parametrize("chunk", [1, 7, solver.VI_CHUNK])
-    def test_probes_across_chunks(self, monkeypatch, chunk):
-        # shuffled so that every stack mixes unchanged, coordinate and dense
-        # probes; the value does not depend on the stack size
+    def test_shuffled_family(self):
+        # unchanged, coordinate and dense probes in no particular order, some
+        # twice
         spec = _VI_CASES["2d p>2 abs"]()
         u, eta = _vi_state(spec, seed=4)
-        family = lab._probe_set(spec, spec.constraints, u, 5, 0.01, 8)
+        family = reference_probe_set(spec, spec.constraints, u, 5, 0.01, 8)
         order = np.random.default_rng(6).permutation(len(family))
-        probes = [family[i] for i in order] + family[:38]
-        assert len(probes) > 2 * solver.VI_CHUNK
-        assert len(probes) % solver.VI_CHUNK != 0
-        monkeypatch.setattr(solver, "VI_CHUNK", chunk)
-        new, ref = _hex_pair(spec, u, eta, probes)
-        assert new == ref
+        _assert_close(spec, u, eta, [family[i] for i in order] + family[:38])
 
     def test_study_size_probe_family(self):
         # the 1,089-node case of the study benchmark
@@ -572,10 +693,9 @@ class TestInequalityResidualLoopReference:
             mu=lambda x, y: 0.5 + 0.5 * x, phi=lambda x, y: 0.05 + 0.1 * x,
             bnd=boundary_potential("abs", alpha=0.1))
         u, eta = _vi_state(spec, seed=3)
-        probes = lab._probe_set(spec, spec.constraints, u, 0, 0.01, 32)
-        assert len(probes) == 1 + 2 * 1089 + 32
-        new, ref = _hex_pair(spec, u, eta, probes)
-        assert new == ref
+        probes, bumps = lab._probe_set(spec.constraints, u, 0, 0.01, 32)
+        assert len(probes) + bumps.size == 1 + 2 * 1089 + 32
+        _assert_close(spec, u, eta, probes, bumps)
 
     @pytest.mark.parametrize("alpha", [1.0, 10.0])
     def test_long_natural_boundary_dense_probes(self, alpha):
@@ -583,8 +703,7 @@ class TestInequalityResidualLoopReference:
         # them moving only the traces there, so the boundary sums are long
         # and, with a strong potential, do not vanish in the rounding of the
         # operator term.  Each probe is certified alone and as a stack of
-        # four equal rows: a batched product over the stack groups the
-        # boundary sum differently from one ddot per probe
+        # four equal rows
         spec = make_spec(
             rectangle(32, 32, gamma2=("right", "top", "bottom")), p=2.5, q=3.0,
             mu=lambda x, y: 0.5 + 0.5 * x, phi=0.05,
@@ -604,10 +723,8 @@ class TestInequalityResidualLoopReference:
             probes.append(K.project_values(v))
         for v in probes:
             for stack in ([v], [v] * 4):
-                new, ref = _hex_pair(spec, u, eta, stack)
-                assert new == ref
-        new, ref = _hex_pair(spec, u, eta, probes)
-        assert new == ref
+                _assert_close(spec, u, eta, stack)
+        _assert_close(spec, u, eta, probes)
 
     @pytest.mark.parametrize("case", ["1d p=q=2 abs", "2d p>2 abs",
                                       "1d p>2 nonconvex_well"])
@@ -627,34 +744,74 @@ class TestInequalityResidualLoopReference:
                 probes.append(K.project_values(v))
         assert any(u[i] == 0.0 and not np.array_equal(v, u)
                    for i, v in zip(np.repeat(gamma2, 2), probes))
-        new, ref = _hex_pair(spec, u, eta, probes)
-        assert new == ref
+        _assert_close(spec, u, eta, probes)
         for v in probes:
-            new, ref = _hex_pair(spec, u, eta, [v])
-            assert new == ref
+            _assert_close(spec, u, eta, [v])
+        bumps = K.project_values(np.array([u + 0.01, u - 0.01]))
+        _assert_close(spec, u, eta, [u], bumps)
+
+    @pytest.mark.parametrize("case", ["1d p=q=2 abs", "1d p>2 nonconvex_well"])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-12])
+    def test_trace_in_the_kink_band_is_certified_at_the_kink(self, case, delta):
+        # a trace inside the problem's smoothing band, |s| < delta, takes the
+        # kink's j°; one on or outside its edge keeps its own
+        base = _VI_CASES[case]()
+        spec = base.derive(boundary=dataclasses.replace(base.boundary, delta=delta))
+        K = spec.constraints
+        u, eta = _vi_state(spec, seed=2)
+        (g,) = spec.mesh.gamma2_nodes
+        for trace, snapped in ((0.5 * delta, True), (-0.99 * delta, True),
+                               (delta, False), (-2.0 * delta, False)):
+            u[g] = trace
+            probes = [K.project_values(u + bump * (np.arange(u.size) == g))
+                      for bump in (0.01, -0.01)]
+            new, _ = _assert_close(spec, u, eta, probes)
+            # the one-sided j° at the trace itself reads lower
+            if snapped:
+                assert new - reference_vi_residual(spec, u, eta, probes) > 1e-3
+
+    def test_smooth_potential_keeps_a_small_trace(self):
+        # a smooth potential has no kink: its trace is never snapped
+        spec = _VI_CASES["1d p=q=2 abs"]()
+        spec = spec.derive(boundary=boundary_potential("smooth_quadratic", alpha=10.0))
+        K = spec.constraints
+        u, eta = _vi_state(spec, seed=2)
+        (g,) = spec.mesh.gamma2_nodes
+        u[g] = 0.5 * spec.boundary.delta
+        probes = [K.project_values(u + bump * (np.arange(u.size) == g))
+                  for bump in (0.01, -0.01)]
+        _assert_close(spec, u, eta, probes)
 
     def test_functions_and_arrays_mixed(self):
         spec = _VI_CASES["1d p>2 nonconvex_well"]()
         mesh = spec.mesh
         u, eta = _vi_state(spec, seed=5)
-        family = lab._probe_set(spec, spec.constraints, u, 1, 0.02, 6)
+        family = reference_probe_set(spec, spec.constraints, u, 1, 0.02, 6)
         probes = [DiscreteFunction(mesh, v) if k % 3 == 0 else
                   v.tolist() if k % 3 == 1 else v
                   for k, v in enumerate(family)]
-        new = vi_residual(spec, DiscreteFunction(mesh, u), eta, probes)
-        assert float.hex(new) == float.hex(reference_vi_residual(spec, u, eta, family))
+        _assert_close(spec, DiscreteFunction(mesh, u), eta, probes)
 
     def test_error_paths(self):
         spec = _VI_CASES["2d p>2 abs"]()
         u, eta = _vi_state(spec)
-        # the one bad probe sits in the last, partial stack
-        late = [u] * (2 * solver.VI_CHUNK + 5) + [u + 1.0]
+        late = [u] * 133 + [u + 1.0]
         for probes, message in (([u, u + 1.0], "not admissible"),
                                 (late, "not admissible"),
                                 ([], "nonempty"), ((), "nonempty")):
             for fn in (vi_residual, reference_vi_residual):
                 with pytest.raises(ConfigurationError, match=message):
                     fn(spec, u, eta, probes)
+        # an inadmissible bump state, or u outside the set (every coordinate
+        # probe of a bump state carries u's other entries), and bump states
+        # without explicit probes
+        outside = u.copy()
+        outside[np.flatnonzero(spec.mesh.dirichlet_mask)[0]] = 1.0
+        for at, bump in ((u, u + 1.0), (outside, u)):
+            with pytest.raises(ConfigurationError, match="not admissible"):
+                vi_residual(spec, at, eta, [u], bumps=[bump])
+        assert vi_residual(spec, outside, eta, [u]) > -np.inf
+        assert vi_residual(spec, u, eta, [], bumps=[u]) == 0.0
 
 
 class TestSolverConfig:
