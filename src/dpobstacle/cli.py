@@ -12,8 +12,8 @@ Subcommands
   function expression interpolated on the configured mesh.
 * ``check`` — prints the hypothesis report; exits 4 when it fails.
 * ``oracle`` — standalone reference solve of the linear-diffusion instance
-  (``qp_oracle`` picks active-set enumeration or projected gradient); writes
-  ``oracle.json`` and ``oracle.csv``.
+  (``qp_oracle``, a primal–dual active-set solve; ``iterations`` counts its
+  sweeps); writes ``oracle.json`` and ``oracle.csv``.
 
 Every output file embeds the SHA-256 of the config bytes and the effective
 seed; no timestamps are written, and repeated runs with identical config and
@@ -224,7 +224,6 @@ def cmd_oracle(args) -> int:
     payload = {
         "config_sha256": digest,
         "seed": seed,
-        "mode": sol.mode,
         "iterations": sol.iterations,
         "objective": sol.objective,
         "active_nodes": [int(i) for i in sol.active],
@@ -236,7 +235,7 @@ def cmd_oracle(args) -> int:
                       [sol.values, spec.obstacle.values, sol.multipliers])
     _write_csv(os.path.join(out_dir, "oracle.csv"), rows)
     print(
-        f"oracle ({sol.mode}): objective {sol.objective!r}, "
+        f"oracle: objective {sol.objective!r}, "
         f"{len(sol.active)} active node(s); outputs in {out_dir}"
     )
     return EXIT_OK

@@ -27,9 +27,9 @@ are fixed per experiment and recorded, so repeated runs are bit-identical,
 whatever the number of threads.
 
 For the linear-diffusion convex case the module also carries an independent
-quadratic-programming oracle (active-set enumeration and projected gradient)
-and a checker for the growth/smallness assumptions, including discrete
-estimates of the embedding constants.
+quadratic-programming oracle (a primal-dual active-set solve, exact after
+finitely many sparse solves) and a checker for the growth/smallness
+assumptions, including discrete estimates of the embedding constants.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .assembly import ProblemSpec, clarke_directional, operator_jacobian
 from .errors import ConfigurationError, EmptySampleError, OracleFailure
@@ -72,12 +73,6 @@ __all__ = [
     "validate_hypotheses",
 ]
 
-# largest number of constrained nodes the enumeration oracle walks
-MAX_ENUM_NODES = 14
-# projected-gradient oracle: stop when the sup-norm update is at most PG_TOL;
-# fail after PG_MAX_ITER iterations
-PG_TOL = 1e-12
-PG_MAX_ITER = 2_000_000
 # study parameter -> (bound, strict, count): the value must be finite and
 # exceed the bound, or reach it when not strict, and a count must be an
 # integer; ``vi_tol`` is the tolerance a certificate is read against
@@ -499,14 +494,13 @@ class QPSolution:
     values: np.ndarray
     active: np.ndarray
     multipliers: np.ndarray
-    mode: str
     iterations: int
     objective: float
 
 
 def _qp_data(spec):
-    """Quadratic model ``(S_ff, b_f)`` on the free nodes (listed in ``idx``)
-    for the linear-diffusion case."""
+    """Sparse quadratic model ``(S_ff, b_f)`` on the free nodes (listed in
+    ``idx``) for the linear-diffusion case."""
     if spec.phase.p != 2.0 or spec.phase.q != 2.0:
         raise ConfigurationError("the QP oracle requires p = q = 2")
     if spec.reaction.state_dependent:
@@ -524,101 +518,53 @@ def _qp_data(spec):
     xi = np.zeros((mesh.n_nodes, mesh.dim))
     eta = spec.reaction.select(mesh.nodes, np.zeros(mesh.n_nodes), xi)
     idx = np.flatnonzero(~mesh.dirichlet_mask)
-    return S[np.ix_(idx, idx)].toarray(), (mesh.node_volume_weights * eta)[idx], idx
+    return S[idx][:, idx], (mesh.node_volume_weights * eta)[idx], idx
 
 
-def qp_oracle(spec: ProblemSpec, mode=None) -> QPSolution:
-    """Reference solution of the linear-diffusion obstacle problem.
+def _active_set_solve(S, b, phi):
+    """Minimise ``u'Su/2 - b'u`` subject to ``u <= phi`` by the primal-dual
+    active-set method (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13
+    (2002) 865-888); an infinite ``phi_i`` never binds.
 
-    ``enumeration`` walks all active sets of the free nodes with finite
-    obstacle (at most ``MAX_ENUM_NODES``), keeping the candidates that
-    satisfy primal and dual feasibility; ``projected_gradient`` iterates the
-    box projection with step one over the operator norm until the update
-    stalls below ``PG_TOL`` (at most ``PG_MAX_ITER`` iterations).  Without a
-    ``mode`` the oracle enumerates when it can and iterates otherwise.
-    Failure to certify yields :class:`OracleFailure`.
+    From the unconstrained solve, each sweep takes the active set
+    ``A = {lam + c (u - phi) > 0}`` with ``c = diag S``, fixes ``u_A = phi_A``,
+    solves the inactive block and sets ``lam_A = b_A - (S u)_A``.  When the set
+    repeats, ``u <= phi`` off ``A`` and ``lam > 0`` on it, so the KKT
+    conditions hold with no tolerance.  On an M-matrix the active sets shrink
+    monotonically after the first sweep, so more than ``n + 1`` sweeps raise
+    :class:`OracleFailure`.  Returns ``(u, lam, active mask, sweeps)``.
     """
+    n = b.size
+    c = S.diagonal()
+    u = np.zeros(n)
+    active = np.zeros(n, dtype=bool)
+    for sweeps in range(n + 2):
+        on, off = np.flatnonzero(active), np.flatnonzero(~active)
+        u[on] = phi[on]
+        if off.size:
+            rhs = b[off] - S[off][:, on] @ u[on]
+            u[off] = spla.spsolve(S[off][:, off].tocsc(), rhs)
+        lam = np.zeros(n)
+        lam[on] = b[on] - (S @ u)[on]
+        update = lam + c * (u - phi) > 0
+        if np.array_equal(update, active):
+            return u, lam, active, sweeps
+        active = update
+    raise OracleFailure(f"active-set method did not settle in {n + 1} sweeps")
+
+
+def qp_oracle(spec: ProblemSpec) -> QPSolution:
+    """Reference solution of the linear-diffusion obstacle problem, exact
+    after finitely many sparse solves (see :func:`_active_set_solve`);
+    ``iterations`` counts the active-set sweeps.  A mesh without free nodes
+    gives the zero state after 0 sweeps."""
     S_ff, b_f, idx = _qp_data(spec)
-    phi_f = spec.obstacle.values[idx]
-    nf = idx.size
-    constrained = np.flatnonzero(np.isfinite(phi_f))
-    if mode is None:
-        mode = ("enumeration" if constrained.size <= MAX_ENUM_NODES
-                else "projected_gradient")
-
-    if mode == "enumeration":
-        m = constrained.size
-        if m > MAX_ENUM_NODES:
-            raise ConfigurationError(
-                f"enumeration oracle limited to {MAX_ENUM_NODES} constrained "
-                f"nodes, got {m}"
-            )
-        scale = max(1.0, float(np.abs(S_ff).max()), float(np.abs(b_f).max()))
-        tol = 1e-10 * scale
-        best = None
-        for bits in range(1 << m):
-            active = [constrained[j] for j in range(m) if bits >> j & 1]
-            inactive = np.setdiff1d(np.arange(nf), active)
-            u = np.empty(nf)
-            u[active] = phi_f[active]
-            A_ii = S_ff[np.ix_(inactive, inactive)]
-            rhs = b_f[inactive]
-            if active:
-                rhs = rhs - S_ff[np.ix_(inactive, active)] @ phi_f[active]
-            try:
-                u[inactive] = np.linalg.solve(A_ii, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            lam = np.zeros(nf)
-            if active:
-                lam[active] = b_f[active] - S_ff[active] @ u
-            # feasibility
-            viol = u[constrained] - phi_f[constrained]
-            if np.any(viol > tol):
-                continue
-            if np.any(lam[active] < -tol):
-                continue
-            obj = 0.5 * u @ S_ff @ u - b_f @ u
-            if best is None or obj < best[0]:
-                best = (obj, u, lam, np.array(sorted(active), dtype=int))
-        if best is None:
-            raise OracleFailure("active-set enumeration found no KKT point")
-        obj, u, lam, active = best
-        iterations = 1 << m
-    elif mode == "projected_gradient":
-        # operator-norm estimate by power iteration (deterministic start)
-        v = np.ones(nf) / np.sqrt(nf)
-        for _ in range(100):
-            v = S_ff @ v
-            nv = np.linalg.norm(v)
-            if nv == 0:
-                raise OracleFailure("projected gradient: zero operator")
-            v /= nv
-        lam_max = float(v @ S_ff @ v)
-        step = 1.0 / lam_max
-        u = np.zeros(nf)
-        iterations = 0
-        while iterations < PG_MAX_ITER:
-            iterations += 1
-            u_new = np.minimum(u - step * (S_ff @ u - b_f), phi_f)
-            change = float(np.max(np.abs(u_new - u)))
-            u = u_new
-            if change <= PG_TOL:
-                break
-        else:
-            raise OracleFailure("projected gradient did not reach tolerance")
-        lam = np.where(np.isfinite(phi_f), b_f - S_ff @ u, 0.0)
-        active = constrained[
-            np.abs(u[constrained] - phi_f[constrained]) <= 1e-9 * (1 + np.abs(phi_f[constrained]))
-        ]
-        obj = 0.5 * u @ S_ff @ u - b_f @ u
-    else:
-        raise ConfigurationError(f"unknown oracle mode {mode!r}")
-
+    u, lam, active, sweeps = _active_set_solve(S_ff, b_f, spec.obstacle.values[idx])
+    obj = 0.5 * u @ (S_ff @ u) - b_f @ u
     full = np.zeros(spec.mesh.n_nodes)
     mult = np.zeros(spec.mesh.n_nodes)
     full[idx], mult[idx] = u, lam
-    return QPSolution(full, idx[active], mult, mode, iterations, float(obj))
+    return QPSolution(full, idx[active], mult, sweeps, float(obj))
 
 
 # --- hypothesis validation --------------------------------------------------
@@ -712,7 +658,12 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     idx = np.flatnonzero(free)
     bw = mesh.gamma2_weights
 
-    if p == 2.0:
+    if idx.size == 0:
+        # K = {0}: no free node carries a ratio
+        lambda1 = 0.0
+        lambda1_cert = True
+        notes.append("no free node: lambda1 = 0")
+    elif p == 2.0:
         # the dense eigenproblems are the only readers of the stiffness
         S = mesh.scatter_blocks(mesh.element_volumes[:, None, None] * mesh.gradient_gram)
         S_ff = S[np.ix_(idx, idx)].toarray()

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 from dpobstacle import assembly, lab
 from dpobstacle.assembly import ProblemSpec
 from dpobstacle.catalog import boundary_potential, reaction
-from dpobstacle.errors import ConfigurationError
+from dpobstacle.errors import ConfigurationError, OracleFailure
 from dpobstacle.meshing import (
     BoundaryPartition,
     DiscreteFunction,
@@ -614,6 +614,79 @@ def reference_ascent_ratio(mesh, free, weights, p, seed, iters=250):
                     break
         best = max(best, val)
     return best
+
+
+def reference_enumeration_oracle(spec):
+    """The enumeration oracle the active-set solve replaced, as it was but
+    for densifying the sparse model itself: every active set of the free
+    nodes with finite obstacle (at most 14), keeping the candidates that
+    satisfy primal and dual feasibility, the least objective winning."""
+    S_ff, b_f, idx = lab._qp_data(spec)
+    S_ff = S_ff.toarray()
+    phi_f = spec.obstacle.values[idx]
+    nf = idx.size
+    constrained = np.flatnonzero(np.isfinite(phi_f))
+    m = constrained.size
+    if m > 14:
+        raise ConfigurationError(
+            f"enumeration oracle limited to 14 constrained nodes, got {m}"
+        )
+    scale = max(1.0, float(np.abs(S_ff).max()), float(np.abs(b_f).max()))
+    tol = 1e-10 * scale
+    best = None
+    for bits in range(1 << m):
+        active = [constrained[j] for j in range(m) if bits >> j & 1]
+        inactive = np.setdiff1d(np.arange(nf), active)
+        u = np.empty(nf)
+        u[active] = phi_f[active]
+        A_ii = S_ff[np.ix_(inactive, inactive)]
+        rhs = b_f[inactive]
+        if active:
+            rhs = rhs - S_ff[np.ix_(inactive, active)] @ phi_f[active]
+        try:
+            u[inactive] = np.linalg.solve(A_ii, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        lam = np.zeros(nf)
+        if active:
+            lam[active] = b_f[active] - S_ff[active] @ u
+        # feasibility
+        viol = u[constrained] - phi_f[constrained]
+        if np.any(viol > tol):
+            continue
+        if np.any(lam[active] < -tol):
+            continue
+        obj = 0.5 * u @ S_ff @ u - b_f @ u
+        if best is None or obj < best[0]:
+            best = (obj, u, lam, np.array(sorted(active), dtype=int))
+    if best is None:
+        raise OracleFailure("active-set enumeration found no KKT point")
+    obj, u, lam, active = best
+    iterations = 1 << m
+    full = np.zeros(spec.mesh.n_nodes)
+    mult = np.zeros(spec.mesh.n_nodes)
+    full[idx], mult[idx] = u, lam
+    return lab.QPSolution(full, idx[active], mult, iterations, float(obj))
+
+
+def assert_oracle_kkt(spec, values, multipliers):
+    """The KKT conditions of the oracle's problem ``min u'Su/2 - b'u``
+    subject to ``u <= phi`` on the free nodes of ``spec``: feasibility and
+    complementarity exactly, stationarity to 1e-12 of the data's scale; the
+    Dirichlet nodes hold zeros."""
+    S, b, idx = lab._qp_data(spec)
+    phi = spec.obstacle.values[idx]
+    u, lam = np.asarray(values)[idx], np.asarray(multipliers)[idx]
+    finite = np.isfinite(phi)
+    assert np.all(u <= phi)
+    assert np.all(lam >= 0.0)
+    assert np.all(lam[finite] * (phi[finite] - u[finite]) == 0.0)
+    assert np.all(lam[~finite] == 0.0)
+    scale = max(1.0, np.abs(S.data).max(initial=0.0), np.abs(b).max(initial=0.0))
+    assert np.all(np.abs(S @ u + lam - b) <= 1e-12 * scale)
+    fixed = spec.mesh.dirichlet_mask
+    assert np.all(np.asarray(values)[fixed] == 0.0)
+    assert np.all(np.asarray(multipliers)[fixed] == 0.0)
 
 
 # --- acceptance-summary reporting -------------------------------------------

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_oracle_kkt,
     interval,
     lumped_norm,
     make_spec,
     phase,
     random_function,
     rectangle,
+    reference_enumeration_oracle,
 )
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.cli import main
@@ -37,8 +39,8 @@ DESCRIPTIONS = {
         "operator matches energy differences at 1e-5, Jacobian symmetric to "
         "1e-12, monotone on 500 pairs, exact linear stiffness",
     "test_criterion_3_oracle_equivalence":
-        "20 random linear instances: continuation matches active-set "
-        "enumeration at 1e-6; oracle modes agree at 1e-9",
+        "20 random linear instances: continuation matches the active-set "
+        "oracle at 1e-6; the oracle meets KKT and matches enumeration at 1e-12",
     "test_criterion_4_contact_chain":
         "contact chain: violation slope >= 0.9, monotone tail distances, "
         "certified limit candidate",
@@ -153,13 +155,39 @@ def test_criterion_3_oracle_equivalence():
         spec = make_spec(mesh, p=2.0, q=2.0, mu=0.0, phi=level,
                          react=reaction("constant", value=source))
         assert np.count_nonzero(~mesh.dirichlet_mask) <= 14
-        enum = qp_oracle(spec, mode="enumeration")
-        pg = qp_oracle(spec, mode="projected_gradient")
-        assert lumped_norm(mesh, enum.values - pg.values) <= 1e-9
+        sol = qp_oracle(spec)
+        assert_oracle_kkt(spec, sol.values, sol.multipliers)
+        enum = reference_enumeration_oracle(spec)
+        assert np.max(np.abs(sol.values - enum.values)) <= 1e-12
+        assert np.max(np.abs(sol.multipliers - enum.multipliers)) <= 1e-12
         last = continuation(spec, SCHEDULE_9, SolverConfig())[-1]
         assert last.converged
-        assert lumped_norm(mesh, last.solution.values - enum.values) <= 1e-6
+        assert lumped_norm(mesh, last.solution.values - sol.values) <= 1e-6
     assert time.perf_counter() - start < 60.0
+
+
+def test_continuation_converges_to_the_oracle_at_order_rho():
+    # a linear 2D case on 4,225 nodes, beyond any enumeration: the penalty
+    # limits approach the active-set oracle in the sup norm at O(rho)
+    # (8.0e-3, 8.0e-4, ..., 8.0e-8 for rho = 1e-3 ... 1e-8)
+    start = time.perf_counter()
+    spec = make_spec(rectangle(64, 64), p=2.0, q=2.0,
+                     mu=lambda x, y: 0.5 + 0.5 * x,
+                     phi=lambda x, y: 0.05 + 0.1 * x,
+                     react=reaction("constant", value=8.0))
+    sol = qp_oracle(spec)
+    assert_oracle_kkt(spec, sol.values, sol.multipliers)
+    assert sol.active.size > 0
+    runs = continuation(spec, SCHEDULE_9, SolverConfig())
+    assert all(r.converged for r in runs)
+    tail = [(r.rho, np.max(np.abs(r.solution.values - sol.values)))
+            for r in runs if r.rho <= 1e-3]
+    assert len(tail) == 6
+    for rho, err in tail:
+        assert err <= 10.0 * rho
+    for (_, prev), (_, err) in zip(tail, tail[1:]):
+        assert 9.0 <= prev / err <= 11.0
+    assert time.perf_counter() - start < 30.0
 
 
 def test_criterion_4_contact_chain():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import assert_oracle_kkt
 from dpobstacle import config
 from dpobstacle.cli import (
     EXIT_CONFIG,
@@ -272,28 +273,60 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "smallness_lhs" in out
 
+    def test_mesh_without_free_nodes(self, cfg_file, capsys):
+        # n = 1: no free node, so lambda1 = 0 is exact, as lambda2 = 0 is
+        # for an empty natural boundary part
+        code = main(["check", "--config", cfg_file(CONTACT.replace("n = 16", "n = 1"))])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "lambda1_est    = 0.0 (certified)" in out
+        assert "note: no free node: lambda1 = 0" in out
+
 
 class TestOracle:
-    def test_enumeration_auto_selected_on_small_instance(self, cfg_file,
-                                                         tmp_path):
+    @staticmethod
+    def _assert_kkt(cfg, data):
+        spec = config.load_config(cfg).experiment.spec
+        assert_oracle_kkt(spec, data["values"], data["multipliers"])
+
+    def test_outputs_on_small_instance(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "out"
-        text = CONTACT.replace("n = 16", "n = 12")
-        code = main(["oracle", "--config", cfg_file(text), "--out", str(out)])
+        cfg = cfg_file(CONTACT.replace("n = 16", "n = 12"))
+        code = main(["oracle", "--config", cfg, "--out", str(out)])
         assert code == EXIT_OK
         data = json.loads((out / "oracle.json").read_text())
-        assert data["mode"] == "enumeration"
+        assert sorted(data) == ["active_nodes", "config_sha256", "iterations",
+                                "multipliers", "objective", "seed", "values"]
         assert len(data["values"]) == 13
         assert len(data["config_sha256"]) == 64
+        self._assert_kkt(cfg, data)
         csv_lines = (out / "oracle.csv").read_text().split("\n")
         assert csv_lines[2] == "x,u,phi,multiplier"
+        assert capsys.readouterr().out.startswith("oracle: objective ")
 
-    def test_large_instance_falls_back_to_iteration(self, cfg_file, tmp_path):
+    def test_sweeps_on_a_larger_instance(self, cfg_file, tmp_path):
         out = tmp_path / "out"
-        code = main(["oracle", "--config", cfg_file(CONTACT),
+        cfg = cfg_file(CONTACT)
+        code = main(["oracle", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_OK
+        data = json.loads((out / "oracle.json").read_text())
+        self._assert_kkt(cfg, data)
+        assert data["active_nodes"]
+        # the active sets shrink monotonically: at most n_free + 1 sweeps
+        assert 0 < data["iterations"] <= 16
+
+    def test_mesh_without_free_nodes(self, cfg_file, tmp_path, capsys):
+        # n = 1: both nodes are Dirichlet, K = {0}
+        out = tmp_path / "out"
+        code = main(["oracle", "--config", cfg_file(CONTACT.replace("n = 16", "n = 1")),
                      "--out", str(out)])
         assert code == EXIT_OK
         data = json.loads((out / "oracle.json").read_text())
-        assert data["mode"] == "projected_gradient"
+        assert data["iterations"] == 0
+        assert data["objective"] == 0.0
+        assert data["active_nodes"] == []
+        assert data["values"] == data["multipliers"] == [0.0, 0.0]
+        assert "0 active node(s)" in capsys.readouterr().out
 
     def test_scope_violation_is_config_error(self, cfg_file, tmp_path,
                                              capsys):

@@ -10,10 +10,12 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (
+    assert_oracle_kkt,
     interval,
     make_spec,
     rectangle,
     reference_ascent_ratio,
+    reference_enumeration_oracle,
     reference_sample,
     reference_study_candidates,
 )
@@ -168,7 +170,8 @@ class TestKuratowskiStudy:
         assert diag.candidates, "no limit candidate found"
         cand = diag.candidates[0]
         assert cand.vi_value >= -1e-8
-        oracle = qp_oracle(spec, mode="projected_gradient")
+        oracle = qp_oracle(spec)
+        assert_oracle_kkt(spec, oracle.values, oracle.multipliers)
         gap = np.max(np.abs(cand.solution.values - oracle.values))
         assert gap <= 1e-6
         assert cand.probe_count == 1 + 2 * spec.mesh.n_nodes + 32
@@ -400,8 +403,10 @@ class TestQPOracle:
         mesh = interval(24)
         spec = make_spec(mesh, p=2.0, q=2.0, mu=0.0,
                          react=reaction("constant", value=1.0))
-        sol = qp_oracle(spec, mode="projected_gradient")
-        # phi = inf at every node: the penalty term vanishes
+        sol = qp_oracle(spec)
+        assert_oracle_kkt(spec, sol.values, sol.multipliers)
+        # phi = inf at every node: the start is the answer
+        assert sol.iterations == 0
         direct = solve_penalized(spec, SolverConfig())
         assert direct.converged
         assert np.max(np.abs(sol.values - direct.solution.values)) <= 1e-9
@@ -409,43 +414,56 @@ class TestQPOracle:
 
     def test_strong_contact_has_flat_region(self):
         spec = _contact_spec(64, source=8.0, phi=0.5)
-        sol = qp_oracle(spec, mode="projected_gradient")
+        sol = qp_oracle(spec)
+        assert_oracle_kkt(spec, sol.values, sol.multipliers)
         x = spec.mesh.nodes[:, 0]
         middle = (x > 0.4) & (x < 0.6)
-        assert np.allclose(sol.values[middle], 0.5, atol=1e-9)
-        assert np.all(sol.values <= 0.5 + 1e-12)
+        assert np.all(sol.values[middle] == 0.5)
+        assert np.all(sol.values <= 0.5)
         assert sol.multipliers[middle].min() > 0.0
+        # the active sets shrink monotonically: at most n_free + 1 sweeps
+        assert 0 < sol.iterations <= spec.mesh.n_nodes - 1
 
-    def test_enumeration_agrees_with_projected_gradient(self, rng):
+    @staticmethod
+    def _enumerable_specs(rng):
         for k in range(5):
-            mesh = interval(12)
-            phi_vals = rng.uniform(0.02, 0.08)
-            spec = make_spec(mesh, p=2.0, q=2.0, mu=0.0, phi=phi_vals,
-                             react=reaction("constant",
-                                            value=rng.uniform(0.5, 4.0)))
-            a = qp_oracle(spec, mode="enumeration")
-            b = qp_oracle(spec, mode="projected_gradient")
-            assert np.max(np.abs(a.values - b.values)) <= 1e-9
-            assert a.mode == "enumeration"
-            assert b.mode == "projected_gradient"
-
-    def test_enumeration_budget_guard(self):
-        spec = _contact_spec(24, phi=0.01)  # 23 constrained free nodes
-        with pytest.raises(ConfigurationError):
-            qp_oracle(spec, mode="enumeration")
-
-    def test_mode_follows_the_constrained_node_count(self):
-        # the oracle enumerates up to MAX_ENUM_NODES constrained free nodes
-        small = _contact_spec(lab.MAX_ENUM_NODES + 1, phi=0.01)
-        large = _contact_spec(lab.MAX_ENUM_NODES + 2, phi=0.01)
-        assert qp_oracle(small).mode == "enumeration"
-        assert qp_oracle(large).mode == "projected_gradient"
-        # unconstrained nodes do not count
+            yield make_spec(interval(12), p=2.0, q=2.0, mu=0.0,
+                            phi=rng.uniform(0.02, 0.08),
+                            react=reaction("constant", value=rng.uniform(0.5, 4.0)))
+        # 2D, a variable mu and the smooth_quadratic diagonal: 9 free nodes,
+        # 9, 7 and 1 of them active
+        mesh = rectangle(3, 4, gamma2=("right",))
+        for level in (0.01, 0.1, 0.3):
+            yield make_spec(mesh, p=2.0, q=2.0, mu=lambda x, y: 0.5 + 0.5 * x,
+                            phi=lambda x, y, level=level: level + 0.1 * x,
+                            react=reaction("constant", value=8.0),
+                            bnd=boundary_potential("smooth_quadratic", alpha=2.0))
+        # half the nodes unconstrained
         spec = _contact_spec(24, phi=0.01)
         x = spec.mesh.nodes[:, 0]
-        half = replace(spec, obstacle=DiscreteFunction(
+        yield replace(spec, obstacle=DiscreteFunction(
             spec.mesh, np.where(x < 0.5, 0.01, np.inf), allow_infinite=True))
-        assert qp_oracle(half).mode == "enumeration"
+
+    def test_agrees_with_enumeration(self, rng):
+        for spec in self._enumerable_specs(rng):
+            sol = qp_oracle(spec)
+            ref = reference_enumeration_oracle(spec)
+            assert_oracle_kkt(spec, sol.values, sol.multipliers)
+            assert np.max(np.abs(sol.values - ref.values)) <= 1e-12
+            assert np.max(np.abs(sol.multipliers - ref.multipliers)) <= 1e-12
+            assert np.array_equal(sol.active, ref.active)
+            assert abs(sol.objective - ref.objective) <= 1e-12
+
+    def test_active_set_failure_off_the_m_matrices(self):
+        # SPD but not an M-matrix: with c = diag S the active sets cycle
+        # {2} -> {0, 1, 2} -> {1} -> {2}, so no KKT point is reached
+        S = sp.csr_matrix([[1.783, -2.246, 1.086], [-2.246, 4.228, -0.698],
+                           [1.086, -0.698, 1.159]])
+        assert np.linalg.eigvalsh(S.toarray()).min() > 0.0
+        b = np.array([0.546, 1.323, 1.794])
+        phi = np.array([0.974, 0.138, 0.733])
+        with pytest.raises(OracleFailure, match="did not settle in 4 sweeps"):
+            lab._active_set_solve(S, b, phi)
 
     @pytest.mark.parametrize("mutate", [
         lambda mesh: make_spec(mesh, p=2.5, q=3.0, mu=0.5, phi=0.1, eps=1e-8),
@@ -464,13 +482,16 @@ class TestQPOracle:
         spec = make_spec(mesh, p=2.0, q=2.0, mu=0.0, phi=0.2,
                          react=reaction("constant", value=1.0),
                          bnd=boundary_potential("smooth_quadratic", alpha=1.0))
-        a = qp_oracle(spec, mode="enumeration")
-        b = qp_oracle(spec, mode="projected_gradient")
-        assert np.max(np.abs(a.values - b.values)) <= 1e-9
+        sol = qp_oracle(spec)
+        ref = reference_enumeration_oracle(spec)
+        assert_oracle_kkt(spec, sol.values, sol.multipliers)
+        assert np.max(np.abs(sol.values - ref.values)) <= 1e-12
+        assert np.max(np.abs(sol.multipliers - ref.multipliers)) <= 1e-12
 
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            qp_oracle(_contact_spec(8), mode="interior_point")
+    def test_stiffness_stays_sparse(self):
+        S_ff, b_f, idx = lab._qp_data(_contact_spec(64))
+        assert sp.issparse(S_ff)
+        assert S_ff.nnz == 3 * idx.size - 2
 
 
 class TestHypothesisChecks:
