@@ -4,8 +4,8 @@ A finite-element laboratory for unilateral obstacle problems driven by a
 two-exponent (double-phase) diffusion operator, a multivalued reaction
 selected from a catalog, and a nonsmooth boundary potential with generalized
 gradients.  Constrained problems are approximated by vanishing penalization
-(the lumped Moreau–Yosida envelope gives the same term, and it vanishes where
-the obstacle is ``+inf``), solved by damped semismooth Newton with a
+(the gradient of the constraint set's lumped Moreau–Yosida envelope, zero
+where the obstacle is ``+inf``), solved by damped semismooth Newton with a
 fixed-point fallback, and studied along a decreasing parameter schedule:
 solution sets are sampled multi-start, set convergence is diagnosed by chains
 and nearest-point traces, limits are certified against the variational
@@ -33,7 +33,6 @@ from .assembly import (
     operator_energy,
     operator_jacobian,
     operator_residual,
-    penalty_term,
     reaction_term,
 )
 from .catalog import (
@@ -94,10 +93,7 @@ from .musielak import (
     sobolev_norm,
     weighted_seminorm,
 )
-from .nonsmooth import (
-    ConstraintSet,
-    plus_part,
-)
+from .nonsmooth import ConstraintSet
 from .solver import (
     SolveReport,
     SolverConfig,
@@ -166,8 +162,6 @@ __all__ = [
     "operator_jacobian",
     "operator_residual",
     "parse_config_text",
-    "penalty_term",
-    "plus_part",
     "qp_oracle",
     "reaction",
     "reaction_term",

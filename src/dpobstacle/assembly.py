@@ -12,11 +12,10 @@ derivative of the regularized energy  ``sum_e |e| (g_e^p / p + mu_e g_e^q / q)``
 Each function reads ``eps_grad`` from the :class:`ProblemSpec` and the boundary
 smoothing ``delta`` from its potential: a continuation stage is a spec.
 
-Lower-order terms use vertex-lumped quadrature: the obstacle penalty
-``(w_i / rho) (u_i - phi_i)^+`` (derivative taken as zero at the kink; in the
-lumped metric this is also the Moreau-Yosida envelope gradient), the
-reaction selection evaluated at nodes with a volume-averaged nodal gradient,
-and the smoothed boundary flux on the natural boundary part.
+Lower-order terms use vertex-lumped quadrature: the obstacle penalty (the
+envelope gradient of :class:`~dpobstacle.nonsmooth.ConstraintSet`, which
+owns it), the reaction selection evaluated at nodes with a volume-averaged
+nodal gradient, and the smoothed boundary flux on the natural boundary part.
 
 The Jacobian is one ``data`` array on the mesh's cached
 :class:`~dpobstacle.meshing.BlockPattern`: the operator blocks, plus the
@@ -50,7 +49,6 @@ __all__ = [
     "apply_operator",
     "operator_residual",
     "operator_jacobian",
-    "penalty_term",
     "reaction_term",
     "boundary_term",
     "clarke_directional",
@@ -193,24 +191,6 @@ def operator_jacobian(spec: ProblemSpec, u, frozen=False):
     return mesh.scatter_blocks(blocks)
 
 
-def penalty_term(spec: ProblemSpec, u, rho):
-    """Lumped obstacle penalty vector and its diagonal derivative.
-
-    Infinite obstacle entries deactivate the node; the derivative at the kink
-    ``u = phi`` is taken as zero.
-    """
-    if not rho > 0:
-        raise ConfigurationError(f"penalty parameter must be positive, got {rho}")
-    vals = nodal_values(u)
-    phi = spec.obstacle.values
-    w = spec.mesh.node_volume_weights
-    finite = np.isfinite(phi)
-    active = finite & (vals > phi)
-    vec = np.where(active, w * np.where(finite, vals - phi, 0.0) / rho, 0.0)
-    diag = np.where(active, w / rho, 0.0)
-    return vec, diag
-
-
 def reaction_term(spec: ProblemSpec, u, with_jacobian=True):
     """Reaction residual ``-w_i eta_i``, its Jacobian, and the selection.
 
@@ -275,13 +255,9 @@ def assemble_system(
     with_jacobian=True,
     frozen=False,
 ) -> AssembledSystem:
-    """Full masked system of the approximating problem at parameter ``rho``.
-
-    The lumped obstacle penalty is also the Moreau-Yosida term: the lumped
-    envelope gradient of the constraint-set indicator is
-    ``w (u - phi)^+ / rho`` on every free (non-Dirichlet) node, and both are
-    exactly zero on nodes whose obstacle is ``+inf``.
-    """
+    """Full masked system of the approximating problem at parameter ``rho``,
+    whose obstacle penalty is ``spec.constraints.envelope_grad(u, rho)``
+    (see :class:`~dpobstacle.nonsmooth.ConstraintSet`)."""
     vals = nodal_values(u)
     r = operator_residual(spec, vals)
     diag_extra = np.zeros_like(r)
@@ -294,7 +270,7 @@ def assemble_system(
     r = r + bnd_vec
     diag_extra += bnd_diag
 
-    pen_vec, pen_diag = penalty_term(spec, vals, rho)
+    pen_vec, pen_diag = spec.constraints.envelope_grad(vals, rho)
     r = r + pen_vec
     diag_extra += pen_diag
 

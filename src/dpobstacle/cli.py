@@ -43,7 +43,6 @@ from .lab import (check_study, kuratowski_study, nearest_point_trace, qp_oracle,
                   validate_hypotheses)
 from .meshing import DiscreteFunction
 from .musielak import luxemburg_norm, modular, weighted_seminorm
-from .nonsmooth import plus_part
 from .solver import solve_penalized
 
 __all__ = ["main", "cmd_solve", "cmd_study", "cmd_norm_tool", "cmd_check",
@@ -137,7 +136,7 @@ def cmd_solve(args) -> int:
     }
     _write_json(os.path.join(out_dir, "report.json"), payload)
     phi = exp.spec.obstacle.values
-    viol = plus_part(report.solution, phi).values
+    viol = exp.spec.constraints.excess(report.solution.values)
     rows = _node_rows(exp.spec.mesh, digest, seed,
                       ["u", "phi", "eta", "violation"],
                       [report.solution.values, phi, report.eta, viol])

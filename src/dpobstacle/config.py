@@ -70,7 +70,7 @@ from .catalog import (
 )
 from .errors import ConfigFileError, ConfigurationError, EvaluationError
 from .expressions import compile_expression, require_coordinates
-from .lab import check_study, selection_variants
+from .lab import STUDY_RULES, check_study, selection_variants
 from .meshing import (
     BoundaryPartition,
     DiscreteFunction,
@@ -107,9 +107,7 @@ _KNOWN_KEYS = {
     "reaction": {"name", "selection", "blend"},
     "boundary": {"name"},
     "solver": {"schedule", "newton_tol", "max_newton", "eps_grad"},
-    "study": {"n_starts", "seed", "selection_rules", "dedup_tol",
-              "cauchy_factor", "cauchy_window", "vi_tol", "probe_bump",
-              "n_random_probes"},
+    "study": {"selection_rules", *STUDY_RULES},
     "output": {"dir"},
 }
 _CATALOG_KEYS = {"reaction": REACTION_PARAMETERS, "boundary": BOUNDARY_PARAMETERS}
@@ -433,10 +431,8 @@ def study_parameters(cfg: ExperimentConfig) -> dict:
         with _anchored(cfg, "study", "selection_rules"):
             selection_variants(cfg.reaction, rules)
     written = _written(cfg, "study", {
-        "n_starts": _int, "cauchy_window": _int, "dedup_tol": _const,
-        "cauchy_factor": _const, "probe_bump": _const, "seed": _int,
-        "n_random_probes": _int,
-    })
+        name: _int if count else _const
+        for name, (_, _, count) in STUDY_RULES.items() if name != "vi_tol"})
     with _anchored(cfg, "study"):
         check_study(**written)
     # every command echoes the effective seed, so the file's default is 0

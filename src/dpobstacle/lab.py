@@ -683,6 +683,10 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
         lambda2 = 0.0
         lambda2_cert = True
         notes.append("natural boundary part empty: lambda2 = 0")
+    elif idx.size == 0:
+        lambda2 = 0.0
+        lambda2_cert = True
+        notes.append("no free node: lambda2 = 0")
     elif p == 2.0:
         B_ff = np.diag(bw[idx])
         # largest ratio u'Bu / u'Su over free nodes

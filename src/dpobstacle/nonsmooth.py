@@ -14,10 +14,8 @@ with ``||d||_w^2 = sum_i w_i d_i^2``.  Using the lumped-weight metric in place
 of the full energy-space norm is a deliberate simplification; the envelope it
 induces has the same monotone/limit structure but can select a different
 approximating path than the energy-space envelope would.
-
-On the free nodes ``u_i - proj(u)_i = (u_i - phi_i)^+``, so the gradient is
-the lumped obstacle penalty that the solver assembles: one term serves as
-both the penalty and the Moreau-Yosida approximation.
+:class:`ConstraintSet` owns the obstacle term of the solver: the penalty, its
+derivative and the reported violation.
 """
 
 from __future__ import annotations
@@ -27,12 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .meshing import DiscreteFunction, Mesh, nodal_values
+from .meshing import Mesh
 
-__all__ = [
-    "ConstraintSet",
-    "plus_part",
-]
+__all__ = ["ConstraintSet"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +39,12 @@ class ConstraintSet:
     may not be NaN or ``-inf``; errors name ``param`` ``obstacle``.
     :meth:`contains` and :meth:`project_values` act on one nodal vector or
     on a stack of them, row by row, with the same arithmetic per entry.
+
+    The set is the one owner of the obstacle term.  On a free node the
+    :meth:`excess` ``u - proj(u)`` is ``(u - phi)^+``, and 0 where the
+    obstacle is ``+inf``; so the envelope gradient ``w (u - phi)^+ / eps``
+    is the lumped obstacle penalty that the solver assembles at
+    ``eps = rho``, and the excess is the violation a solve reports.
     """
 
     mesh: Mesh
@@ -86,25 +87,30 @@ class ConstraintSet:
         out[..., self.dirichlet_mask] = 0.0
         return out
 
+    def excess(self, values):
+        """``values - proj(values)``, with no negative zero: ``u - proj(u)``
+        reads -0.0 at ``u = -0.0`` against ``phi = 0``, and ``+ 0.0`` turns
+        that zero positive, as ``(u - phi)^+`` reads it."""
+        values = np.asarray(values, dtype=float)
+        return values - self.project_values(values) + 0.0
+
     def envelope_value(self, values, eps):
         """Envelope of the set indicator: squared distance over ``2 eps``."""
-        if eps <= 0:
-            raise ConfigurationError("envelope parameter eps must be positive")
-        d = np.asarray(values, dtype=float) - self.project_values(values)
+        if not eps > 0:
+            raise ConfigurationError(
+                f"envelope parameter eps must be positive, got {eps}")
+        d = self.excess(values)
         w = self.mesh.node_volume_weights
         return float(np.dot(w, d * d) / (2.0 * eps))
 
     def envelope_grad(self, values, eps):
-        """Gradient of the envelope, a monotone map vanishing on the set."""
-        if eps <= 0:
-            raise ConfigurationError("envelope parameter eps must be positive")
-        d = np.asarray(values, dtype=float) - self.project_values(values)
-        return self.mesh.node_volume_weights * d / eps
-
-
-def plus_part(u: DiscreteFunction, phi) -> DiscreteFunction:
-    """Nodal positive part (u - phi)^+; infinite obstacle entries give zero."""
-    phi_vals = nodal_values(phi)
-    excess = u.values - phi_vals
-    out = np.where(np.isposinf(phi_vals), 0.0, np.maximum(excess, 0.0))
-    return DiscreteFunction(u.mesh, out)
+        """Gradient of the envelope, a monotone map vanishing on the set, and
+        its Newton derivative, the diagonal ``w / eps`` where the excess is
+        positive and 0 elsewhere (at the kink too; Hintermueller, Ito &
+        Kunisch, SIAM J. Optim. 13 (2002) 865-888)."""
+        if not eps > 0:
+            raise ConfigurationError(
+                f"envelope parameter eps must be positive, got {eps}")
+        d = self.excess(values)
+        w = self.mesh.node_volume_weights
+        return w * d / eps, np.where(d > 0.0, w / eps, 0.0)

@@ -8,11 +8,11 @@ fixed-point (Picard) direction with frozen diffusion coefficient serves as
 fallback when Newton steps are rejected repeatedly.  A decreasing ``rho``
 schedule is handled by warm-started continuation over :func:`stages`: each
 stage is a (problem, config) pair whose problem carries its own, co-reduced
-gradient regularization and boundary smoothing.  The penalty is also the
-Moreau-Yosida approximation: in the lumped metric the envelope gradient of the
-constraint-set indicator is the penalty vector ``w (u - phi)^+ / rho``, and it
-vanishes on nodes whose obstacle is ``+inf``, so an obstacle-free problem is
-solved by the same system.
+gradient regularization and boundary smoothing.  The penalty, and the
+violation a solve reports, come from the problem's
+:class:`~dpobstacle.nonsmooth.ConstraintSet`; both vanish on nodes whose
+obstacle is ``+inf``, so an obstacle-free problem is solved by the same
+system.
 
 Residuals are measured in the lumped-weight-scaled Euclidean norm
 ``||r||_* = sqrt(sum_i r_i^2 / w_i)`` (Dirichlet rows enter unscaled), a
@@ -44,7 +44,6 @@ from .assembly import (
 )
 from .errors import ConfigurationError
 from .meshing import DiscreteFunction, nodal_values
-from .nonsmooth import plus_part
 
 __all__ = ["SolverConfig", "SolveReport", "TraceEntry", "solve_penalized",
            "check_schedule", "stages", "continuation", "vi_residual",
@@ -221,7 +220,7 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
         iterations += 1
         trace.append(TraceEntry(iterations, rnorm, alpha, kind, note))
 
-    violation = plus_part(DiscreteFunction(mesh, u), spec.obstacle.values).values
+    violation = spec.constraints.excess(u)
     return SolveReport(
         solution=DiscreteFunction(mesh, u),
         eta=eta,

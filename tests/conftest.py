@@ -25,9 +25,9 @@ from dpobstacle.meshing import (
     Mesh,
     build_interval_mesh,
     build_rect_mesh,
+    nodal_values,
 )
 from dpobstacle.musielak import PhaseConfig
-from dpobstacle.nonsmooth import plus_part
 from dpobstacle.solver import (SolveReport, TraceEntry, _fp_floor, continuation,
                                residual_norm, solve_penalized)
 
@@ -153,6 +153,34 @@ def reference_nodal_gradient_matrices(mesh):
     return mats
 
 
+def reference_penalty_term(spec, u, rho):
+    """Lumped obstacle penalty vector and its diagonal derivative.
+
+    Infinite obstacle entries deactivate the node; the derivative at the kink
+    ``u = phi`` is taken as zero.  Frozen reference for
+    ``ConstraintSet.envelope_grad`` on free nodes.
+    """
+    if not rho > 0:
+        raise ConfigurationError(f"penalty parameter must be positive, got {rho}")
+    vals = nodal_values(u)
+    phi = spec.obstacle.values
+    w = spec.mesh.node_volume_weights
+    finite = np.isfinite(phi)
+    active = finite & (vals > phi)
+    vec = np.where(active, w * np.where(finite, vals - phi, 0.0) / rho, 0.0)
+    diag = np.where(active, w / rho, 0.0)
+    return vec, diag
+
+
+def reference_plus_part(u: DiscreteFunction, phi) -> DiscreteFunction:
+    """Nodal positive part (u - phi)^+; infinite obstacle entries give zero.
+    Frozen reference for ``ConstraintSet.excess`` on free nodes."""
+    phi_vals = nodal_values(phi)
+    excess = u.values - phi_vals
+    out = np.where(np.isposinf(phi_vals), 0.0, np.maximum(excess, 0.0))
+    return DiscreteFunction(u.mesh, out)
+
+
 def reference_assemble_system(spec, u, rho=1.0, with_jacobian=True,
                               frozen=False):
     """``assembly.assemble_system`` as scipy matrix algebra: the operator
@@ -180,7 +208,7 @@ def reference_assemble_system(spec, u, rho=1.0, with_jacobian=True,
     bnd_vec, bnd_diag = assembly.boundary_term(spec, vals)
     r = r + bnd_vec
     diag_extra += bnd_diag
-    pen_vec, pen_diag = assembly.penalty_term(spec, vals, rho)
+    pen_vec, pen_diag = reference_penalty_term(spec, vals, rho)
     r = r + pen_vec
     diag_extra += pen_diag
 
@@ -413,7 +441,8 @@ def reference_solve_penalized(spec, cfg, initial=None):
                                 ("forced " + note2).strip()))
         converged = rnorm <= eff_tol
 
-    violation = plus_part(DiscreteFunction(mesh, u), spec.obstacle.values).values
+    violation = reference_plus_part(DiscreteFunction(mesh, u),
+                                    spec.obstacle.values).values
     return SolveReport(
         solution=DiscreteFunction(mesh, u),
         eta=eta,

@@ -16,6 +16,8 @@ from conftest import (
     rectangle,
     reference_assemble_system,
     reference_energy,
+    reference_penalty_term,
+    reference_plus_part,
 )
 from dpobstacle.assembly import (
     AssembledSystem,
@@ -26,7 +28,6 @@ from dpobstacle.assembly import (
     operator_energy,
     operator_jacobian,
     operator_residual,
-    penalty_term,
     reaction_term,
 )
 from dpobstacle.catalog import boundary_potential, reaction
@@ -154,55 +155,62 @@ class TestOperator:
 
 
 class TestPenalty:
+    """The penalty is the constraint set's envelope gradient and its
+    diagonal derivative, at states that vanish on the Dirichlet nodes."""
+
     def test_unit_excess_pairing(self):
-        # u = 2 over cap 1 on the unit interval at strength 1: pairing
-        # against v = 1 integrates the excess, giving 1
+        # u = 2 over cap 1 on the free nodes of the unit interval at
+        # strength 1: pairing against v = 1 integrates the excess over them,
+        # 1 - h with the two clamped half cells left out
         mesh = interval(4)
         spec = make_spec(mesh, phi=1.0)
-        u = np.full(mesh.n_nodes, 2.0)
-        vec, diag = penalty_term(spec, u, rho=1.0)
+        u = np.where(mesh.dirichlet_mask, 0.0, 2.0)
+        vec, diag = spec.constraints.envelope_grad(u, 1.0)
         assert np.dot(vec, np.ones(mesh.n_nodes)) == pytest.approx(
-            1.0, abs=1e-14)
-        assert np.all(diag[vec > 0] > 0.0)
+            0.75, abs=1e-14)
+        assert np.array_equal(diag > 0, vec > 0)
 
     def test_inactive_below_cap(self, rng):
         mesh = interval(6)
         spec = make_spec(mesh, phi=0.5)
         u = rng.uniform(-1.0, 0.5, mesh.n_nodes)
-        vec, diag = penalty_term(spec, u, rho=1e-3)
+        u[mesh.dirichlet_mask] = 0.0
+        vec, diag = spec.constraints.envelope_grad(u, 1e-3)
         assert np.all(vec == 0.0) and np.all(diag == 0.0)
 
     def test_vanishes_exactly_at_contact(self):
         mesh = interval(5)
         spec = make_spec(mesh, phi=0.25)
-        u = np.full(mesh.n_nodes, 0.25)
-        vec, _ = penalty_term(spec, u, rho=1e-6)
-        assert np.all(vec == 0.0)
+        u = np.where(mesh.dirichlet_mask, 0.0, 0.25)
+        vec, diag = spec.constraints.envelope_grad(u, 1e-6)
+        assert np.all(vec == 0.0) and np.all(diag == 0.0)
 
     def test_monotone_in_state(self, rng):
         mesh = interval(7)
-        spec = make_spec(mesh, phi=0.3)
+        K = make_spec(mesh, phi=0.3).constraints
         for _ in range(500):
             u = rng.uniform(-1, 1.5, mesh.n_nodes)
             v = rng.uniform(-1, 1.5, mesh.n_nodes)
-            pu, _ = penalty_term(spec, u, rho=0.01)
-            pv, _ = penalty_term(spec, v, rho=0.01)
+            pu, _ = K.envelope_grad(u, 0.01)
+            pv, _ = K.envelope_grad(v, 0.01)
             assert np.dot(pu - pv, u - v) >= 0.0
 
     def test_infinite_cap_is_inert(self, rng):
         mesh = interval(5)
         spec = make_spec(mesh, phi=None)
         u = rng.uniform(-5, 5, mesh.n_nodes)
-        vec, diag = penalty_term(spec, u, rho=1e-9)
+        u[mesh.dirichlet_mask] = 0.0
+        vec, diag = spec.constraints.envelope_grad(u, 1e-9)
         assert np.all(vec == 0.0) and np.all(diag == 0.0)
 
     def test_positive_strength_required(self):
         mesh = interval(4)
         spec = make_spec(mesh, phi=1.0)
-        with pytest.raises(ConfigurationError):
-            penalty_term(spec, np.zeros(mesh.n_nodes), rho=0.0)
-        with pytest.raises(ConfigurationError):
-            penalty_term(spec, np.zeros(mesh.n_nodes), rho=-1.0)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ConfigurationError):
+                spec.constraints.envelope_grad(np.zeros(mesh.n_nodes), bad)
+            with pytest.raises(ConfigurationError):
+                assemble_system(spec, np.zeros(mesh.n_nodes), rho=bad)
 
 
 class TestReaction:
@@ -328,24 +336,38 @@ class TestAssembleSystem:
             row[i] = 1.0
             assert np.array_equal(J[i], row)
 
-    def test_penalty_vector_is_envelope_gradient_on_free_nodes(self, rng):
-        # in the lumped metric the Moreau-Yosida envelope gradient of the
-        # constraint-set indicator is w (u - phi)^+ / rho on every free node,
-        # so the assembled penalty is also the Moreau-Yosida term
-        mesh = rectangle(6, 5)
-        phi = rng.uniform(0.0, 0.5, mesh.n_nodes)
-        phi[rng.random(mesh.n_nodes) < 0.3] = np.inf
-        spec = dataclasses.replace(
-            make_spec(mesh),
-            obstacle=DiscreteFunction(mesh, phi, allow_infinite=True))
-        K = spec.constraints
+    def test_obstacle_term_matches_frozen_bit_for_bit(self, rng):
+        # on free nodes the set's envelope gradient, its diagonal and its
+        # excess are the frozen penalty and (u - phi)^+ to the bit, sign
+        # included: at u = -0.0 against phi = 0, u - proj(u) reads -0.0
+        # unless the excess turns that zero positive
+        mesh = rectangle(6, 5, gamma2=("right",))
         free = ~mesh.dirichlet_mask
-        assert np.any(np.isinf(phi[free])) and np.any(np.isfinite(phi[free]))
-        for rho in (1.0, 1e-2, 1e-7):
+        for _ in range(6):
+            phi = rng.uniform(0.0, 0.5, mesh.n_nodes)
+            phi[rng.random(mesh.n_nodes) < 0.3] = 0.0
+            phi[rng.random(mesh.n_nodes) < 0.3] = np.inf
+            spec = dataclasses.replace(
+                make_spec(mesh, react=reaction("constant", value=1.0)),
+                obstacle=DiscreteFunction(mesh, phi, allow_infinite=True))
+            K = spec.constraints
             u = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-            pen = penalty_term(spec, u, rho)[0]
-            assert np.any(pen[free] > 0.0)
-            assert np.array_equal(pen[free], K.envelope_grad(u, rho)[free])
+            contact = rng.random(mesh.n_nodes) < 0.2
+            u[contact] = np.where(np.isinf(phi), 0.0, phi)[contact]
+            u[phi == 0.0] = -0.0
+            u[mesh.dirichlet_mask] = 0.0
+            assert np.any(np.signbit(u[free]) & (u[free] == 0.0))
+            assert np.any(np.isinf(phi[free])) and np.any(u[free] > phi[free])
+            violation = reference_plus_part(DiscreteFunction(mesh, u),
+                                            spec.obstacle).values
+            assert K.excess(u)[free].tobytes() == violation[free].tobytes()
+            for rho in (1.0, 1e-2, 1e-7):
+                vec, diag = K.envelope_grad(u, rho)
+                ref_vec, ref_diag = reference_penalty_term(spec, u, rho)
+                assert vec[free].tobytes() == ref_vec[free].tobytes()
+                assert diag[free].tobytes() == ref_diag[free].tobytes()
+                assert_same_system(assemble_system(spec, u, rho=rho),
+                                   reference_assemble_system(spec, u, rho=rho))
 
     def test_without_jacobian(self):
         mesh = interval(4)

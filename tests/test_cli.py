@@ -69,6 +69,29 @@ n_starts = 2
 seed = 11
 """
 
+# one square cell whose four nodes are all Dirichlet, though the right side
+# is natural
+NO_FREE_2D = """\
+[mesh]
+dim = 2
+lx = 1
+ly = 1
+nx = 1
+ny = 1
+gamma2 = right
+
+[phase]
+p = 2
+q = 2
+
+[obstacle]
+phi = 0.1
+
+[reaction]
+name = constant
+value = 1
+"""
+
 
 @pytest.fixture
 def cfg_file(tmp_path):
@@ -273,14 +296,23 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "smallness_lhs" in out
 
-    def test_mesh_without_free_nodes(self, cfg_file, capsys):
-        # n = 1: no free node, so lambda1 = 0 is exact, as lambda2 = 0 is
-        # for an empty natural boundary part
-        code = main(["check", "--config", cfg_file(CONTACT.replace("n = 16", "n = 1"))])
+    @pytest.mark.parametrize("text, lambda2_note", [
+        (CONTACT.replace("n = 16", "n = 1"),
+         "natural boundary part empty: lambda2 = 0"),
+        (NO_FREE_2D, "no free node: lambda2 = 0"),
+        (NO_FREE_2D.replace("p = 2\nq = 2", "p = 2.5\nq = 3"),
+         "no free node: lambda2 = 0"),
+    ], ids=["interval", "square-with-gamma2", "square-with-gamma2-p2.5"])
+    def test_mesh_without_free_nodes(self, cfg_file, capsys, text, lambda2_note):
+        # every node is Dirichlet: no free node, so lambda1 = 0 is exact, and
+        # so is lambda2 = 0, whether or not the natural part is empty
+        code = main(["check", "--config", cfg_file(text)])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "lambda1_est    = 0.0 (certified)" in out
+        assert "lambda2_est    = 0.0 (certified)" in out
         assert "note: no free node: lambda1 = 0" in out
+        assert f"note: {lambda2_note}" in out
 
 
 class TestOracle:

@@ -1,12 +1,11 @@
-"""Feasible-set projection, quadratic envelope, positive-part helper."""
+"""Feasible-set projection, quadratic envelope, excess over the set."""
 
 import numpy as np
 import pytest
 
 from conftest import interval, obstacle_fn
 from dpobstacle.errors import ConfigurationError
-from dpobstacle.meshing import DiscreteFunction
-from dpobstacle.nonsmooth import ConstraintSet, plus_part
+from dpobstacle.nonsmooth import ConstraintSet
 
 
 def _free_set(mesh, phi):
@@ -169,8 +168,10 @@ class TestEnvelope:
         u = np.array([0.0, 3.0, 0.0])
         # excess 2 at weight 1, eps 0.5: value (1/(2*0.5)) * 1 * 2^2 = 4
         assert K.envelope_value(u, eps=0.5) == pytest.approx(4.0, abs=1e-14)
-        grad = K.envelope_grad(u, eps=0.5)
+        grad, diag = K.envelope_grad(u, eps=0.5)
         assert np.allclose(grad, [0.0, 4.0, 0.0], atol=1e-14)
+        # the Newton derivative: w / eps on the active node only
+        assert np.array_equal(diag, [0.0, 2.0, 0.0])
 
     def test_zero_inside_the_set(self, rng):
         mesh = interval(7)
@@ -178,7 +179,9 @@ class TestEnvelope:
         K = ConstraintSet.from_problem(mesh, phi)
         u = K.project_values(rng.uniform(-2, 2, mesh.n_nodes))
         assert K.envelope_value(u, eps=0.3) == 0.0
-        assert np.all(K.envelope_grad(u, eps=0.3)[~K.dirichlet_mask] == 0.0)
+        grad, diag = K.envelope_grad(u, eps=0.3)
+        assert np.all(grad[~K.dirichlet_mask] == 0.0)
+        assert np.all(diag == 0.0)
 
     def test_projection_has_zero_value_for_every_eps(self, rng):
         mesh = interval(7)
@@ -211,7 +214,7 @@ class TestEnvelope:
         # keep all nodes away from the kink so central differences converge
         near = np.abs(u - phi) < 0.05
         u[near] = phi[near] + 0.1
-        g = K.envelope_grad(u, eps)
+        g, diag = K.envelope_grad(u, eps)
         h = 1e-6
         for i in range(mesh.n_nodes):
             up, dn = u.copy(), u.copy()
@@ -219,6 +222,10 @@ class TestEnvelope:
             dn[i] -= h
             fd = (K.envelope_value(up, eps) - K.envelope_value(dn, eps)) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=1e-5 * (1 + abs(fd)))
+            # and the diagonal is the derivative of the gradient
+            dg = (K.envelope_grad(up, eps)[0][i]
+                  - K.envelope_grad(dn, eps)[0][i]) / (2 * h)
+            assert diag[i] == pytest.approx(dg, rel=1e-6)
 
     def test_grad_is_monotone(self, rng):
         mesh = interval(9)
@@ -228,8 +235,8 @@ class TestEnvelope:
             for _ in range(100):
                 u = rng.uniform(-2, 2, mesh.n_nodes)
                 v = rng.uniform(-2, 2, mesh.n_nodes)
-                gap = np.dot(K.envelope_grad(u, eps) - K.envelope_grad(v, eps),
-                             u - v)
+                gap = np.dot(K.envelope_grad(u, eps)[0]
+                             - K.envelope_grad(v, eps)[0], u - v)
                 assert gap >= -1e-12
 
     def test_positive_eps_required(self):
@@ -242,34 +249,40 @@ class TestEnvelope:
                 K.envelope_grad(u, bad)
 
 
-class TestPlusPart:
+class TestExcess:
     def test_below_cap_is_zero(self):
         mesh = interval(4)
-        u = DiscreteFunction.constant(mesh, 0.3)
-        phi = obstacle_fn(mesh, 0.5)
-        assert np.all(plus_part(u, phi).values == 0.0)
+        K = _free_set(mesh, obstacle_fn(mesh, 0.5).values)
+        assert np.all(K.excess(np.full(mesh.n_nodes, 0.3)) == 0.0)
 
     def test_unit_excess(self):
         mesh = interval(4)
-        phi = obstacle_fn(mesh, 0.5)
-        u = DiscreteFunction.constant(mesh, 1.5)
-        assert np.all(plus_part(u, phi).values == 1.0)
+        K = _free_set(mesh, obstacle_fn(mesh, 0.5).values)
+        assert np.all(K.excess(np.full(mesh.n_nodes, 1.5)) == 1.0)
 
     def test_infinite_cap_contributes_nothing(self):
         mesh = interval(4)
-        phi = obstacle_fn(mesh, None)  # +inf everywhere
-        u = DiscreteFunction.constant(mesh, 100.0)
-        assert np.all(plus_part(u, phi).values == 0.0)
+        K = _free_set(mesh, obstacle_fn(mesh, None).values)  # +inf everywhere
+        assert np.all(K.excess(np.full(mesh.n_nodes, 100.0)) == 0.0)
 
     def test_array_cap_and_monotonicity(self, rng):
         mesh = interval(6)
         cap = rng.uniform(0.0, 1.0, mesh.n_nodes)
+        K = _free_set(mesh, cap)
         u = rng.uniform(-1, 2, mesh.n_nodes)
         v = u + rng.uniform(0.0, 1.0, mesh.n_nodes)
-        pu = plus_part(DiscreteFunction(mesh, u), cap).values
-        pv = plus_part(DiscreteFunction(mesh, v), cap).values
+        pu, pv = K.excess(u), K.excess(v)
         assert np.all(pv >= pu)
         assert np.all(pu == np.maximum(u - cap, 0.0))
+
+    def test_pinned_nodes_measure_their_distance_to_zero(self, rng):
+        mesh = interval(6)
+        K = ConstraintSet.from_problem(mesh, np.full(mesh.n_nodes, 0.5))
+        u = rng.uniform(-1, 2, mesh.n_nodes)
+        out = K.excess(u)
+        assert np.array_equal(out[K.dirichlet_mask], u[K.dirichlet_mask])
+        assert np.array_equal(out[~K.dirichlet_mask],
+                              np.maximum(u - 0.5, 0.0)[~K.dirichlet_mask])
 
 
 class TestValidation:
