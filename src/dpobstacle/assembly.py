@@ -21,11 +21,16 @@ The Jacobian is one ``data`` array on the mesh's cached
 :class:`~dpobstacle.meshing.BlockPattern`: the operator blocks, plus the
 penalty and boundary diagonal, plus the reaction Jacobian (whose unreached
 slots are explicit zeros), summed slot by slot in that order.  Dirichlet rows
-are then replaced by identity rows, whatever they held (``inf`` and ``NaN``
-included), and ``eliminate_zeros`` drops the exact zeros, as the sums of
-scipy matrices this replaces did; the result is bit for bit that sum.  A
-residual-only call (``with_jacobian=False``) builds no Jacobian at all, the
-reaction's included.
+are then replaced by identity rows and Dirichlet columns of the free rows by
+zeros, whatever they held (``inf`` and ``NaN`` included), and
+``eliminate_zeros`` drops the exact zeros, as the sums of scipy matrices this
+replaces did; the result is bit for bit that sum.  The residual and the
+iterate vanish on Dirichlet nodes, so the zeroed columns do not change the
+Newton direction in exact arithmetic; they make the Jacobian block diagonal
+between free and Dirichlet nodes and structurally symmetric (numerically
+symmetric too when the reaction does not read the gradient), which a
+symmetric fill-reducing ordering exploits.  A residual-only call
+(``with_jacobian=False``) builds no Jacobian at all, the reaction's included.
 """
 
 from __future__ import annotations
@@ -121,8 +126,9 @@ class ProblemSpec:
 
 @dataclass
 class AssembledSystem:
-    """Masked residual/Jacobian pair; Dirichlet rows are identity rows and
-    the CSR Jacobian stores no exact zeros."""
+    """Masked residual/Jacobian pair; Dirichlet rows are identity rows,
+    Dirichlet columns hold nothing off the diagonal, and the CSR Jacobian
+    stores no exact zeros."""
 
     residual: np.ndarray
     jacobian: sp.csr_matrix | None
@@ -284,6 +290,7 @@ def assemble_system(
         if react_data is not None:
             J.data += react_data
         J.data[pattern.dirichlet_slots] = 0.0
+        J.data[pattern.dirichlet_column_slots] = 0.0
         J.data[pattern.diagonal[mask]] = 1.0
         J.eliminate_zeros()
     return AssembledSystem(residual=r, jacobian=J, eta=eta)

@@ -251,9 +251,12 @@ class BlockPattern:
     unstable sort (beyond 16 entries), so the order is read off scipy's own
     ``sort_indices`` run on the entry numbers, and the sums are bit for bit
     those of ``csr_matrix((blocks.ravel(), (rows, cols)))``.
-    ``diagonal[i]`` is the slot of ``(i, i)`` and ``dirichlet_slots`` are
-    the slots on Dirichlet rows.  The arrays are int32 and read-only; each
-    matrix from :meth:`matrix` owns copies of the structure, because
+    ``diagonal[i]`` is the slot of ``(i, i)``, ``dirichlet_slots`` are the
+    slots on Dirichlet rows and ``dirichlet_column_slots`` the slots of free
+    rows in Dirichlet columns; zeroing both leaves a pattern that is block
+    diagonal between free and Dirichlet nodes and, like the element
+    adjacency, structurally symmetric.  The arrays are int32 and read-only;
+    each matrix from :meth:`matrix` owns copies of the structure, because
     in-place methods such as ``eliminate_zeros`` compact ``indices``.
     """
 
@@ -264,6 +267,7 @@ class BlockPattern:
     layers: tuple
     diagonal: np.ndarray
     dirichlet_slots: np.ndarray
+    dirichlet_column_slots: np.ndarray
 
     @classmethod
     def for_mesh(cls, mesh):
@@ -290,6 +294,7 @@ class BlockPattern:
         slot_row, indices = row[new], col[new]
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(slot_row, minlength=n), out=indptr[1:])
+        fixed = mesh.dirichlet_mask
         pattern = cls(
             n=n,
             indptr=indptr,
@@ -297,11 +302,13 @@ class BlockPattern:
             first=entry[new],
             layers=layers,
             diagonal=np.flatnonzero(slot_row == indices).astype(np.int32),
-            dirichlet_slots=np.flatnonzero(
-                mesh.dirichlet_mask[slot_row]).astype(np.int32),
+            dirichlet_slots=np.flatnonzero(fixed[slot_row]).astype(np.int32),
+            dirichlet_column_slots=np.flatnonzero(
+                fixed[indices] & ~fixed[slot_row]).astype(np.int32),
         )
         for a in (indptr, indices, pattern.first, pattern.diagonal,
-                  pattern.dirichlet_slots, *(a for layer in layers for a in layer)):
+                  pattern.dirichlet_slots, pattern.dirichlet_column_slots,
+                  *(a for layer in layers for a in layer)):
             a.flags.writeable = False
         return pattern
 

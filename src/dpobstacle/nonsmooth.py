@@ -88,11 +88,15 @@ class ConstraintSet:
         return out
 
     def excess(self, values):
-        """``values - proj(values)``, with no negative zero: ``u - proj(u)``
-        reads -0.0 at ``u = -0.0`` against ``phi = 0``, and ``+ 0.0`` turns
-        that zero positive, as ``(u - phi)^+`` reads it."""
+        """``values - proj(values)``, read as ``+0.0`` wherever the projection
+        keeps the value: so no negative zero (``u - proj(u)`` reads -0.0 at
+        ``u = -0.0`` against ``phi = 0``; ``(u - phi)^+`` reads 0) and no
+        ``inf - inf`` NaN at ``u = +-inf``, while ``u = +inf`` above a finite
+        obstacle exceeds it by ``inf``."""
         values = np.asarray(values, dtype=float)
-        return values - self.project_values(values) + 0.0
+        proj = self.project_values(values)
+        return np.subtract(values, proj, out=np.zeros_like(values),
+                           where=values != proj)
 
     def envelope_value(self, values, eps):
         """Envelope of the set indicator: squared distance over ``2 eps``."""

@@ -182,12 +182,17 @@ def reference_plus_part(u: DiscreteFunction, phi) -> DiscreteFunction:
 
 
 def reference_assemble_system(spec, u, rho=1.0, with_jacobian=True,
-                              frozen=False):
+                              frozen=False, keep_columns=False):
     """``assembly.assemble_system`` as scipy matrix algebra: the operator
     blocks summed through COO, ``sp.diags`` for the diagonal terms, the
-    reaction Jacobian as a sum of CSR matrices, and the Dirichlet rows
-    replaced by ``diags(free) @ J + diags(mask)``.  Every CSR addition and
-    product drops exact zeros."""
+    reaction Jacobian as a sum of CSR matrices, and the Dirichlet rows and
+    columns replaced by ``diags(free) @ J @ diags(free) + diags(mask)``.
+    ``sp.diags`` stores no zero entries, so the products multiply stored
+    entries by exact ones only: an ``inf`` or ``NaN`` in a Dirichlet row or
+    column drops out instead of turning into ``inf * 0 = NaN``.  Every CSR
+    addition and product drops exact zeros.  ``keep_columns=True`` gives the
+    Jacobian as it was before the Dirichlet columns were zeroed, with the
+    rows replaced only: ``diags(free) @ J + diags(mask)``."""
     mesh = spec.mesh
     vals = np.asarray(u.values if isinstance(u, DiscreteFunction) else u, float)
     r = assembly.operator_residual(spec, vals)
@@ -234,7 +239,8 @@ def reference_assemble_system(spec, u, rho=1.0, with_jacobian=True,
     r[mask] = vals[mask]
     if J is not None:
         free = sp.diags((~mask).astype(float))
-        J = (free @ J + sp.diags(mask.astype(float))).tocsr()
+        J = free @ J if keep_columns else free @ J @ free
+        J = (J + sp.diags(mask.astype(float))).tocsr()
     return assembly.AssembledSystem(residual=r, jacobian=J, eta=eta)
 
 
@@ -343,15 +349,16 @@ def lumped_norm(mesh, vals):
     return float(np.sqrt(np.dot(mesh.node_volume_weights, vals * vals)))
 
 
-def _reference_solve_direction(J, r):
-    """Solve J d = -r, regularizing the diagonal once if the solve breaks."""
+def reference_solve_direction(J, r, permc_spec="MMD_AT_PLUS_A"):
+    """Solve J d = -r, regularizing the diagonal once if the solve breaks;
+    SuperLU orders the columns by ``permc_spec``."""
 
     def attempt(M):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", spla.MatrixRankWarning)
             with np.errstate(all="ignore"):
                 try:
-                    return spla.spsolve(M.tocsc(), -r)
+                    return spla.spsolve(M.tocsc(), -r, permc_spec=permc_spec)
                 except RuntimeError:
                     return np.full_like(r, np.nan)
 
@@ -399,7 +406,7 @@ def reference_solve_penalized(spec, cfg, initial=None):
     while not converged and iterations < cfg.max_newton:
         frozen = direction_mode == "picard"
         system = assemble(u, with_jacobian=True, frozen=frozen)
-        d, note = _reference_solve_direction(system.jacobian, system.residual)
+        d, note = reference_solve_direction(system.jacobian, system.residual)
         if d is not None:
             d[mesh.dirichlet_mask] = -u[mesh.dirichlet_mask]
         accepted = False
@@ -426,7 +433,7 @@ def reference_solve_penalized(spec, cfg, initial=None):
         if failed_newton >= 5:
             direction_mode = "picard"
         system = assemble(u, with_jacobian=True, frozen=True)
-        d, note2 = _reference_solve_direction(system.jacobian, system.residual)
+        d, note2 = reference_solve_direction(system.jacobian, system.residual)
         if d is None:
             trace.append(TraceEntry(iterations, rnorm, 0.0, "picard",
                                     "fixed-point system unsolvable"))

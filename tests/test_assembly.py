@@ -532,3 +532,54 @@ class TestFixedPatternAssembly:
                     kw = dict(rho=rho, with_jacobian=with_jacobian, frozen=frozen)
                     assert_same_system(assemble_system(spec, u, **kw),
                                        reference_assemble_system(spec, u, **kw))
+
+
+class TestSymmetricSystem:
+    """The Dirichlet columns of the free rows are zeroed with the Dirichlet
+    rows: the Jacobian is block diagonal between free and Dirichlet nodes,
+    structurally symmetric, and symmetric unless the reaction reads the
+    gradient."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mesh_fn", PATTERN_MESHES)
+    @pytest.mark.parametrize("react", [
+        reaction("constant", value=4.0),
+        reaction("sign_band", slope=3.0, offset=0.5),
+        reaction("convective_linear", c0=1.0, c1=-3.0, c2=0.7),
+    ], ids=["constant", "sign_band", "convective"])
+    def test_free_and_dirichlet_nodes_decouple(self, mesh_fn, react):
+        mesh = mesh_fn()
+        spec = _gate_spec(mesh, 2.5, react, phi_inf=True)
+        mask = mesh.dirichlet_mask
+        rng = np.random.default_rng(5)
+        states = [np.zeros(mesh.n_nodes), 0.3 * np.sin(3.0 * mesh.nodes[:, 0]),
+                  rng.uniform(-0.2, 0.2, mesh.n_nodes)]
+        symmetric = []
+        for u in states:
+            for frozen in (False, True):
+                J = assemble_system(spec, u, rho=1e-2, frozen=frozen).jacobian
+                A = J.toarray()
+                assert not np.any(A[np.ix_(~mask, mask)])
+                assert np.array_equal(A[mask], np.eye(mesh.n_nodes)[mask])
+                stored = J != 0.0
+                assert (stored != stored.T).nnz == 0
+                symmetric.append(np.array_equal(A, A.T))
+        # the exact Jacobian of convective_linear holds its D_k rows, which
+        # are not symmetric where the state has a gradient (not at zero)
+        gradient = react.name == "convective_linear"
+        assert symmetric == [True, True] + [not gradient, True] * (len(states) - 1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_dirichlet_columns_are_dropped(self):
+        # at this scale the operator blocks overflow to inf and their sums
+        # to NaN, in the Dirichlet columns of the free rows too
+        mesh = rectangle(9, 7, gamma2=("right",))
+        spec = _gate_spec(mesh, 2.5, reaction("constant", value=4.0), False)
+        u = np.random.default_rng(7).uniform(-1e300, 1e300, mesh.n_nodes)
+        slots = mesh.block_pattern.dirichlet_column_slots
+        assert not np.all(np.isfinite(operator_jacobian(spec, u).data[slots]))
+        new = assemble_system(spec, u)
+        mask = mesh.dirichlet_mask
+        assert not np.any(new.jacobian.toarray()[np.ix_(~mask, mask)])
+        assert_same_system(new, reference_assemble_system(spec, u))
+

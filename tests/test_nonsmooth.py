@@ -1,5 +1,7 @@
 """Feasible-set projection, quadratic envelope, excess over the set."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,20 @@ class TestExcess:
         pu, pv = K.excess(u), K.excess(v)
         assert np.all(pv >= pu)
         assert np.all(pu == np.maximum(u - cap, 0.0))
+
+    def test_infinite_values(self):
+        # u - proj(u) is inf - inf wherever the projection keeps an infinite
+        # value; the set reads it as no excess, as (u - phi)^+ did, and
+        # u = +inf above a finite cap as an infinite one
+        mesh = interval(4)
+        K = ConstraintSet.from_problem(mesh, np.array([0.5, np.inf, 0.5, 0.5, 0.5]))
+        u = np.array([0.0, np.inf, -np.inf, np.inf, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = K.excess(u)
+            stack = K.excess(np.stack([u, -u]))
+        assert out.tobytes() == np.array([0.0, 0.0, 0.0, np.inf, 0.0]).tobytes()
+        assert stack.tobytes() == np.array([out, [0.0, 0.0, np.inf, 0.0, 0.0]]).tobytes()
 
     def test_pinned_nodes_measure_their_distance_to_zero(self, rng):
         mesh = interval(6)

@@ -10,7 +10,8 @@ import scipy.sparse.linalg as spla
 
 from conftest import (assert_same_system, interval, make_spec, rectangle,
                       reference_assemble_system, reference_probe_set,
-                      reference_solve_penalized, reference_vi_residual)
+                      reference_solve_direction, reference_solve_penalized,
+                      reference_vi_residual)
 from dpobstacle import assembly, lab, solver
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import ConfigurationError
@@ -33,12 +34,15 @@ def _poisson_spec(n=64, source=1.0, phi=None):
 
 
 def _singular_spec():
-    # one free node whose reaction slope exactly cancels the stiffness
-    # diagonal: the first linear solve is singular and gets lifted
-    mesh = interval(2)
-    c1 = -(2.0 / 0.5) / 0.5  # stiffness diag 2/h, lumped weight 1/2
-    return make_spec(mesh, p=2.0, q=2.0, mu=0.0,
-                     react=reaction("convective_linear", c0=1.0, c1=c1, c2=0.0))
+    # p > 2 and eps_grad = 0: at the zero start the Jacobian vanishes on the
+    # interior nodes, so the first Newton system is singular and gets
+    # lifted; at rho = 1e-2 the lifted step passes the line search at its
+    # last halving (the trial's residual norm is 0.68 of the start's), and
+    # Newton converges from there
+    mesh = rectangle(12, 12, gamma2=("right",))
+    return make_spec(mesh, p=2.2, q=2.5, mu=lambda x, y: 0.5 + 0.5 * x,
+                     phi=0.0, react=reaction("constant", value=1.0),
+                     bnd=boundary_potential("abs", alpha=0.1))
 
 
 class TestNewtonSolve:
@@ -101,9 +105,9 @@ class TestNewtonSolve:
         assert tight.effective_tol > 1e-10
 
     def test_singular_jacobian_regularized_and_noted(self):
-        report = solve_penalized(_singular_spec(), SolverConfig(max_newton=8))
-        notes = " ".join(t.note for t in report.iteration_trace)
-        assert "regularized" in notes
+        report = solve_penalized(_singular_spec(), SolverConfig(rho=1e-2))
+        assert ("newton", "regularized") in _steps(report)
+        assert report.converged
 
     def test_determinism(self):
         mesh = interval(48)
@@ -130,6 +134,15 @@ class TestNewtonSolve:
         assert report.converged and report.effective_tol == 1e-10
 
 
+def _steps(report):
+    return {(t.direction, t.note) for t in report.iteration_trace}
+
+
+def _hex_trace(report):
+    return [(t.iteration, t.residual_norm.hex(), t.step_length.hex(),
+             t.direction, t.note) for t in report.iteration_trace]
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -137,7 +150,7 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-def _recorded(monkeypatch, solve, spec, cfg):
+def _recorded(monkeypatch, solve, spec, cfg, initial=None):
     """Run ``solve`` and return its report with the sequence of
     ``assemble_system`` and ``spsolve`` calls (flags and argument digests)."""
     calls = []
@@ -149,20 +162,25 @@ def _recorded(monkeypatch, solve, spec, cfg):
         return assemble(spec, u, *args, **kwargs)
 
     def spsolve_rec(A, b, *args, **kwargs):
-        calls.append(("spsolve", _digest(A.data, A.indices, A.indptr, b)))
+        calls.append(("spsolve", _digest(A.data, A.indices, A.indptr, b),
+                      kwargs.get("permc_spec")))
         return spsolve(A, b, *args, **kwargs)
 
     monkeypatch.setattr(solver, "assemble_system", assemble_rec)
     monkeypatch.setattr(assembly, "assemble_system", assemble_rec)
     monkeypatch.setattr(spla, "spsolve", spsolve_rec)
-    report = solve(spec, cfg)
+    report = solve(spec, cfg, initial=initial)
     monkeypatch.undo()
     return report, calls
 
 
 def _picard_spec():
-    # a load far beyond what the p=3/q=4 operator balances from zero:
-    # Newton steps are rejected until the frozen fixed point takes over
+    # p = 3 and eps_grad = 0 with a load far beyond what the p=3/q=4
+    # operator balances near zero: at the zero start both the exact and the
+    # frozen Jacobian vanish on the interior nodes.  Even the shortest step
+    # of the lifted Newton direction overshoots, so the forced fixed-point
+    # step is lifted too; it throws the state to about 4e11, from where
+    # Newton descends
     mesh = rectangle(16, 16, gamma2=("right",))
     return make_spec(mesh, p=3.0, q=4.0, mu=lambda x, y: 0.5 + 0.5 * x,
                      phi=0.05, react=reaction("constant", value=100.0),
@@ -178,45 +196,77 @@ def _kink_spec():
                                     rule="upper"))
 
 
-_LOOP_SPECS = {"picard": _picard_spec, "singular": _singular_spec,
-               "kink": _kink_spec}
+def _overflow_spec():
+    # p = 2 and q = 4: far from zero the q-phase dominates, and a Newton step
+    # shrinks the state by about a third; near zero the operator is linear
+    return make_spec(rectangle(8, 8, gamma2=("right",)), p=2.0, q=4.0,
+                     mu=lambda x, y: 0.5 + 0.5 * x, phi=0.05,
+                     react=reaction("constant", value=10.0),
+                     bnd=boundary_potential("abs", alpha=0.1))
+
+
+# case: (problem, config, height of a sine-bump start or None for zero,
+# the (direction, note) steps the case reaches).  The overflow start gives
+# residual entries near 1e180, finite but with overflowing squares: every
+# trial of the first line search has an infinite norm, so the fixed point is
+# forced; it lands near the roundoff of the start, and Newton descends.  The
+# unsolvable start overflows the residual (and the Jacobian, Dirichlet
+# columns included) itself, so no system can be solved.
+_LOOP_CASES = {
+    "picard": (_picard_spec, SolverConfig(rho=1.0), None,
+               {("picard", "forced regularized"), ("newton", "")}),
+    "singular": (_singular_spec, SolverConfig(rho=1e-2), None,
+                 {("newton", "regularized"), ("newton", "")}),
+    "kink": (_kink_spec, SolverConfig(rho=1e-2, max_newton=150), None,
+             {("picard", ""), ("picard", "forced")}),
+    "overflow": (_overflow_spec, SolverConfig(rho=1e-2, max_newton=12), 1e60,
+                 {("picard", "forced"), ("newton", "")}),
+    "unsolvable": (_overflow_spec, SolverConfig(rho=1e-2), 1e160,
+                   {("picard", "fixed-point system unsolvable")}),
+}
+
+
+def _loop_case(case):
+    """The problem, config, initial state and expected steps of a case."""
+    spec_fn, cfg, height, steps = _LOOP_CASES[case]
+    spec = spec_fn()
+    initial = None
+    if height is not None:
+        x, y = spec.mesh.nodes.T
+        initial = height * np.sin(np.pi * x) * np.sin(np.pi * y)
+    return spec, cfg, initial, steps
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestLoopReference:
     """``solve_penalized`` against the two-path loop in ``conftest``."""
 
-    @pytest.mark.parametrize("case,cfg,steps", [
-        ("picard", SolverConfig(rho=1.0),
-         {("picard", "forced"), ("picard", "forced regularized"),
-          ("picard", "fixed-point system unsolvable")}),
-        ("singular", SolverConfig(max_newton=8), {("newton", "regularized")}),
-        ("kink", SolverConfig(rho=1e-2, max_newton=150),
-         {("picard", ""), ("picard", "forced")}),
-    ])
-    def test_bitwise_equal_with_same_calls(self, monkeypatch, case, cfg, steps):
-        spec = _LOOP_SPECS[case]()
+    @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+    def test_bitwise_equal_with_same_calls(self, monkeypatch, case):
+        spec, cfg, initial, steps = _loop_case(case)
         ref, ref_calls = _recorded(monkeypatch, reference_solve_penalized,
-                                   spec, cfg)
-        new, new_calls = _recorded(monkeypatch, solve_penalized, spec, cfg)
+                                   spec, cfg, initial)
+        new, new_calls = _recorded(monkeypatch, solve_penalized, spec, cfg,
+                                   initial)
         # the case reaches the branches it is meant to cover
-        assert steps <= {(t.direction, t.note) for t in ref.iteration_trace}
-        assert new.iteration_trace == ref.iteration_trace
+        assert steps <= _steps(ref)
+        # compared as float.hex, so that a NaN norm equals itself
+        assert _hex_trace(new) == _hex_trace(ref)
         assert new_calls == ref_calls
         assert _digest(new.solution.values, new.eta) == _digest(
             ref.solution.values, ref.eta)
         for name in ("residual_norm", "iterations", "converged",
                      "obstacle_violation_sup", "obstacle_violation_l1",
                      "effective_tol", "rho"):
-            assert getattr(new, name) == getattr(ref, name), name
+            assert float(getattr(new, name)).hex() == float(getattr(ref, name)).hex(), name
 
-    @pytest.mark.parametrize("case", ["picard", "singular"])
+    @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
     def test_every_system_is_the_matrix_algebra(self, monkeypatch, case):
         # the loop above calls the package assembly on both sides; this
-        # checks each system of the solve, the overflowing trial states of
-        # the blow-up included, against the scipy matrix algebra of conftest
-        spec, cfg = ((_picard_spec(), SolverConfig(rho=1.0)) if case == "picard"
-                     else (_singular_spec(), SolverConfig(max_newton=8)))
+        # checks each system of the solve, the overflowing states included,
+        # against the scipy matrix algebra of conftest
+        spec, cfg, initial, _ = _loop_case(case)
         assemble = solver.assemble_system
         calls = []
 
@@ -228,21 +278,67 @@ class TestLoopReference:
             return new
 
         monkeypatch.setattr(solver, "assemble_system", checked)
-        solve_penalized(spec, cfg)
+        solve_penalized(spec, cfg, initial=initial)
         kinds = {c[:2] for c in calls}
         assert {(True, False), (False, False)} <= kinds
-        if case == "picard":
+        if case != "singular":
             assert (True, True) in kinds
-            # residuals whose squares overflow in the norm
-            assert max(c[2] for c in calls) > 1e155
+        if case == "overflow":
+            # finite residuals whose squares overflow in the norm
+            assert 1e155 < max(c[2] for c in calls) < np.inf
+        if case == "unsolvable":
+            assert not np.isfinite(calls[0][2])
+
+    @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+    def test_direction_is_the_parents_to_roundoff(self, monkeypatch, case):
+        # the zeroed Dirichlet columns and the symmetric ordering leave the
+        # direction unchanged in exact arithmetic.  Against the default
+        # ordering on the matrix that kept the columns, every direction of
+        # the solve agrees to 1e-12 relative, or to eps * cond (the forward
+        # error of a backward-stable solve) on the blow-ups' states, whose
+        # condition numbers reach 1e121
+        spec, cfg, initial, _ = _loop_case(case)
+        mask = spec.mesh.dirichlet_mask
+        assemble = solver.assemble_system
+        gaps = []
+
+        def compared(spec, u, **kwargs):
+            new = assemble(spec, u, **kwargs)
+            if not kwargs["with_jacobian"]:
+                return new
+            d, note = solver._solve_direction(new.jacobian, new.residual)
+            old = reference_assemble_system(spec, u, keep_columns=True, **kwargs)
+            d_old, note_old = reference_solve_direction(
+                old.jacobian, old.residual, permc_spec="COLAMD")
+            assert (d is None) == (d_old is None)
+            if d is not None:
+                assert note == note_old
+                d[mask] = d_old[mask] = -u[mask]
+                J = new.jacobian.toarray()
+                if note:
+                    J += np.diag(1e-12 * (1.0 + np.abs(np.diag(J))))
+                kappa = np.linalg.cond(J)
+                gap = np.linalg.norm(d - d_old) / np.linalg.norm(d_old)
+                assert gap <= max(1e-12, np.finfo(float).eps * kappa)
+                gaps.append(gap)
+            return new
+
+        monkeypatch.setattr(solver, "assemble_system", compared)
+        solve_penalized(spec, cfg, initial=initial)
+        assert gaps or case == "unsolvable"
+        if case in ("kink", "singular"):
+            assert max(gaps) <= 1e-12
 
     def test_line_search_never_accepts_a_non_finite_residual(self):
-        # the blow-up overflows the residual norm to inf; inf passes the
-        # Armijo comparison against inf, so only a finiteness test keeps
-        # such a trial out; forced steps are taken whatever they give
-        report = solve_penalized(_picard_spec(), SolverConfig(rho=1.0))
+        # from the overflow start every trial of the first line search has
+        # an infinite norm, and inf passes the Armijo comparison against the
+        # infinite norm of the start: only a finiteness test keeps such a
+        # trial out.  The forced fixed-point step then lands at a finite one
+        spec, cfg, initial, _ = _loop_case("overflow")
+        report = solve_penalized(spec, cfg, initial=initial)
         trace = report.iteration_trace
-        assert not np.all(np.isfinite([t.residual_norm for t in trace]))
+        assert trace[0].residual_norm == np.inf
+        assert (trace[1].direction, trace[1].note) == ("picard", "forced")
         searched = [t for t in trace[1:]
                     if t.step_length > 0 and not t.note.startswith("forced")]
         assert searched
@@ -253,10 +349,6 @@ class TestLoopReference:
 def tenfold_mesh():
     # 3,249 nodes: ten times the largest 2D mesh of the other tests
     return rectangle(56, 56, gamma2=("right",))
-
-
-def _steps(report):
-    return {(t.direction, t.note) for t in report.iteration_trace}
 
 
 class TestTenfoldScale:

@@ -17,13 +17,21 @@ tree's own config files, ``extra/`` the extra ones, ``out/`` the outputs),
 so the paths they print agree.  Exit codes, stdout, stderr and every output
 file are compared byte for byte; each difference is printed, and the exit
 status is 1 if there is any, else 0.
+
+For a differing stdout, stderr or file the script also says how far it
+moved: whether the text is identical once every floating-point number is
+masked (integers, labels and digests are text, so they must match
+exactly), and if so the largest relative difference between matching
+numbers.  The last line sums this up over all entries.
 """
 
 from __future__ import annotations
 
 import difflib
 import glob
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -38,6 +46,30 @@ COMMANDS = [
     ("norm-tool", ["x*(1-x)"]),
     ("norm-tool", ["sin(3*x) + 2^-3"]),
 ]
+
+
+# a floating-point token: a decimal point or an exponent (or a non-finite
+# spelling), not inside a word, a digest or a dotted name
+FLOAT = re.compile(r"(?<![\w.])[-+]?(?:\d*\.\d+(?:[eE][-+]?\d+)?"
+                   r"|\d+[eE][-+]?\d+|inf|nan|Infinity|NaN)(?![\w.])")
+
+
+def numeric_gap(old, new):
+    """The largest relative difference between the matching floating-point
+    tokens of two outputs, or None when they differ in anything else (their
+    text with every such token masked, integers included)."""
+    old = (old or b"").decode(errors="replace")
+    new = (new or b"").decode(errors="replace")
+    if FLOAT.sub("\0", old) != FLOAT.sub("\0", new):
+        return None
+    gap = 0.0
+    for a, b in zip(FLOAT.findall(old), FLOAT.findall(new)):
+        a, b = float(a), float(b)
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        finite = math.isfinite(a) and math.isfinite(b)
+        gap = max(gap, abs(a - b) / max(abs(a), abs(b)) if finite else math.inf)
+    return gap
 
 
 def entries(tree, configs):
@@ -82,15 +114,25 @@ def run_tree(tree, work, configs):
 
 
 def show(what, old, new):
-    print(f"    {what} differs")
+    """Print one difference; return the relative gap of its numbers (None
+    for an exit code or a difference in the text)."""
+    if isinstance(old, int) and isinstance(new, int):
+        print(f"    {what} differs")
+        print(f"      parent {old!r}, this {new!r}")
+        return None
+    gap = numeric_gap(old, new)
+    if gap is None:
+        print(f"    {what} differs: text differs")
+    else:
+        print(f"    {what} differs: text and integers identical, largest "
+              f"relative difference of its numbers {gap:.3g}")
     if isinstance(old, bytes) or isinstance(new, bytes):
         old = (old or b"").decode(errors="replace").splitlines()
         new = (new or b"").decode(errors="replace").splitlines()
         for line in list(difflib.unified_diff(old, new, "parent", "this",
                                               lineterm="", n=1))[:40]:
             print(f"      {line}")
-    else:
-        print(f"      parent {old!r}, this {new!r}")
+    return gap
 
 
 def main(argv):
@@ -106,11 +148,12 @@ def main(argv):
             os.mkdir(os.path.join(tmp, side))
             runs[side] = run_tree(tree, os.path.join(tmp, side), configs)
     old, new = runs["parent"], runs["this"]
-    n_diff = 0
+    n_diff, gaps = 0, []
     for label in sorted(set(old) | set(new), key=lambda s: (s.startswith("demo"), s)):
         if label not in old or label not in new:
             print(f"{label}: only in the {'this' if label in new else 'parent'} tree")
             n_diff += 1
+            gaps.append(None)
             continue
         a, b = old[label], new[label]
         diffs = [(key, a[key], b[key]) for key in ("exit code", "stdout", "stderr")
@@ -120,10 +163,15 @@ def main(argv):
                   if a["files"].get(name) != b["files"].get(name)]
         if diffs:
             print(f"{label}:")
-            for what, x, y in diffs:
-                show(what, x, y)
+            entry = [show(what, x, y) for what, x, y in diffs]
+            gaps.append(None if None in entry else max(entry))
             n_diff += 1
-    print(f"{len(new)} entries compared, {n_diff} differ")
+    numeric = [g for g in gaps if g is not None]
+    summary = f"{len(new)} entries compared, {n_diff} differ"
+    if n_diff:
+        summary += (f"; {len(numeric)} of them only in floating-point numbers"
+                    + (f", by at most {max(numeric):.3g} relative" if numeric else ""))
+    print(summary)
     return 1 if n_diff else 0
 
 
