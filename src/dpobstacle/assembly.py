@@ -12,6 +12,15 @@ derivative of the regularized energy  ``sum_e |e| (g_e^p / p + mu_e g_e^q / q)``
 Each function reads ``eps_grad`` from the :class:`ProblemSpec` and the boundary
 smoothing ``delta`` from its potential: a continuation stage is a spec.
 
+The element state of an iterate (:class:`GradientState`: ``|grad u|^2``,
+the two powers, the coefficient and ``G_e^T grad u``) is computed once per
+iterate, by the explicit sums of :class:`~dpobstacle.meshing.Mesh` (bit for
+bit the ``einsum`` forms they replaced), and an :class:`AssembledSystem`
+keeps it.  The residual reads it, and so does the Jacobian at the same
+iterate when :func:`assemble_system` is handed that system: the Newton
+solver assembles each accepted iterate once, in its line search, and builds
+the Jacobian from that trial's system.
+
 Lower-order terms use vertex-lumped quadrature: the obstacle penalty (the
 envelope gradient of :class:`~dpobstacle.nonsmooth.ConstraintSet`, which
 owns it), the reaction selection evaluated at nodes with a volume-averaged
@@ -35,21 +44,23 @@ symmetric fill-reducing ordering exploits.  A residual-only call
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .catalog import BoundaryPotentialSpec, ReactionSpec
 from .errors import ConfigurationError
-from .meshing import DiscreteFunction, Mesh, nodal_values
+from .meshing import DiscreteFunction, Mesh, element_dots, nodal_values
 from .musielak import PhaseConfig
 from .nonsmooth import ConstraintSet
 
 __all__ = [
     "ProblemSpec",
     "AssembledSystem",
+    "GradientState",
     "operator_energy",
     "apply_operator",
     "operator_residual",
@@ -128,31 +139,60 @@ class ProblemSpec:
 class AssembledSystem:
     """Masked residual/Jacobian pair; Dirichlet rows are identity rows,
     Dirichlet columns hold nothing off the diagonal, and the CSR Jacobian
-    stores no exact zeros."""
+    stores no exact zeros.
+
+    The system keeps what its Jacobian reads besides the reaction: the
+    :class:`GradientState` of the iterate and ``diagonal``, the penalty and
+    boundary Newton diagonal.  ``assemble_system(..., system=s)`` builds the
+    Jacobian at ``s``'s iterate from them, without computing the residual,
+    the selection or the element state again."""
 
     residual: np.ndarray
     jacobian: sp.csr_matrix | None
     eta: np.ndarray
+    state: GradientState | None = None
+    diagonal: np.ndarray | None = None
 
 
-def _gradient_state(spec, u):
-    grads = spec.mesh.element_gradients(nodal_values(u))
-    g2 = np.sum(grads * grads, axis=1) + spec.eps_grad * spec.eps_grad
-    return grads, np.sqrt(g2), g2
+class GradientState(NamedTuple):
+    """The element state of an iterate: what the residual and the Jacobian
+    read, each array over the elements.
+
+    ``g2 = |grad u|^2 + eps_grad^2``, the powers ``cp = ge^(p-2)`` and
+    ``cq = ge^(q-2)`` of ``ge = sqrt(g2)``, the coefficient
+    ``coef = cp + mu cq`` and ``Gg = G_e^T grad u`` (``(n_elements, nv)``).
+    The residual reads ``coef`` and ``Gg``; the Jacobian reads those and,
+    unless frozen, ``cp``, ``cq`` and ``g2``.  The gradients themselves and
+    ``ge`` are not kept: a system holds its state through the linear solve."""
+
+    g2: np.ndarray
+    cp: np.ndarray
+    cq: np.ndarray
+    coef: np.ndarray
+    Gg: np.ndarray
 
 
-def _coef(spec, ge):
+def _gradient_state(spec, u, grads=None) -> GradientState:
+    """The :class:`GradientState` of ``u`` (``grads``: its element gradients
+    when the caller holds them), each entry computed once, bit for bit as
+    the ``einsum`` and ``np.sum`` forms it replaced (see
+    :meth:`~dpobstacle.meshing.Mesh.element_gradients`).  At ``ge = 0``
+    numpy's ``0^0 = 1`` covers p = 2 exactly, and p > 2 gives 0."""
+    if grads is None:
+        grads = spec.mesh.element_gradients(nodal_values(u))
     p, q = spec.phase.p, spec.phase.q
+    g2 = element_dots(grads, grads) + spec.eps_grad * spec.eps_grad
+    ge = np.sqrt(g2)
     with np.errstate(divide="ignore"):
         cp = ge ** (p - 2.0)
         cq = ge ** (q - 2.0)
-    # 0^0 = 1 (numpy) covers p = 2 exactly; p > 2 gives 0 at ge = 0.
-    return cp + spec.phase.mu * cq
+    return GradientState(g2, cp, cq, cp + spec.phase.mu * cq,
+                         spec.mesh.gradient_pairings(grads))
 
 
 def operator_energy(spec: ProblemSpec, u) -> float:
     """Regularized two-phase Dirichlet energy sum_e |e| (g^p/p + mu g^q/q)."""
-    _, ge, _ = _gradient_state(spec, u)
+    ge = np.sqrt(_gradient_state(spec, u).g2)
     p, q = spec.phase.p, spec.phase.q
     dens = ge**p / p + spec.phase.mu * ge**q / q
     return float(np.dot(spec.mesh.element_volumes, dens))
@@ -160,40 +200,46 @@ def operator_energy(spec: ProblemSpec, u) -> float:
 
 def apply_operator(spec: ProblemSpec, u, v) -> float:
     """Energy pairing of the operator at ``u`` against ``v``."""
-    grads_u, ge, _ = _gradient_state(spec, u)
-    dots = np.sum(grads_u * spec.mesh.element_gradients(nodal_values(v)), axis=1)
-    return float(np.dot(spec.mesh.element_volumes, _coef(spec, ge) * dots))
+    mesh = spec.mesh
+    grads_u = mesh.element_gradients(nodal_values(u))
+    dots = element_dots(grads_u, mesh.element_gradients(nodal_values(v)))
+    coef = _gradient_state(spec, u, grads_u).coef
+    return float(np.dot(mesh.element_volumes, coef * dots))
 
 
-def operator_residual(spec: ProblemSpec, u) -> np.ndarray:
-    """Unmasked residual vector of the leading operator."""
-    grads, ge, _ = _gradient_state(spec, u)
-    coef = spec.mesh.element_volumes * _coef(spec, ge)
+def operator_residual(spec: ProblemSpec, u, state=None) -> np.ndarray:
+    """Unmasked residual vector of the leading operator; ``state`` is
+    ``u``'s :class:`GradientState` when the caller holds it."""
+    if state is None:
+        state = _gradient_state(spec, u)
+    coef = spec.mesh.element_volumes * state.coef
     # local vector |e| coef G^T grad
-    local = np.einsum("ekv,ek->ev", spec.mesh.gradient_maps, grads) * coef[:, None]
-    return spec.mesh.scatter_vector(local)
+    return spec.mesh.scatter_vector(state.Gg * coef[:, None])
 
 
-def operator_jacobian(spec: ProblemSpec, u, frozen=False):
-    """Exact (or coefficient-frozen) sparse Jacobian of the leading operator.
+def operator_jacobian(spec: ProblemSpec, u, frozen=False, state=None):
+    """Exact (or coefficient-frozen) sparse Jacobian of the leading operator;
+    ``state`` is ``u``'s :class:`GradientState` when the caller holds it.
 
     ``frozen=True`` drops the rank-one derivative of the nonlinear
-    coefficient, giving the fixed-point (Picard) linearization.
+    coefficient, giving the fixed-point (Picard) linearization.  The element
+    blocks ``|e| coef G^T G + |e| fac (G^T g)(G^T g)^T`` are built in place,
+    the rank-one part one entry ``(a, b)`` at a time over contiguous columns
+    of ``G^T g``, each product and sum in the order of the expression.
     """
     mesh = spec.mesh
-    grads, ge, g2 = _gradient_state(spec, u)
-    p, q = spec.phase.p, spec.phase.q
-    mu = spec.phase.mu
-    coef = _coef(spec, ge)
-    blocks = (mesh.element_volumes * coef)[:, None, None] * mesh.gradient_gram
+    if state is None:
+        state = _gradient_state(spec, u)
+    vol = mesh.element_volumes
+    blocks = np.multiply((vol * state.coef)[:, None, None], mesh.gradient_gram)
     if not frozen:
+        p, q = spec.phase.p, spec.phase.q
         with np.errstate(divide="ignore", invalid="ignore"):
-            fac = ((p - 2.0) * ge ** (p - 2.0) + mu * (q - 2.0) * ge ** (q - 2.0)) / g2
-        fac = np.where(g2 > 0.0, fac, 0.0)
-        Gg = np.einsum("ekv,ek->ev", mesh.gradient_maps, grads)
-        blocks = blocks + (mesh.element_volumes * fac)[:, None, None] * (
-            Gg[:, :, None] * Gg[:, None, :]
-        )
+            fac = ((p - 2.0) * state.cp + spec.phase.mu * (q - 2.0) * state.cq) / state.g2
+        scale = vol * np.where(state.g2 > 0.0, fac, 0.0)
+        Gg = state.Gg
+        for a, b in np.ndindex(blocks.shape[1:]):
+            blocks[:, a, b] += scale * (Gg[:, a] * Gg[:, b])
     return mesh.scatter_blocks(blocks)
 
 
@@ -260,37 +306,47 @@ def assemble_system(
     rho=1.0,
     with_jacobian=True,
     frozen=False,
+    system=None,
 ) -> AssembledSystem:
     """Full masked system of the approximating problem at parameter ``rho``,
     whose obstacle penalty is ``spec.constraints.envelope_grad(u, rho)``
-    (see :class:`~dpobstacle.nonsmooth.ConstraintSet`)."""
+    (see :class:`~dpobstacle.nonsmooth.ConstraintSet`).
+
+    ``system`` is a system that an earlier call returned for this problem,
+    ``u`` and ``rho``; its residual, selection, element state and diagonal
+    are taken as they are, so only the Jacobian is built (the reaction's
+    part of it from a new selection).  Either way the result is bit for bit
+    the same."""
     vals = nodal_values(u)
-    r = operator_residual(spec, vals)
-    diag_extra = np.zeros_like(r)
+    if system is None:
+        state = _gradient_state(spec, vals)
+        r = operator_residual(spec, vals, state=state)
+        diag_extra = np.zeros_like(r)
 
-    # the fixed-point linearization also freezes the selection
-    react_vec, react_data, eta = reaction_term(
-        spec, vals, with_jacobian=with_jacobian and not frozen)
-    r = r + react_vec
-    bnd_vec, bnd_diag = boundary_term(spec, vals)
-    r = r + bnd_vec
-    diag_extra += bnd_diag
+        react_vec, _, eta = reaction_term(spec, vals, with_jacobian=False)
+        r = r + react_vec
+        bnd_vec, bnd_diag = boundary_term(spec, vals)
+        r = r + bnd_vec
+        diag_extra += bnd_diag
 
-    pen_vec, pen_diag = spec.constraints.envelope_grad(vals, rho)
-    r = r + pen_vec
-    diag_extra += pen_diag
+        pen_vec, pen_diag = spec.constraints.envelope_grad(vals, rho)
+        r = r + pen_vec
+        diag_extra += pen_diag
 
-    mask = spec.mesh.dirichlet_mask
-    r[mask] = vals[mask]
-    J = None
-    if with_jacobian:
-        pattern = spec.mesh.block_pattern
-        J = operator_jacobian(spec, vals, frozen=frozen)
-        J.data[pattern.diagonal] += diag_extra
-        if react_data is not None:
-            J.data += react_data
-        J.data[pattern.dirichlet_slots] = 0.0
-        J.data[pattern.dirichlet_column_slots] = 0.0
-        J.data[pattern.diagonal[mask]] = 1.0
-        J.eliminate_zeros()
-    return AssembledSystem(residual=r, jacobian=J, eta=eta)
+        mask = spec.mesh.dirichlet_mask
+        r[mask] = vals[mask]
+        system = AssembledSystem(residual=r, jacobian=None, eta=eta, state=state,
+                                 diagonal=diag_extra)
+    if not with_jacobian:
+        return system
+    pattern = spec.mesh.block_pattern
+    J = operator_jacobian(spec, vals, frozen=frozen, state=system.state)
+    J.data[pattern.diagonal] += system.diagonal
+    if not frozen:
+        # the fixed-point linearization also freezes the selection
+        J.data += reaction_term(spec, vals)[1]
+    J.data[pattern.dirichlet_slots] = 0.0
+    J.data[pattern.dirichlet_column_slots] = 0.0
+    J.data[pattern.diagonal[spec.mesh.dirichlet_mask]] = 1.0
+    J.eliminate_zeros()
+    return replace(system, jacobian=J)

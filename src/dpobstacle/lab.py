@@ -46,7 +46,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import ProblemSpec, clarke_directional, operator_jacobian
 from .errors import ConfigurationError, EmptySampleError, OracleFailure
-from .meshing import DiscreteFunction, nodal_values
+from .meshing import DiscreteFunction, element_dots, nodal_values
 from .musielak import luxemburg_norm
 from .solver import (
     SolverConfig,
@@ -593,14 +593,13 @@ def _p_norm(weights, u, p):
 def _p_norm_gradient(mesh, u, p):
     """``||grad u||_p`` and its gradient in ``u`` (zero at a zero norm)."""
     g = mesh.element_gradients(u)
-    gn = np.sqrt(np.sum(g * g, axis=1))
+    gn = np.sqrt(element_dots(g, g))
     norm = float(np.dot(mesh.element_volumes, gn**p)) ** (1 / p)
     if norm == 0:
         return norm, np.zeros_like(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(gn > 0, gn ** (p - 2.0), 0.0)
-    local = np.einsum("ekv,ek->ev", mesh.gradient_maps, g)
-    local = local * (mesh.element_volumes * coef)[:, None]
+    local = mesh.gradient_pairings(g) * (mesh.element_volumes * coef)[:, None]
     return norm, norm ** (1 - p) * mesh.scatter_vector(local)
 
 

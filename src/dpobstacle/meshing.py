@@ -3,6 +3,9 @@
 Gradients of piecewise-linear functions are elementwise constant; each mesh
 is built with the per-element gradient maps (``dim x nverts`` matrices acting
 on local nodal values), element volumes and a tagged list of boundary faces.
+The gradient maps are stored component-major, so that the element
+gradients, their norms and ``G_e^T g`` are explicit sums over the
+components and the element's nodes on contiguous arrays.
 Everything derived from those (lumped volume weights, the Dirichlet mask, the
 natural-boundary nodes and their lumped weights, ``G_e^T G_e``, the
 :class:`BlockPattern` of the element blocks, and the nodal-gradient matrices
@@ -35,6 +38,7 @@ __all__ = [
     "BlockPattern",
     "DiscreteFunction",
     "nodal_values",
+    "element_dots",
     "build_interval_mesh",
     "build_rect_mesh",
 ]
@@ -98,6 +102,12 @@ class Mesh:
     element_volumes : ``(n_elements,)`` lengths/areas.
     gradient_maps : ``(n_elements, dim, dim + 1)``; row block ``G_e`` maps
         local nodal values to the constant gradient on element ``e``.
+    gradient_components : the same maps stored component-major, shape
+        ``(dim, dim + 1, n_elements)``: each entry ``G_e[k, a]`` is one
+        contiguous array over the elements, the layout the explicit sums of
+        :meth:`element_gradients` and :meth:`gradient_pairings` run on.
+        Construction copies ``gradient_maps`` into it once and keeps
+        ``gradient_maps`` as a transposed view, so the maps are stored once.
     """
 
     dim: int
@@ -116,6 +126,9 @@ class Mesh:
             raise ConfigurationError(
                 "the Dirichlet boundary part (gamma1) must be nonempty"
             )
+        self.gradient_components = np.ascontiguousarray(
+            np.transpose(self.gradient_maps, (1, 2, 0)))
+        self.gradient_maps = self.gradient_components.transpose(2, 0, 1)
 
     @property
     def n_nodes(self):
@@ -171,9 +184,10 @@ class Mesh:
 
     @cached_property
     def gradient_gram(self):
-        """Per-element ``G_e^T G_e``, shape ``(n_elements, nv, nv)``."""
+        """Per-element ``G_e^T G_e``, shape ``(n_elements, nv, nv)``, C-ordered
+        like the element blocks built from it."""
         G = self.gradient_maps
-        return np.einsum("eka,ekb->eab", G, G)
+        return np.einsum("eka,ekb->eab", G, G, order="C")
 
     @cached_property
     def block_pattern(self):
@@ -230,9 +244,43 @@ class Mesh:
         return out
 
     def element_gradients(self, values):
-        """Constant gradient per element, shape (n_elements, dim)."""
-        local = values[self.elements]  # (n_el, nv)
-        return np.einsum("ekv,ev->ek", self.gradient_maps, local)
+        """Constant gradient per element, shape ``(n_elements, dim)``, each
+        component contiguous (the transpose of a ``(dim, n_elements)`` array).
+
+        Bit for bit ``einsum("ekv,ev->ek", gradient_maps, values[elements])``
+        (numpy 2.4), in the order of its reduction: einsum sums the terms of
+        an element's nodes in two lanes started at +0.0, ``(t0 + t2) + t1``
+        on a triangle, so a sum of -0.0 terms reads +0.0."""
+        terms = self.gradient_components * values[self.elements.T]
+        out = np.add(terms[:, 0], terms[:, -1])
+        if self.dim == 2:
+            out += terms[:, 1]
+        out += 0.0
+        return out.T
+
+    def gradient_pairings(self, grads):
+        """Per element ``G_e^T g_e`` for element gradients ``grads``
+        ``(n_elements, dim)``: the pairings ``g_e . grad phi_a`` with the
+        element's basis functions, shape ``(n_elements, nv)``, each column
+        contiguous.  Bit for bit ``einsum("ekv,ek->ev", gradient_maps,
+        grads)``: the sum over ``k`` in order from +0.0, each term added to
+        the left of the partial sum as einsum adds it."""
+        G = self.gradient_components
+        out = G[0] * grads[:, 0]
+        for k in range(1, self.dim):
+            np.add(G[k] * grads[:, k], out, out=out)
+        out += 0.0
+        return out.T
+
+
+def element_dots(a, b):
+    """Per element ``a_e . b_e`` of two ``(n_elements, dim)`` arrays, bit for
+    bit ``np.sum(a * b, axis=1)``: the sum over ``k`` in order from +0.0."""
+    out = a[:, 0] * b[:, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k] * b[:, k]
+    out += 0.0
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .meshing import DiscreteFunction, Mesh
+from .meshing import DiscreteFunction, Mesh, element_dots
 
 __all__ = [
     "PhaseConfig",
@@ -121,7 +121,7 @@ def _modular_parts(f, cfg, of_gradient):
     mesh = cfg.mesh
     if of_gradient:
         grads = mesh.element_gradients(f.values)
-        g = np.sqrt(np.sum(grads * grads, axis=1))
+        g = np.sqrt(element_dots(grads, grads))
         p_part = float(np.dot(mesh.element_volumes, g**cfg.p))
         q_part = float(np.dot(mesh.element_volumes * cfg.mu, g**cfg.q))
     else:

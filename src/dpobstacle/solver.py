@@ -159,6 +159,13 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
     switches from Newton to the frozen-coefficient fixed point; every
     rejected line search is followed by one full fixed-point step, taken
     unconditionally and traced as ``picard`` with a ``forced`` note.
+
+    Each iterate is assembled once, residual only: the start, then each
+    accepted trial of the line search (or the forced step).  Its Newton or
+    fixed-point Jacobian is built from that system
+    (``assemble_system(..., system=...)``), so the residual, the selection and
+    the element state are not computed again; the result is bit for bit the
+    one a fresh assembly gives.
     """
     mesh = spec.mesh
     if initial is None:
@@ -169,13 +176,14 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
 
     eff_tol = max(cfg.newton_tol, _fp_floor(spec, cfg))
 
-    def assemble(vals, with_jacobian, frozen=False):
-        return assemble_system(spec, vals, rho=cfg.rho,
-                               with_jacobian=with_jacobian, frozen=frozen)
+    def assemble(vals, with_jacobian, frozen=False, system=None):
+        return assemble_system(spec, vals, rho=cfg.rho, with_jacobian=with_jacobian,
+                               frozen=frozen, system=system)
 
     def direction(frozen):
-        system = assemble(u, with_jacobian=True, frozen=frozen)
-        d, note = _solve_direction(system.jacobian, system.residual)
+        # the Jacobian at u from the residual-only system of u
+        jacobian = assemble(u, with_jacobian=True, frozen=frozen, system=system).jacobian
+        d, note = _solve_direction(jacobian, system.residual)
         if d is not None:
             # the Dirichlet block is an identity decoupled from the free
             # nodes, so the solve gives -u there already; pin it exactly
@@ -188,7 +196,6 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
         return vals, system, residual_norm(mesh, system.residual)
 
     system = assemble(u, with_jacobian=False)
-    eta = system.eta
     rnorm = residual_norm(mesh, system.residual)
     trace = [TraceEntry(0, rnorm, 0.0, "init")]
     iterations = 0
@@ -202,7 +209,7 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
         if d is not None:
             alpha = 1.0
             for _ in range(MAX_HALVINGS + 1):
-                vals, system, rnorm_new = trial(d, alpha)
+                vals, trial_system, rnorm_new = trial(d, alpha)
                 # an overflowed trial norm (inf) would pass against inf
                 if (np.isfinite(rnorm_new)
                         and rnorm_new**2 <= (1.0 - 2.0 * ARMIJO * alpha) * rnorm**2):
@@ -220,15 +227,15 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
                                         "fixed-point system unsolvable"))
                 break
             kind, alpha, note = "picard", 1.0, ("forced " + note).strip()
-            vals, system, rnorm_new = trial(d, alpha)
-        u, eta, rnorm = vals, system.eta, rnorm_new
+            vals, trial_system, rnorm_new = trial(d, alpha)
+        u, system, rnorm = vals, trial_system, rnorm_new
         iterations += 1
         trace.append(TraceEntry(iterations, rnorm, alpha, kind, note))
 
     violation = spec.constraints.excess(u)
     return SolveReport(
         solution=DiscreteFunction(mesh, u),
-        eta=eta,
+        eta=system.eta,
         residual_norm=rnorm,
         iterations=iterations,
         converged=bool(rnorm <= eff_tol),

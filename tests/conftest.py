@@ -181,21 +181,69 @@ def reference_plus_part(u: DiscreteFunction, phi) -> DiscreteFunction:
     return DiscreteFunction(u.mesh, out)
 
 
+def einsum_element_gradients(mesh, vals):
+    """Element gradients as the ``einsum`` the explicit sums of
+    ``Mesh.element_gradients`` replaced, frozen here.  The ``einsum`` kernels
+    run on a C-ordered copy of the maps, the layout they read before the mesh
+    stored the maps component-major."""
+    return np.einsum("ekv,ev->ek", np.ascontiguousarray(mesh.gradient_maps),
+                     vals[mesh.elements])
+
+
+def einsum_gradient_pairings(mesh, grads):
+    """``G_e^T g_e`` as the ``einsum`` ``Mesh.gradient_pairings`` replaced."""
+    return np.einsum("ekv,ek->ev", np.ascontiguousarray(mesh.gradient_maps), grads)
+
+
+def add_at_scatter_vector(mesh, local):
+    """``Mesh.scatter_vector`` as the ``np.add.at`` scatter, frozen here."""
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, mesh.elements.ravel(), np.ravel(local))
+    return out
+
+
+def einsum_gradient_state(spec, vals):
+    """``grads``, ``ge`` and ``g2`` as the ``einsum`` / ``np.sum`` kernels
+    computed them before the element state was assembled once."""
+    grads = einsum_element_gradients(spec.mesh, vals)
+    g2 = np.sum(grads * grads, axis=1) + spec.eps_grad * spec.eps_grad
+    return grads, np.sqrt(g2), g2
+
+
+def einsum_coef(spec, ge):
+    """The diffusion coefficient ``ge^(p-2) + mu ge^(q-2)``, frozen."""
+    p, q = spec.phase.p, spec.phase.q
+    with np.errstate(divide="ignore"):
+        cp = ge ** (p - 2.0)
+        cq = ge ** (q - 2.0)
+    return cp + spec.phase.mu * cq
+
+
+def einsum_operator_residual(spec, vals):
+    """The operator residual from the frozen kernels above."""
+    grads, ge, _ = einsum_gradient_state(spec, vals)
+    coef = spec.mesh.element_volumes * einsum_coef(spec, ge)
+    local = einsum_gradient_pairings(spec.mesh, grads) * coef[:, None]
+    return add_at_scatter_vector(spec.mesh, local)
+
+
 def reference_assemble_system(spec, u, rho=1.0, with_jacobian=True,
                               frozen=False, keep_columns=False):
-    """``assembly.assemble_system`` as scipy matrix algebra: the operator
-    blocks summed through COO, ``sp.diags`` for the diagonal terms, the
-    reaction Jacobian as a sum of CSR matrices, and the Dirichlet rows and
-    columns replaced by ``diags(free) @ J @ diags(free) + diags(mask)``.
-    ``sp.diags`` stores no zero entries, so the products multiply stored
-    entries by exact ones only: an ``inf`` or ``NaN`` in a Dirichlet row or
-    column drops out instead of turning into ``inf * 0 = NaN``.  Every CSR
-    addition and product drops exact zeros.  ``keep_columns=True`` gives the
-    Jacobian as it was before the Dirichlet columns were zeroed, with the
-    rows replaced only: ``diags(free) @ J + diags(mask)``."""
+    """``assembly.assemble_system`` as scipy matrix algebra on the frozen
+    ``einsum`` kernels above: the operator residual scattered by
+    ``np.add.at``, the operator blocks summed through COO, ``sp.diags`` for
+    the diagonal terms, the reaction Jacobian as a sum of CSR matrices, and
+    the Dirichlet rows and columns replaced by
+    ``diags(free) @ J @ diags(free) + diags(mask)``.  ``sp.diags`` stores
+    no zero entries, so the products multiply stored entries by exact ones
+    only: an ``inf`` or ``NaN`` in a Dirichlet row or column drops out
+    instead of turning into ``inf * 0 = NaN``.  Every CSR addition and
+    product drops exact zeros.  ``keep_columns=True`` gives the Jacobian as
+    it was before the Dirichlet columns were zeroed, with the rows replaced
+    only: ``diags(free) @ J + diags(mask)``."""
     mesh = spec.mesh
     vals = np.asarray(u.values if isinstance(u, DiscreteFunction) else u, float)
-    r = assembly.operator_residual(spec, vals)
+    r = einsum_operator_residual(spec, vals)
     diag_extra = np.zeros_like(r)
 
     D = reference_nodal_gradient_matrices(mesh)
@@ -219,16 +267,16 @@ def reference_assemble_system(spec, u, rho=1.0, with_jacobian=True,
 
     J = None
     if with_jacobian:
-        grads, ge, g2 = assembly._gradient_state(spec, vals)
+        grads, ge, g2 = einsum_gradient_state(spec, vals)
         p, q, mu = spec.phase.p, spec.phase.q, spec.phase.mu
-        coef = assembly._coef(spec, ge)
+        coef = einsum_coef(spec, ge)
         blocks = (mesh.element_volumes * coef)[:, None, None] * mesh.gradient_gram
         if not frozen:
             with np.errstate(divide="ignore", invalid="ignore"):
                 fac = ((p - 2.0) * ge ** (p - 2.0)
                        + mu * (q - 2.0) * ge ** (q - 2.0)) / g2
             fac = np.where(g2 > 0.0, fac, 0.0)
-            Gg = np.einsum("ekv,ek->ev", mesh.gradient_maps, grads)
+            Gg = einsum_gradient_pairings(mesh, grads)
             blocks = blocks + (mesh.element_volumes * fac)[:, None, None] * (
                 Gg[:, :, None] * Gg[:, None, :])
         J = reference_coo_scatter_blocks(mesh, blocks) + sp.diags(diag_extra)
@@ -596,22 +644,22 @@ def _reference_grad_p_norm(weights, u, p):
 
 
 def _reference_p_norm_gradient(mesh, u, p):
-    g = mesh.element_gradients(u)
+    g = einsum_element_gradients(mesh, u)
     gn = np.sqrt(np.sum(g * g, axis=1))
     return float(np.dot(mesh.element_volumes, gn**p)) ** (1 / p)
 
 
 def _reference_grad_p_norm_gradient(mesh, u, p):
-    g = mesh.element_gradients(u)
+    g = einsum_element_gradients(mesh, u)
     gn = np.sqrt(np.sum(g * g, axis=1))
     norm = float(np.dot(mesh.element_volumes, gn**p)) ** (1 / p)
     if norm == 0:
         return np.zeros_like(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(gn > 0, gn ** (p - 2.0), 0.0)
-    local = np.einsum("ekv,ek->ev", mesh.gradient_maps, g)
+    local = einsum_gradient_pairings(mesh, g)
     local = local * (mesh.element_volumes * coef)[:, None]
-    return norm ** (1 - p) * mesh.scatter_vector(local)
+    return norm ** (1 - p) * add_at_scatter_vector(mesh, local)
 
 
 def reference_ascent_ratio(mesh, free, weights, p, seed, iters=250):

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import (assert_same_system, interval, make_spec, rectangle,
+from conftest import (assert_same_system, csr_bytes, interval, make_spec, rectangle,
                       reference_assemble_system, reference_probe_set,
                       reference_solve_direction, reference_solve_penalized,
                       reference_vi_residual)
 from dpobstacle import assembly, lab, solver
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import ConfigurationError
-from dpobstacle.meshing import DiscreteFunction
+from dpobstacle.meshing import DiscreteFunction, Mesh
 from dpobstacle.nonsmooth import ConstraintSet
 from dpobstacle.solver import (
     SolveReport,
@@ -270,8 +270,11 @@ class TestLoopReference:
         assemble = solver.assemble_system
         calls = []
 
-        def checked(spec, u, **kwargs):
-            new = assemble(spec, u, **kwargs)
+        def checked(spec, u, system=None, **kwargs):
+            # a Jacobian reuses the residual-only system of its iterate; the
+            # reference assembles every system from scratch
+            assert (system is not None) == kwargs["with_jacobian"]
+            new = assemble(spec, u, system=system, **kwargs)
             assert_same_system(new, reference_assemble_system(spec, u, **kwargs))
             calls.append((kwargs["with_jacobian"], kwargs["frozen"],
                           float(np.max(np.abs(new.residual)))))
@@ -302,8 +305,8 @@ class TestLoopReference:
         assemble = solver.assemble_system
         gaps = []
 
-        def compared(spec, u, **kwargs):
-            new = assemble(spec, u, **kwargs)
+        def compared(spec, u, system=None, **kwargs):
+            new = assemble(spec, u, system=system, **kwargs)
             if not kwargs["with_jacobian"]:
                 return new
             d, note = solver._solve_direction(new.jacobian, new.residual)
@@ -343,6 +346,64 @@ class TestLoopReference:
                     if t.step_length > 0 and not t.note.startswith("forced")]
         assert searched
         assert all(np.isfinite(t.residual_norm) for t in searched)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestStateReuse:
+    """The Jacobian at an iterate is built from the residual-only system of
+    that iterate: its element state is computed once."""
+
+    @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+    def test_gradients_once_per_residual_assembly(self, monkeypatch, case):
+        spec, cfg, initial, _ = _loop_case(case)
+        gradients, assemble = Mesh.element_gradients, solver.assemble_system
+        count = [0]
+        calls = []
+
+        def counted(mesh, values):
+            count[0] += 1
+            return gradients(mesh, values)
+
+        def recorded(spec, u, **kwargs):
+            before = count[0]
+            system = assemble(spec, u, **kwargs)
+            calls.append((kwargs["with_jacobian"], count[0] - before))
+            return system
+
+        monkeypatch.setattr(Mesh, "element_gradients", counted)
+        monkeypatch.setattr(solver, "assemble_system", recorded)
+        solve_penalized(spec, cfg, initial=initial)
+        # one gradient per residual-only assembly, none for a Jacobian, and
+        # none outside the assemblies
+        assert set(calls) == {(False, 1), (True, 0)}
+        assert count[0] == sum(not jacobian for jacobian, _ in calls)
+
+    @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+    def test_reused_jacobian_is_the_one_from_scratch(self, monkeypatch, case):
+        spec, cfg, initial, _ = _loop_case(case)
+        assemble = solver.assemble_system
+        frozen = []
+
+        def compared(spec, u, **kwargs):
+            system = assemble(spec, u, **kwargs)
+            if kwargs["with_jacobian"]:
+                scratch = assemble(spec, u, **dict(kwargs, system=None))
+                assert csr_bytes(system.jacobian) == csr_bytes(scratch.jacobian)
+                assert system.residual.tobytes() == scratch.residual.tobytes()
+                assert system.eta.tobytes() == scratch.eta.tobytes()
+                frozen.append(kwargs["frozen"])
+            return system
+
+        monkeypatch.setattr(solver, "assemble_system", compared)
+        report = solve_penalized(spec, cfg, initial=initial)
+        steps = _steps(report)
+        assert False in frozen
+        if case != "singular":
+            assert True in frozen
+        if case == "kink":
+            # exact, frozen and forced fixed-point iterates
+            assert {("newton", ""), ("picard", ""), ("picard", "forced")} <= steps
 
 
 @pytest.fixture(scope="module")
