@@ -12,12 +12,14 @@ that the theory behind the discretization no longer backs the run.
 from dpobstacle.assembly import ProblemSpec
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.lab import validate_hypotheses
-from dpobstacle.meshing import BoundaryPartition, DiscreteFunction, build_interval_mesh
+from dpobstacle.meshing import (BoundaryPartition, DiscreteFunction,
+                                build_interval_mesh, build_rect_mesh)
 from dpobstacle.musielak import PhaseConfig
 
 
-def build(react, p=2.0, q=2.0, eps=0.0):
-    mesh = build_interval_mesh(0.0, 1.0, 64, partition=BoundaryPartition())
+def build(react, p=2.0, q=2.0, eps=0.0, mesh=None):
+    if mesh is None:
+        mesh = build_interval_mesh(0.0, 1.0, 64, partition=BoundaryPartition())
     return ProblemSpec(
         mesh=mesh,
         phase=PhaseConfig.for_mesh(mesh, p=p, q=q, mu=0.0),
@@ -51,6 +53,14 @@ show("steep state-dependent band at the critical exponent:",
      build(reaction("sign_band", slope=4.0, offset=0.1)))
 
 # Nonlinear diffusion: the Poincare constant is found by ascent from
-# random starts and reported as an estimate, not a certificate.
+# random starts and from the p = 2 maximizer, and reported as an
+# estimate, not a certificate.
 show("nonlinear diffusion (p=2.5):",
      build(reaction("constant", value=1.0), p=2.5, q=3.0, eps=1e-8))
+
+# A 2D square with a natural boundary part on two sides, 2,401 nodes: both
+# constants are exact, read off one sparse factor of the stiffness.
+square = build_rect_mesh(1.0, 1.0, 48, 48,
+                         partition=BoundaryPartition.from_sides(["right", "top"], 2))
+show("2D square, natural boundary on the right and top sides (48 x 48 cells):",
+     build(reaction("constant", value=1.0), mesh=square))

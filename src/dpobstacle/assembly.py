@@ -253,18 +253,20 @@ def reaction_term(spec: ProblemSpec, u, with_jacobian=True):
     the CSR matrix): ``-w d(eta)/ds`` on the diagonal plus each ``D_k`` with
     row ``i`` scaled by ``-w_i d(eta)/d(xi_k)``, summed in that order; the
     slots that no term reaches hold explicit zeros.  ``with_jacobian=False``
-    skips it and returns ``None`` in its place.
+    skips it, returns ``None`` in its place and computes the selection
+    alone, forming ``xi`` only for a reaction that reads the gradient.
     """
     mesh = spec.mesh
     vals = nodal_values(u)
-    D = mesh.nodal_gradient_matrices
-    xi = np.column_stack([Dk @ vals for Dk in D])
-    eta, de_ds, de_dg = spec.reaction.select_with_partials(mesh.nodes, vals, xi)
+    xi = (np.column_stack([Dk @ vals for Dk in mesh.nodal_gradient_matrices])
+          if with_jacobian or spec.reaction.reads_gradient else None)
     w = mesh.node_volume_weights
-    vec = -w * eta
     if not with_jacobian:
-        return vec, None, eta
-    pattern = mesh.block_pattern
+        eta = spec.reaction.select(mesh.nodes, vals, xi)
+        return -w * eta, None, eta
+    eta, de_ds, de_dg = spec.reaction.select_with_partials(mesh.nodes, vals, xi)
+    vec = -w * eta
+    pattern, D = mesh.block_pattern, mesh.nodal_gradient_matrices
     data = np.zeros(pattern.nnz)
     data[pattern.diagonal] = -w * de_ds
     for Dk, (rows, slots), col in zip(D, mesh.nodal_gradient_slots, de_dg.T):

@@ -93,6 +93,7 @@ class ReactionSpec:
     blend: float | None
     growth: GrowthConstants
     state_dependent: bool
+    reads_gradient: bool
     _bounds: callable = field(repr=False)
     _partials: callable = field(repr=False)
 
@@ -197,20 +198,20 @@ def _growth_constant(c):
 
 
 _REACTIONS = {
-    # name: (defaults, bounds, partials, growth builder, state_dependent)
+    # name: (defaults, bounds, partials, growth, state_dependent, reads_gradient)
     "constant": (
         {"value": 1.0},
         _constant_bounds,
         _constant_partials,
         lambda p: _growth_constant(p["value"]),
-        False,
+        False, False,
     ),
     "interval": (
         {"lo": 0.0, "hi": 1.0},
         _interval_bounds,
         _constant_partials,
         lambda p: _growth_constant(max(abs(p["lo"]), abs(p["hi"]))),
-        False,
+        False, False,
     ),
     "sign_band": (
         {"slope": 1.0, "offset": 1.0},
@@ -223,14 +224,14 @@ _REACTIONS = {
             d_f=0.5 * abs(p["offset"]),
             theta3=2.0,
         ),
-        True,
+        True, False,
     ),
     "step": (
         {"lo": 0.0, "hi": 1.0},
         _step_bounds,
         _constant_partials,
         lambda p: _growth_constant(max(abs(p["lo"]), abs(p["hi"]))),
-        True,
+        True, False,
     ),
     "convective_linear": (
         {"c0": 0.0, "c1": 0.0, "c2": 0.0},
@@ -246,7 +247,7 @@ _REACTIONS = {
             theta2=2.0,
             theta3=2.0,
         ),
-        True,
+        True, True,
     ),
 }
 
@@ -279,7 +280,7 @@ def reaction(name, rule="midpoint", blend=None, **params):
         raise ConfigurationError(
             f"unknown reaction {name!r}; choose from {REACTION_NAMES}", param="name"
         )
-    defaults, bounds, partials, growth_fn, state_dep = _REACTIONS[name]
+    defaults, bounds, partials, growth_fn, state_dep, reads_grad = _REACTIONS[name]
     full = _entry_params(defaults, params, f"reaction {name!r}")
     spec = ReactionSpec(
         name=name,
@@ -288,6 +289,7 @@ def reaction(name, rule="midpoint", blend=None, **params):
         blend=blend,
         growth=growth_fn(full),
         state_dependent=state_dep,
+        reads_gradient=reads_grad,
         _bounds=bounds,
         _partials=partials,
     )

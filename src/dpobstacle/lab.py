@@ -29,7 +29,8 @@ whatever the number of threads.
 For the linear-diffusion convex case the module also carries an independent
 quadratic-programming oracle (a primal-dual active-set solve, exact after
 finitely many sparse solves) and a checker for the growth/smallness
-assumptions, including discrete estimates of the embedding constants.
+assumptions, including the embedding constants: exact at p = 2 from one
+sparse factor of the stiffness, estimated by gradient ascent otherwise.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -603,12 +603,14 @@ def _p_norm_gradient(mesh, u, p):
     return norm, norm ** (1 - p) * mesh.scatter_vector(local)
 
 
-def _ascent_ratio(mesh, free, weights, p, seed, iters=250):
+def _ascent_ratio(mesh, free, weights, p, seed, extra=(), iters=250):
     """Largest ``||u||_{p,weights} / ||grad u||_p`` found by projected gradient
-    ascent on its logarithm over the free nodes, from ten seeded starts.
-    Both norms and their gradients are evaluated once per visited state."""
+    ascent on its logarithm over the free nodes, from ten seeded starts and
+    then the ``extra`` ones.  Both norms and their gradients are evaluated
+    once per visited state."""
     best = 0.0
-    for u0 in np.random.default_rng(seed).standard_normal((10, mesh.n_nodes)):
+    for u0 in [*np.random.default_rng(seed).standard_normal((10, mesh.n_nodes)),
+               *extra]:
         u = u0.copy()
         u[~free] = 0.0
         (nu, gnu), (du, gdu) = _p_norm(weights, u, p), _p_norm_gradient(mesh, u, p)
@@ -640,84 +642,76 @@ def _ascent_ratio(mesh, free, weights, p, seed, iters=250):
     return best
 
 
+def _top_ratio(lu, w):
+    """Largest ``||u||_{2,w} / ||grad u||_2`` over the free nodes and a state
+    attaining it, from the factor ``lu`` of their stiffness ``S``: the squared
+    ratio is the top eigenvalue of ``W^(1/2) S^-1 W^(1/2)`` on the support of
+    ``w`` (Lanczos from a fixed start), and its eigenvector ``y`` gives the
+    state ``S^-1 W^(1/2) y``.  ARPACK needs two dimensions: one support node
+    is its own eigenvector, and none gives 0 and the zero state."""
+    s = np.flatnonzero(w > 0)
+    # W^(1/2) from the support to the free nodes, one entry per column
+    E = sp.csc_matrix((np.sqrt(w[s]), (s, np.arange(s.size))), (w.size, s.size))
+
+    def apply(y):
+        return E.T @ lu.solve(E @ y)
+
+    y = np.ones(s.size)
+    if s.size > 1:
+        op = spla.LinearOperator((s.size, s.size), matvec=apply, dtype=float)
+        (mu,), y = spla.eigsh(op, k=1, which="LA", tol=0, v0=y)
+        y = y[:, 0]
+    else:
+        mu = y @ apply(y)
+    return float(np.sqrt(max(mu, 0.0))), lu.solve(E @ y)
+
+
 def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     """Check the growth/smallness assumptions on a concrete instance.
 
-    The embedding constants are certified by a generalized eigenvalue solve
-    when the lower exponent is 2 and otherwise estimated by projected gradient
-    ascent from seeded random starts (flagged non-certified).  The smallness
-    left-hand side combines the declared reaction/boundary growth constants
-    with the indicator ``delta(theta) = 1`` iff ``theta`` equals the lower
-    exponent.  Failure is reported, never raised.
+    The embedding constants are exact at p = 2, from one sparse factor of
+    the stiffness (:func:`_top_ratio`), and otherwise estimated by projected
+    gradient ascent from seeded random starts and the p = 2 maximizer
+    (flagged non-certified).  The smallness left-hand side combines the
+    declared reaction/boundary growth constants with the indicator
+    ``delta(theta) = 1`` iff ``theta`` equals the lower exponent.  Failure
+    is reported, never raised.
     """
     mesh = spec.mesh
     p = spec.phase.p
     notes = []
     free = ~mesh.dirichlet_mask
     idx = np.flatnonzero(free)
-    bw = mesh.gamma2_weights
-
-    if idx.size == 0:
-        # K = {0}: no free node carries a ratio
-        lambda1 = 0.0
-        lambda1_cert = True
-        notes.append("no free node: lambda1 = 0")
-    elif p == 2.0:
-        # the dense eigenproblems are the only readers of the stiffness
-        S = mesh.scatter_blocks(mesh.element_volumes[:, None, None] * mesh.gradient_gram)
-        S_ff = S[np.ix_(idx, idx)].toarray()
-        M_ff = np.diag(mesh.node_volume_weights[idx])
-        sig = scipy.linalg.eigh(S_ff, M_ff, eigvals_only=True,
-                                subset_by_index=[0, 0])[0]
-        lambda1 = 1.0 / np.sqrt(sig)
-        lambda1_cert = True
-    else:
-        lambda1 = _ascent_ratio(mesh, free, mesh.node_volume_weights, p, 20_240_001)
-        lambda1_cert = False
-        notes.append(
-            "lambda1 estimated by multi-start gradient ascent (non-certified)"
-        )
-
-    if not np.any(bw > 0):
-        lambda2 = 0.0
-        lambda2_cert = True
-        notes.append("natural boundary part empty: lambda2 = 0")
-    elif idx.size == 0:
-        lambda2 = 0.0
-        lambda2_cert = True
-        notes.append("no free node: lambda2 = 0")
-    elif p == 2.0:
-        B_ff = np.diag(bw[idx])
-        # largest ratio u'Bu / u'Su over free nodes
-        vals = scipy.linalg.eigh(B_ff, S_ff, eigvals_only=True)
-        lambda2 = float(np.sqrt(max(vals[-1], 0.0)))
-        lambda2_cert = True
-    else:
-        lambda2 = _ascent_ratio(mesh, free, bw, p, 20_240_002)
-        lambda2_cert = False
-        notes.append(
-            "lambda2 estimated by multi-start gradient ascent (non-certified)"
-        )
+    S = mesh.scatter_blocks(mesh.element_volumes[:, None, None] * mesh.gradient_gram)
+    lu = spla.splu(S[idx][:, idx].tocsc())
+    constants = []
+    for name, weights, seed in (("lambda1", mesh.node_volume_weights, 20_240_001),
+                                ("lambda2", mesh.gamma2_weights, 20_240_002)):
+        ratio, state = _top_ratio(lu, weights[idx])
+        # 0 when nothing carries a ratio: only the natural-boundary weights
+        # vanish, and with no free node K = {0}
+        empty = ("natural boundary part empty" if not np.any(weights > 0)
+                 else "no free node" if idx.size == 0 else None)
+        if empty:
+            notes.append(f"{empty}: {name} = 0")
+        elif p != 2.0:
+            start = np.zeros(mesh.n_nodes)
+            start[idx] = state
+            ratio = _ascent_ratio(mesh, free, weights, p, seed, [start])
+            notes.append(
+                f"{name} estimated by multi-start gradient ascent (non-certified)"
+            )
+        constants.append((ratio, p == 2.0 or empty is not None))
+    (lambda1, lambda1_cert), (lambda2, lambda2_cert) = constants
 
     g = spec.reaction.growth
     bg = spec.boundary.growth
-
-    def delta(theta):
-        return 1.0 if abs(theta - p) <= 1e-12 else 0.0
-
-    deltas = {
-        "theta1": delta(bg.theta1),
-        "theta2": delta(g.theta2),
-        "theta3": delta(g.theta3),
-    }
-    lhs = (
-        g.e_f * deltas["theta2"]
-        + g.g_f * lambda1 * deltas["theta3"]
-        + bg.c_j * lambda2 * deltas["theta1"]
-    )
+    thetas = {"theta1": bg.theta1, "theta2": g.theta2, "theta3": g.theta3}
+    deltas = {k: 1.0 if abs(t - p) <= 1e-12 else 0.0 for k, t in thetas.items()}
+    lhs = (g.e_f * deltas["theta2"] + g.g_f * lambda1 * deltas["theta3"]
+           + bg.c_j * lambda2 * deltas["theta1"])
     passes = bool(lhs < 1.0)
-    for label, theta in (("theta1", bg.theta1), ("theta2", g.theta2),
-                         ("theta3", g.theta3)):
+    for label, theta in thetas.items():
         if theta > p + 1e-12:
             notes.append(
                 f"{label} = {theta} exceeds the lower exponent p = {p}: "

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
@@ -662,11 +663,13 @@ def _reference_grad_p_norm_gradient(mesh, u, p):
     return norm ** (1 - p) * add_at_scatter_vector(mesh, local)
 
 
-def reference_ascent_ratio(mesh, free, weights, p, seed, iters=250):
+def reference_ascent_ratio(mesh, free, weights, p, seed, extra=(), iters=250):
     """``lab._ascent_ratio`` with separate value and gradient helpers, each
-    norm recomputed wherever it is needed (the loop before the fold)."""
+    norm recomputed wherever it is needed (the loop before the fold); the
+    ``extra`` starts follow the ten seeded ones."""
     best = 0.0
-    for u0 in np.random.default_rng(seed).standard_normal((10, mesh.n_nodes)):
+    for u0 in [*np.random.default_rng(seed).standard_normal((10, mesh.n_nodes)),
+               *extra]:
         u = u0.copy()
         u[~free] = 0.0
         nu = _reference_p_norm(weights, u, p)
@@ -698,6 +701,38 @@ def reference_ascent_ratio(mesh, free, weights, p, seed, iters=250):
                     break
         best = max(best, val)
     return best
+
+
+def reference_p_ratio(mesh, weights, u, p):
+    """``||u||_{p,weights} / ||grad u||_p`` by the frozen norm helpers."""
+    return _reference_p_norm(weights, u, p) / _reference_p_norm_gradient(mesh, u, p)
+
+
+def reference_embedding_constants(mesh):
+    """``(lambda1, u1), (lambda2, u2)`` at p = 2 by the dense generalized
+    ``eigh`` solves that ``validate_hypotheses`` ran before the sparse
+    factor: the smallest eigenvalue of ``(S_ff, M_ff)`` gives ``lambda1``
+    and the largest of ``(B_ff, S_ff)`` gives ``lambda2``, each with its
+    eigenvector on the free nodes (zero elsewhere).  A constant with no free
+    node, or no positive weight, is 0 with the zero state."""
+    idx = np.flatnonzero(~mesh.dirichlet_mask)
+    zero = (0.0, np.zeros(mesh.n_nodes))
+    if idx.size == 0:
+        return zero, zero
+    S = mesh.scatter_blocks(mesh.element_volumes[:, None, None] * mesh.gradient_gram)
+    S_ff = S[np.ix_(idx, idx)].toarray()
+    M_ff = np.diag(mesh.node_volume_weights[idx])
+    sig, vec = scipy.linalg.eigh(S_ff, M_ff, subset_by_index=[0, 0])
+    u1 = np.zeros(mesh.n_nodes)
+    u1[idx] = vec[:, 0]
+    first = (1.0 / np.sqrt(sig[0]), u1)
+    bw = mesh.gamma2_weights
+    if not np.any(bw > 0):
+        return first, zero
+    vals, vecs = scipy.linalg.eigh(np.diag(bw[idx]), S_ff)
+    u2 = np.zeros(mesh.n_nodes)
+    u2[idx] = vecs[:, -1]
+    return first, (float(np.sqrt(max(vals[-1], 0.0))), u2)
 
 
 def reference_enumeration_oracle(spec):

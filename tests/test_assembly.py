@@ -30,7 +30,8 @@ from dpobstacle.assembly import (
     operator_residual,
     reaction_term,
 )
-from dpobstacle.catalog import boundary_potential, reaction
+from dpobstacle.catalog import (REACTION_NAMES, SELECTION_RULES,
+                                boundary_potential, reaction)
 from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import DiscreteFunction, build_interval_mesh
 from dpobstacle.solver import SolverConfig, solve_penalized
@@ -257,6 +258,41 @@ class TestReaction:
             col = (reaction_term(spec, up)[0]
                    - reaction_term(spec, dn)[0]) / (2 * h)
             assert np.allclose(J[:, j], col, atol=1e-6)
+
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    @pytest.mark.parametrize("name", REACTION_NAMES)
+    @pytest.mark.parametrize("mesh_fn", [lambda: interval(9),
+                                         lambda: rectangle(4, 3, lx=1.5)],
+                             ids=["1d", "2d"])
+    def test_residual_only_is_the_partials_path(self, rng, mesh_fn, name, rule):
+        # with_jacobian=False computes the selection alone, with the same
+        # bits as the selection that comes with the partials; it forms no
+        # nodal gradient for a reaction whose bounds do not read it
+        mesh = mesh_fn()
+        params = ({"c0": 1.0, "c1": 0.5, "c2": 0.3}
+                  if name == "convective_linear" else {})
+        react = reaction(name, rule=rule, blend=0.3 if rule == "blend" else None,
+                         **params)
+        spec = make_spec(mesh, react=react)
+        u = rng.normal(size=mesh.n_nodes)
+        u[mesh.dirichlet_mask] = 0.0
+        vec, jac, eta = reaction_term(spec, u, with_jacobian=False)
+        assert jac is None
+        assert ("nodal_gradient_matrices" in mesh.__dict__) == react.reads_gradient
+        full_vec, _, full_eta = reaction_term(spec, u)
+        assert vec.tobytes() == full_vec.tobytes()
+        assert eta.tobytes() == full_eta.tobytes()
+
+    @pytest.mark.parametrize("name", REACTION_NAMES)
+    def test_reads_gradient_column(self, rng, name):
+        # the registry column says whether the bounds move with the gradient
+        react = reaction(name, rule="upper", **(
+            {"c2": 0.7} if name == "convective_linear" else {}))
+        x = rng.normal(size=(12, 2))
+        s = rng.normal(size=12)
+        g1, g2 = rng.normal(size=(2, 12, 2))
+        moved = not np.array_equal(react.select(x, s, g1), react.select(x, s, g2))
+        assert react.reads_gradient == moved == (name == "convective_linear")
 
 
 class TestBoundary:
