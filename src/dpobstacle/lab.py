@@ -582,64 +582,82 @@ class HypothesisReport:
     notes: list
 
 
-def _p_norm(weights, u, p):
-    """``||u||_{p,weights}`` and its gradient in ``u`` (zero at a zero norm)."""
-    norm = float(np.dot(weights, np.abs(u) ** p)) ** (1 / p)
-    if norm == 0:
-        return norm, np.zeros_like(u)
-    return norm, norm ** (1 - p) * weights * np.abs(u) ** (p - 1) * np.sign(u)
+def _norms_and_scales(w, powers, p):
+    """Per row of the C-ordered ``powers``: the norm ``(w . row) ** (1/p)`` by
+    one ``np.dot`` on the contiguous row, so each state keeps its single-state
+    sum, and the column of ``norm ** (1 - p)`` (0 at a zero norm), both
+    powers Python-float ones."""
+    norms = [float(w.dot(row)) ** (1 / p) for row in powers]
+    return np.array(norms), np.array([[n ** (1 - p) if n else 0.0] for n in norms])
 
 
-def _p_norm_gradient(mesh, u, p):
-    """``||grad u||_p`` and its gradient in ``u`` (zero at a zero norm)."""
-    g = mesh.element_gradients(u)
+def _p_norms(weights, U, p):
+    """``||u||_{p,weights}`` and its gradient in ``u`` (zero at a zero norm)
+    for every state ``u`` of the stack ``U`` ``(k, n_nodes)``: shapes ``(k,)``
+    and ``(k, n_nodes)``."""
+    norms, scale = _norms_and_scales(weights, np.abs(U) ** p, p)
+    return norms, scale * weights * np.abs(U) ** (p - 1) * np.sign(U)
+
+
+def _p_norm_gradients(mesh, U, p):
+    """``||grad u||_p`` and its gradient in ``u`` (zero at a zero norm) for
+    every state ``u`` of the stack ``U`` ``(k, n_nodes)``, through one pass of
+    each element kernel: shapes ``(k,)`` and ``(k, n_nodes)``."""
+    g = mesh.element_gradients(U)
     gn = np.sqrt(element_dots(g, g))
-    norm = float(np.dot(mesh.element_volumes, gn**p)) ** (1 / p)
-    if norm == 0:
-        return norm, np.zeros_like(u)
+    norms, scale = _norms_and_scales(mesh.element_volumes, gn**p, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(gn > 0, gn ** (p - 2.0), 0.0)
-    local = mesh.gradient_pairings(g) * (mesh.element_volumes * coef)[:, None]
-    return norm, norm ** (1 - p) * mesh.scatter_vector(local)
+    local = mesh.gradient_pairings(g) * (mesh.element_volumes * coef)[..., None]
+    return norms, scale * mesh.scatter_vector(local)
 
 
 def _ascent_ratio(mesh, free, weights, p, seed, extra=(), iters=250):
     """Largest ``||u||_{p,weights} / ||grad u||_p`` found by projected gradient
     ascent on its logarithm over the free nodes, from ten seeded starts and
-    then the ``extra`` ones.  Both norms and their gradients are evaluated
-    once per visited state."""
-    best = 0.0
-    for u0 in [*np.random.default_rng(seed).standard_normal((10, mesh.n_nodes)),
-               *extra]:
-        u = u0.copy()
-        u[~free] = 0.0
-        (nu, gnu), (du, gdu) = _p_norm(weights, u, p), _p_norm_gradient(mesh, u, p)
-        if nu == 0.0 or du == 0.0:
-            continue
+    then the ``extra`` ones.
+
+    The starts advance together as one stack, one round per iteration, each
+    by its own rules: a start with a zero norm is skipped; a zero ascent
+    direction stops it; a trial state with a zero gradient norm halves its
+    step; an accepted trial grows the step by 1.1 and a rejected one halves
+    it, stopping the start below 1e-10.  Each round evaluates both norms and
+    their gradients once for the stack of running starts, and every start
+    takes the bits it takes alone."""
+    U = np.array([*np.random.default_rng(seed).standard_normal((10, mesh.n_nodes)),
+                  *extra])
+    U[:, ~free] = 0.0
+    (nu, gnu), (du, gdu) = _p_norms(weights, U, p), _p_norm_gradients(mesh, U, p)
+    started = (nu != 0.0) & (du != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         val = nu / du
-        step = 0.5
-        for _ in range(iters):
-            g = gnu / nu - gdu / du
-            g[~free] = 0.0
-            gn = np.linalg.norm(g)
-            if gn == 0.0:
-                break
-            u_try = u + step * g / gn
-            nu_t, gnu_t = _p_norm(weights, u_try, p)
-            du_t, gdu_t = _p_norm_gradient(mesh, u_try, p)
-            if du_t == 0.0:
-                step *= 0.5
-                continue
+    step = np.full(len(U), 0.5)
+    running = started.copy()
+    for _ in range(iters):
+        rows = np.flatnonzero(running)
+        g = gnu[rows] / nu[rows, None] - gdu[rows] / du[rows, None]
+        g[:, ~free] = 0.0
+        gn = np.sqrt([row.dot(row) for row in g])  # each row's np.linalg.norm
+        moving = gn != 0.0
+        running[rows[~moving]] = False
+        rows, g, gn = rows[moving], g[moving], gn[moving]
+        if rows.size == 0:
+            break
+        U_try = U[rows] + step[rows, None] * g / gn[:, None]
+        (nu_t, gnu_t), (du_t, gdu_t) = (_p_norms(weights, U_try, p),
+                                        _p_norm_gradients(mesh, U_try, p))
+        with np.errstate(divide="ignore", invalid="ignore"):
             val_t = nu_t / du_t
-            if val_t > val:
-                u, val, nu, du, gnu, gdu = u_try, val_t, nu_t, du_t, gnu_t, gdu_t
-                step *= 1.1
-            else:
-                step *= 0.5
-                if step < 1e-10:
-                    break
-        best = max(best, val)
-    return best
+        rated = du_t != 0.0
+        up = rated & (val_t > val[rows])
+        acc = rows[up]
+        U[acc], val[acc], nu[acc], du[acc] = U_try[up], val_t[up], nu_t[up], du_t[up]
+        gnu[acc], gdu[acc] = gnu_t[up], gdu_t[up]
+        step[acc] *= 1.1
+        step[rows[~up]] *= 0.5
+        rej = rows[rated & ~up]
+        running[rej[step[rej] < 1e-10]] = False
+    return float(max([0.0, *val[started]]))
 
 
 def _top_ratio(lu, w):
@@ -671,11 +689,11 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
 
     The embedding constants are exact at p = 2, from one sparse factor of
     the stiffness (:func:`_top_ratio`), and otherwise estimated by projected
-    gradient ascent from seeded random starts and the p = 2 maximizer
-    (flagged non-certified).  The smallness left-hand side combines the
-    declared reaction/boundary growth constants with the indicator
-    ``delta(theta) = 1`` iff ``theta`` equals the lower exponent.  Failure
-    is reported, never raised.
+    gradient ascent from seeded random starts and the p = 2 maximizer, all
+    advanced as one stack (:func:`_ascent_ratio`; flagged non-certified).
+    The smallness left-hand side combines the declared reaction/boundary
+    growth constants with the indicator ``delta(theta) = 1`` iff ``theta``
+    equals the lower exponent.  Failure is reported, never raised.
     """
     mesh = spec.mesh
     p = spec.phase.p

@@ -108,6 +108,12 @@ class Mesh:
         :meth:`element_gradients` and :meth:`gradient_pairings` run on.
         Construction copies ``gradient_maps`` into it once and keeps
         ``gradient_maps`` as a transposed view, so the maps are stored once.
+
+    The element kernels (:meth:`element_gradients`, :meth:`gradient_pairings`,
+    :func:`element_dots`, :meth:`scatter_vector`) also take a stack of states:
+    leading axes in front of the shapes they name.  Each state of a stack gets
+    the bits it gets alone, because every sum runs in the same order per state
+    and the stack only adds broadcast axes to elementwise operations.
     """
 
     dim: int
@@ -202,10 +208,14 @@ class Mesh:
         return self.block_pattern.matrix(self.block_pattern.sum_blocks(blocks))
 
     def scatter_vector(self, local):
-        """Nodal sum of element vectors: ``local[e, a]`` adds to node
-        ``elements[e, a]``."""
-        out = np.zeros(self.n_nodes)
-        np.add.at(out, self.elements.ravel(), np.ravel(local))
+        """Nodal sum of element vectors: ``local[..., e, a]`` adds to node
+        ``elements[e, a]``; shape ``(..., n_nodes)``.  ``np.add.at`` takes the
+        addends element-major from +0.0, and a stack's states occupy disjoint
+        blocks of one flat output, so each keeps its single-state order."""
+        out = np.zeros(local.shape[:-2] + (self.n_nodes,))
+        starts = np.arange(0, out.size, self.n_nodes)[:, None]
+        np.add.at(out.reshape(-1), (starts + self.elements.ravel()).ravel(),
+                  np.ravel(local))
         return out
 
     @cached_property
@@ -244,41 +254,47 @@ class Mesh:
         return out
 
     def element_gradients(self, values):
-        """Constant gradient per element, shape ``(n_elements, dim)``, each
-        component contiguous (the transpose of a ``(dim, n_elements)`` array).
+        """Constant gradient per element of nodal ``values`` ``(..., n_nodes)``,
+        shape ``(..., n_elements, dim)``, each component contiguous (a view of
+        a ``(..., dim, n_elements)`` array).
 
         Bit for bit ``einsum("ekv,ev->ek", gradient_maps, values[elements])``
-        (numpy 2.4), in the order of its reduction: einsum sums the terms of
-        an element's nodes in two lanes started at +0.0, ``(t0 + t2) + t1``
-        on a triangle, so a sum of -0.0 terms reads +0.0."""
-        terms = self.gradient_components * values[self.elements.T]
-        out = np.add(terms[:, 0], terms[:, -1])
+        (numpy 2.4) per state, in the order of its reduction: einsum sums the
+        terms of an element's nodes in two lanes started at +0.0, ``(t0 +
+        t2) + t1`` on a triangle, so a sum of -0.0 terms reads +0.0.  The
+        gather takes whole rows of ``elements``, so each state of a stack
+        stays one contiguous block: a strided state would change the order
+        of a later row reduction."""
+        nodal = values.take(self.elements, axis=-1).swapaxes(-1, -2)
+        terms = self.gradient_components * nodal[..., None, :, :]
+        out = np.add(terms[..., 0, :], terms[..., -1, :])
         if self.dim == 2:
-            out += terms[:, 1]
+            out += terms[..., 1, :]
         out += 0.0
-        return out.T
+        return out.swapaxes(-1, -2)
 
     def gradient_pairings(self, grads):
         """Per element ``G_e^T g_e`` for element gradients ``grads``
-        ``(n_elements, dim)``: the pairings ``g_e . grad phi_a`` with the
-        element's basis functions, shape ``(n_elements, nv)``, each column
+        ``(..., n_elements, dim)``: the pairings ``g_e . grad phi_a`` with the
+        element's basis functions, shape ``(..., n_elements, nv)``, each column
         contiguous.  Bit for bit ``einsum("ekv,ek->ev", gradient_maps,
-        grads)``: the sum over ``k`` in order from +0.0, each term added to
-        the left of the partial sum as einsum adds it."""
+        grads)`` per state: the sum over ``k`` in order from +0.0, each term
+        added to the left of the partial sum as einsum adds it."""
         G = self.gradient_components
-        out = G[0] * grads[:, 0]
+        out = G[0] * grads[..., None, :, 0]
         for k in range(1, self.dim):
-            np.add(G[k] * grads[:, k], out, out=out)
+            np.add(G[k] * grads[..., None, :, k], out, out=out)
         out += 0.0
-        return out.T
+        return out.swapaxes(-1, -2)
 
 
 def element_dots(a, b):
-    """Per element ``a_e . b_e`` of two ``(n_elements, dim)`` arrays, bit for
-    bit ``np.sum(a * b, axis=1)``: the sum over ``k`` in order from +0.0."""
-    out = a[:, 0] * b[:, 0]
-    for k in range(1, a.shape[1]):
-        out += a[:, k] * b[:, k]
+    """Per element ``a_e . b_e`` of two ``(..., n_elements, dim)`` arrays, bit
+    for bit ``np.sum(a * b, axis=-1)``: the sum over ``k`` in order from
+    +0.0."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
     out += 0.0
     return out
 

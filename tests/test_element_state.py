@@ -12,11 +12,12 @@ numpy's loops, in the kernels and in ``einsum`` alike.
 import numpy as np
 import pytest
 
-from conftest import (PATTERN_MESHES, assert_same_system,
+from conftest import (PATTERN_MESHES, add_at_scatter_vector, assert_same_system,
                       einsum_coef, einsum_element_gradients, einsum_gradient_pairings,
                       einsum_gradient_state, einsum_operator_residual, interval,
                       make_spec, rectangle, reference_assemble_system, shuffled,
-                      _reference_grad_p_norm_gradient, _reference_p_norm_gradient)
+                      _reference_grad_p_norm, _reference_grad_p_norm_gradient,
+                      _reference_p_norm, _reference_p_norm_gradient)
 from dpobstacle import assembly, lab
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.meshing import DiscreteFunction, Mesh, element_dots
@@ -101,6 +102,32 @@ class TestKernels:
                     == _bytes(einsum_gradient_pairings(mesh, other))), name
             assert (_bytes(element_dots(g, other))
                     == _bytes(np.sum(ref * other, axis=1))), name
+
+    @pytest.mark.parametrize("mesh_name", sorted(KERNEL_MESHES))
+    def test_stacks_keep_each_states_bits(self, mesh_name):
+        # a stack of states, with one or two leading axes, gives every state
+        # the bytes it gets alone (and the frozen forms' bytes)
+        mesh = KERNEL_MESHES[mesh_name]()
+        states = _states(mesh)
+        flat = np.array(list(states.values()))
+        k, nv = len(flat), mesh.dim + 1
+        local = np.random.default_rng(3).normal(size=(k, mesh.n_elements, nv))
+        local[:, ::5] = -0.0
+        for shape in ((k,), (2, k // 2)):
+            stack = flat.reshape(shape + (mesh.n_nodes,))
+            g = mesh.element_gradients(stack)
+            assert g.shape == shape + (mesh.n_elements, mesh.dim)
+            dots, pairs = element_dots(g, g), mesh.gradient_pairings(g)
+            nodal = mesh.scatter_vector(local.reshape(shape + local.shape[1:]))
+            assert nodal.shape == stack.shape
+            for i, name in enumerate(states):
+                at = np.unravel_index(i, shape)
+                ref = einsum_element_gradients(mesh, flat[i])
+                assert _bytes(g[at]) == _bytes(mesh.element_gradients(flat[i])), name
+                assert _bytes(g[at]) == _bytes(ref), name
+                assert _bytes(dots[at]) == _bytes(np.sum(ref * ref, axis=1)), name
+                assert _bytes(pairs[at]) == _bytes(einsum_gradient_pairings(mesh, ref)), name
+                assert _bytes(nodal[at]) == _bytes(add_at_scatter_vector(mesh, local[i]))
 
     def test_an_all_negative_zero_sum_reads_positive_zero(self):
         # einsum starts its sums at +0.0; a sum of -0.0 terms would be -0.0
@@ -226,13 +253,26 @@ class TestFoldedCopies:
     def test_gradient_modular_and_p_norm(self, mesh_name):
         mesh = KERNEL_MESHES[mesh_name]()
         vol = mesh.element_volumes
-        for name, vals in _states(mesh).items():
-            for p in (1.5, 2.0, 3.0):
-                norm, grad = lab._p_norm_gradient(mesh, vals, p)
-                assert norm.hex() == _reference_p_norm_gradient(mesh, vals, p).hex(), name
-                if norm != 0:
-                    assert (_bytes(grad)
-                            == _bytes(_reference_grad_p_norm_gradient(mesh, vals, p))), name
+        states = _states(mesh)
+        stack = np.array(list(states.values()))
+        weights = mesh.node_volume_weights
+        for p in (1.5, 2.0, 3.0):
+            # each state alone, as a stack of one, and all states as one stack
+            for helper, reference, grad_reference in (
+                    (lambda U: lab._p_norm_gradients(mesh, U, p),
+                     lambda u: _reference_p_norm_gradient(mesh, u, p),
+                     lambda u: _reference_grad_p_norm_gradient(mesh, u, p)),
+                    (lambda U: lab._p_norms(weights, U, p),
+                     lambda u: _reference_p_norm(weights, u, p),
+                     lambda u: _reference_grad_p_norm(weights, u, p))):
+                together = helper(stack)
+                for i, (name, vals) in enumerate(states.items()):
+                    want = reference(vals)
+                    for norms, grads, j in (*helper(vals[None]), 0), (*together, i):
+                        assert norms[j].hex() == want.hex(), name
+                        if want != 0:
+                            assert _bytes(grads[j]) == _bytes(grad_reference(vals)), name
+        for name, vals in states.items():
             if not np.all(np.isfinite(vals)):
                 continue  # a DiscreteFunction holds finite values
             g = einsum_element_gradients(mesh, vals)

@@ -16,6 +16,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (
+    _reference_grad_p_norm,
+    _reference_grad_p_norm_gradient,
+    _reference_p_norm,
+    _reference_p_norm_gradient,
     assert_oracle_kkt,
     interval,
     make_spec,
@@ -52,6 +56,50 @@ DEMO_CONFIGS = ROOT / "demos" / "configs"
 P2_CONFIGS = [path for path in sorted(DEMO_CONFIGS.glob("*.cfg"))
               + sorted((ROOT / "tools").glob("*.cfg"))
               if build_problem(load_config(path)).phase.p == 2.0]
+
+
+def _counted_reference_ascent(mesh, free, weights, p, seed, extra, iters=250):
+    """The frozen loop of ``reference_ascent_ratio``, copied to record each
+    start's exits: ``(start, round, kind)``, round -1 for a skipped start."""
+    exits = []
+    best = 0.0
+    for i, u0 in enumerate([*np.random.default_rng(seed).standard_normal(
+            (10, mesh.n_nodes)), *extra]):
+        u = u0.copy()
+        u[~free] = 0.0
+        nu = _reference_p_norm(weights, u, p)
+        du = _reference_p_norm_gradient(mesh, u, p)
+        if nu == 0.0 or du == 0.0:
+            exits.append((i, -1, "skip"))
+            continue
+        val = nu / du
+        step = 0.5
+        for rnd in range(iters):
+            g = (_reference_grad_p_norm(weights, u, p) / nu
+                 - _reference_grad_p_norm_gradient(mesh, u, p) / du)
+            g[~free] = 0.0
+            gn = np.linalg.norm(g)
+            if gn == 0.0:
+                exits.append((i, rnd, "zero direction"))
+                break
+            u_try = u + step * g / gn
+            nu_t = _reference_p_norm(weights, u_try, p)
+            du_t = _reference_p_norm_gradient(mesh, u_try, p)
+            if du_t == 0.0:
+                exits.append((i, rnd, "zero gradient norm"))
+                step *= 0.5
+                continue
+            val_t = nu_t / du_t
+            if val_t > val:
+                u, val, nu, du = u_try, val_t, nu_t, du_t
+                step *= 1.1
+            else:
+                step *= 0.5
+                if step < 1e-10:
+                    exits.append((i, rnd, "small step"))
+                    break
+        best = max(best, val)
+    return best, exits
 
 
 def _free_factor(mesh):
@@ -717,6 +765,75 @@ class TestHypothesisChecks:
                                           iters=60)
             assert float(both).hex() == float(want).hex()
             assert both >= got
+
+    @pytest.mark.parametrize("config, constant", [
+        ("demos/configs/double_phase.cfg", 0),
+        ("tools/zero_boundary.cfg", 0),
+        ("tools/zero_boundary.cfg", 1),
+        ("tools/regularization_2d.cfg", 0),
+        ("tools/regularization_2d.cfg", 1),
+    ])
+    def test_full_length_ascent_matches_reference_loop(self, config, constant):
+        # the stacked ascent at its full 250 rounds, from the ten seeded starts
+        # and the p = 2 maximizer that validate_hypotheses passes, keeps every
+        # bit of the frozen one-start-at-a-time loop
+        spec = build_problem(load_config(ROOT / config))
+        mesh, p = spec.mesh, spec.phase.p
+        assert p != 2.0
+        free = ~mesh.dirichlet_mask
+        weights = (mesh.node_volume_weights, mesh.gamma2_weights)[constant]
+        seed = (20_240_001, 20_240_002)[constant]
+        idx, lu = _free_factor(mesh)
+        start = np.zeros(mesh.n_nodes)
+        start[idx] = lab._top_ratio(lu, weights[idx])[1]
+        got = lab._ascent_ratio(mesh, free, weights, p, seed, [start])
+        want = reference_ascent_ratio(mesh, free, weights, p, seed, [start])
+        assert got.hex() == want.hex()
+        report = validate_hypotheses(spec)
+        assert (report.lambda1_est, report.lambda2_est)[constant].hex() == want.hex()
+
+    def test_mixed_stack_takes_every_exit(self):
+        # one stack whose starts leave by every exit of the loop: a zero start
+        # and a constant one (a zero gradient norm, so a ratio of inf were it
+        # taken) are skipped; the antisymmetric start is a critical point
+        # (with these weights its two norms and their gradients take the same
+        # floating-point steps, so its direction is exactly zero in round 0
+        # while the others move on); on this 2**330-long interval the random
+        # starts flatten until the p-th powers of their gradients underflow
+        # (a zero gradient norm, which halves the step) and their steps fall
+        # below 1e-10, rows taking each of these exits in one round
+        h = 2.0 ** 329
+        mesh = interval(2, b=2 * h)
+        free = np.ones(mesh.n_nodes, dtype=bool)
+        weights = np.array([1.0, 2.0, 1.0]) / h**2
+        extra = [np.zeros(3), np.ones(3), np.array([-1.0, 0.0, 1.0])]
+        best, exits = _counted_reference_ascent(mesh, free, weights, 3.0, 0, extra)
+        rounds = {}
+        for row, rnd, kind in exits:
+            rounds.setdefault(rnd, {}).setdefault(kind, set()).add(row)
+        assert rounds[-1] == {"skip": {10, 11}}
+        assert rounds[0] == {"zero direction": {12}}
+        assert any({"zero gradient norm", "small step"} <= set(kinds)
+                   for kinds in rounds.values())
+        got = lab._ascent_ratio(mesh, free, weights, 3.0, 0, extra)
+        want = reference_ascent_ratio(mesh, free, weights, 3.0, 0, extra)
+        assert got.hex() == want.hex() == best.hex()
+
+    def test_check_evaluates_the_gradient_norm_once_per_round(self, monkeypatch):
+        # the starts advance as one stack: at most one evaluation for the
+        # starts and one per round, where one start at a time took 2,761
+        calls = []
+        stacked = lab._p_norm_gradients
+
+        def counted(mesh, U, p):
+            calls.append(len(U))
+            return stacked(mesh, U, p)
+
+        monkeypatch.setattr(lab, "_p_norm_gradients", counted)
+        validate_hypotheses(build_problem(load_config(DEMO_CONFIGS / "double_phase.cfg")))
+        iters = inspect.signature(lab._ascent_ratio).parameters["iters"].default
+        assert 0 < len(calls) <= iters + 1
+        assert calls[0] == 11
 
     def test_admissibility_note_always_present(self):
         report = validate_hypotheses(_contact_spec(16))
