@@ -31,15 +31,19 @@ The Jacobian is one ``data`` array on the mesh's cached
 penalty and boundary diagonal, plus the reaction Jacobian (whose unreached
 slots are explicit zeros), summed slot by slot in that order.  Dirichlet rows
 are then replaced by identity rows and Dirichlet columns of the free rows by
-zeros, whatever they held (``inf`` and ``NaN`` included), and
-``eliminate_zeros`` drops the exact zeros, as the sums of scipy matrices this
-replaces did; the result is bit for bit that sum.  The residual and the
-iterate vanish on Dirichlet nodes, so the zeroed columns do not change the
-Newton direction in exact arithmetic; they make the Jacobian block diagonal
-between free and Dirichlet nodes and structurally symmetric (numerically
-symmetric too when the reaction does not read the gradient), which a
-symmetric fill-reducing ordering exploits.  A residual-only call
-(``with_jacobian=False``) builds no Jacobian at all, the reaction's included.
+zeros, whatever they held (``inf`` and ``NaN`` included).  The Jacobian is
+handed out in factor order: one gather of ``data`` into the pattern's cached
+:class:`~dpobstacle.meshing.FactorLayout` gives the CSC matrix
+``J[order][:, order]``, and ``eliminate_zeros`` drops the exact zeros there,
+as the sums of scipy matrices this replaces did; its entries are bit for bit
+that sum's, permuted.  The residual and the iterate vanish on Dirichlet
+nodes, so the zeroed columns do not change the Newton direction in exact
+arithmetic; they make the Jacobian block diagonal between free and Dirichlet
+nodes and structurally symmetric (numerically symmetric too when the reaction
+does not read the gradient).  The fill-reducing order is computed once per
+mesh, on the whole element adjacency, so the solver factors every Jacobian
+without ordering it again.  A residual-only call (``with_jacobian=False``)
+builds no Jacobian at all, the reaction's included.
 """
 
 from __future__ import annotations
@@ -138,8 +142,10 @@ class ProblemSpec:
 @dataclass
 class AssembledSystem:
     """Masked residual/Jacobian pair; Dirichlet rows are identity rows,
-    Dirichlet columns hold nothing off the diagonal, and the CSR Jacobian
-    stores no exact zeros.
+    Dirichlet columns hold nothing off the diagonal, and the Jacobian stores
+    no exact zeros.  The residual is in node order; the Jacobian is the CSC
+    matrix in the factor order of the mesh's
+    :class:`~dpobstacle.meshing.FactorLayout`, ``J[order][:, order]``.
 
     The system keeps what its Jacobian reads besides the reaction: the
     :class:`GradientState` of the iterate and ``diagonal``, the penalty and
@@ -148,7 +154,7 @@ class AssembledSystem:
     the selection or the element state again."""
 
     residual: np.ndarray
-    jacobian: sp.csr_matrix | None
+    jacobian: sp.csc_matrix | None
     eta: np.ndarray
     state: GradientState | None = None
     diagonal: np.ndarray | None = None
@@ -342,13 +348,12 @@ def assemble_system(
     if not with_jacobian:
         return system
     pattern = spec.mesh.block_pattern
-    J = operator_jacobian(spec, vals, frozen=frozen, state=system.state)
-    J.data[pattern.diagonal] += system.diagonal
+    data = operator_jacobian(spec, vals, frozen=frozen, state=system.state).data
+    data[pattern.diagonal] += system.diagonal
     if not frozen:
         # the fixed-point linearization also freezes the selection
-        J.data += reaction_term(spec, vals)[1]
-    J.data[pattern.dirichlet_slots] = 0.0
-    J.data[pattern.dirichlet_column_slots] = 0.0
-    J.data[pattern.diagonal[spec.mesh.dirichlet_mask]] = 1.0
-    J.eliminate_zeros()
-    return replace(system, jacobian=J)
+        data += reaction_term(spec, vals)[1]
+    data[pattern.dirichlet_slots] = 0.0
+    data[pattern.dirichlet_column_slots] = 0.0
+    data[pattern.diagonal[spec.mesh.dirichlet_mask]] = 1.0
+    return replace(system, jacobian=pattern.factor_matrix(data))

@@ -15,7 +15,10 @@ The block pattern is the one CSR structure every element-block matrix is
 built on (operator Jacobians, the ``check`` stiffness, the nodal-gradient
 maps, the reaction Jacobian): a matrix is a ``data`` array of its slots,
 summed in the order scipy's COO->CSR conversion adds duplicates, so each sum
-is bit for bit the scipy one without a sort per call.
+is bit for bit the scipy one without a sort per call.  Its
+:class:`FactorLayout` (a fill-reducing order of the pattern, and the CSC
+structure in that order) is computed once, when the first matrix is
+gathered into it.
 The boundary is split into a Dirichlet part (``gamma1``, where trial functions
 vanish) and a natural part (``gamma2``, where nonsmooth boundary terms act);
 the Dirichlet part must have positive measure.  A face is natural when its
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +40,7 @@ __all__ = [
     "BoundaryPartition",
     "Mesh",
     "BlockPattern",
+    "FactorLayout",
     "DiscreteFunction",
     "nodal_values",
     "element_dots",
@@ -320,8 +325,11 @@ class BlockPattern:
     rows in Dirichlet columns; zeroing both leaves a pattern that is block
     diagonal between free and Dirichlet nodes and, like the element
     adjacency, structurally symmetric.  The arrays are int32 and read-only;
-    each matrix from :meth:`matrix` owns copies of the structure, because
-    in-place methods such as ``eliminate_zeros`` compact ``indices``.
+    each matrix from :meth:`matrix` or :meth:`factor_matrix` owns copies of
+    the structure, because in-place methods such as ``eliminate_zeros``
+    compact ``indices``.  The :class:`FactorLayout` that
+    :meth:`factor_matrix` gathers into is computed on first use, not with
+    the pattern.
     """
 
     n: int
@@ -392,6 +400,57 @@ class BlockPattern:
         """CSR matrix with this pattern and ``data`` (not copied)."""
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
                              shape=(self.n, self.n))
+
+    @cached_property
+    def factor_layout(self):
+        """The :class:`FactorLayout` of this pattern (computed on first use).
+
+        The order is SuperLU's minimum-degree column order on ``A^T + A``
+        (``MMD_AT_PLUS_A``, etree postorder included) of the whole element
+        adjacency, Dirichlet couplings included, read off one ``splu``: the
+        ordering depends on the structure alone, so the matrix it factors
+        holds ones with a dominant diagonal, only to stay nonsingular."""
+        data = np.ones(self.nnz)
+        data[self.diagonal] = self.n
+        lu = sp.linalg.splu(self.matrix(data).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        position = lu.perm_c  # factor position of each node
+        row = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        new_row, new_col = position[row], position[self.indices]
+        slots = np.lexsort((new_row, new_col)).astype(np.int32)
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(new_col, minlength=self.n), out=indptr[1:])
+        layout = FactorLayout(order=np.argsort(position), slots=slots,
+                              indptr=indptr, indices=new_row[slots].astype(np.int32))
+        for a in layout:
+            a.flags.writeable = False
+        return layout
+
+    def factor_matrix(self, data):
+        """CSC matrix of slot ``data`` in factor order, with its exact zeros
+        eliminated: bit for bit ``M[order][:, order].tocsc()`` of
+        ``M = matrix(data)`` after ``M.eliminate_zeros()``, by one gather
+        into the cached :attr:`factor_layout`."""
+        layout = self.factor_layout
+        J = sp.csc_matrix((data[layout.slots], layout.indices.copy(),
+                           layout.indptr.copy()), shape=(self.n, self.n))
+        J.eliminate_zeros()
+        return J
+
+
+class FactorLayout(NamedTuple):
+    """A :class:`BlockPattern` in a fill-reducing order, for factoring its
+    matrices without ordering each one.
+
+    ``order[k]`` is the node at factor position ``k``, so a matrix ``J`` in
+    factor order is ``J[order][:, order]`` and a vector ``r`` is
+    ``r[order]``.  ``indptr``/``indices`` are the canonical CSC structure of
+    the pattern in that order and ``slots[k]`` is the pattern slot of its
+    entry ``k``.  The arrays are read-only."""
+
+    order: np.ndarray
+    slots: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
 
 @dataclass(frozen=True)

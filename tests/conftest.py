@@ -294,24 +294,41 @@ def reference_assemble_system(spec, u, rho=1.0, with_jacobian=True,
 
 
 def csr_bytes(J):
+    """Dtypes and bytes of a compressed (CSR or CSC) matrix's arrays."""
     return [(a.dtype.str, a.tobytes()) for a in (J.data, J.indices, J.indptr)]
 
 
-def _lifted(J):
+def lifted(J):
     # the regularized retry of solver._solve_direction
     return J + sp.diags(1e-12 * (1.0 + np.abs(J.diagonal())))
 
 
-def assert_same_system(new, ref):
+def in_factor_order(mesh, J):
+    """``J`` (node order) in the factor order of the mesh's layout, by
+    fancy indexing: ``J[p][:, p]`` as CSC."""
+    p = mesh.block_pattern.factor_layout.order
+    return J[p][:, p].tocsc()
+
+
+def in_node_order(mesh, J):
+    """An assembled Jacobian (factor order) back in node order, as CSR."""
+    q = np.argsort(mesh.block_pattern.factor_layout.order)
+    return J[q][:, q].tocsr()
+
+
+def assert_same_system(mesh, new, ref):
     """Byte equality of residual, selection and the Jacobian handed to
-    ``spsolve`` (as CSC), plain and lifted."""
+    ``spsolve``, plain and lifted: the package's, gathered in factor order,
+    against the reference's (node order) permuted by fancy indexing, which
+    is lifted before it is permuted."""
     assert new.residual.tobytes() == ref.residual.tobytes()
     assert new.eta.tobytes() == ref.eta.tobytes()
     assert (new.jacobian is None) == (ref.jacobian is None)
     if ref.jacobian is not None:
+        assert new.jacobian.format == "csc"
         for J, J_ref in ((new.jacobian, ref.jacobian),
-                         (_lifted(new.jacobian), _lifted(ref.jacobian))):
-            assert csr_bytes(J.tocsc()) == csr_bytes(J_ref.tocsc())
+                         (lifted(new.jacobian), lifted(ref.jacobian))):
+            assert csr_bytes(J) == csr_bytes(in_factor_order(mesh, J_ref))
 
 
 def reference_scatter_vector(mesh, local):
@@ -398,23 +415,34 @@ def lumped_norm(mesh, vals):
     return float(np.sqrt(np.dot(mesh.node_volume_weights, vals * vals)))
 
 
-def reference_solve_direction(J, r, permc_spec="MMD_AT_PLUS_A"):
-    """Solve J d = -r, regularizing the diagonal once if the solve breaks;
-    SuperLU orders the columns by ``permc_spec``."""
+def reference_solve_direction(J, r, permc_spec="MMD_AT_PLUS_A", order=None):
+    """Solve J d = -r for ``J`` in node order, regularizing the diagonal once
+    if the solve breaks.  SuperLU orders the columns by ``permc_spec``; with
+    ``order``, the (lifted) system is permuted by fancy indexing,
+    ``J[order][:, order]`` and ``-r[order]``, solved as it stands
+    (``NATURAL``) and the solution scattered back."""
 
     def attempt(M):
+        b, spec = -r, permc_spec
+        if order is not None:
+            M, b, spec = M[order][:, order], b[order], "NATURAL"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", spla.MatrixRankWarning)
             with np.errstate(all="ignore"):
                 try:
-                    return spla.spsolve(M.tocsc(), -r, permc_spec=permc_spec)
+                    x = spla.spsolve(M.tocsc(), b, permc_spec=spec)
                 except RuntimeError:
                     return np.full_like(r, np.nan)
+        if order is None:
+            return x
+        d = np.empty_like(x)
+        d[order] = x
+        return d
 
     d = attempt(J)
     if np.all(np.isfinite(d)):
         return d, ""
-    d = attempt(J + sp.diags(1e-12 * (1.0 + np.abs(J.diagonal()))))
+    d = attempt(lifted(J))
     if np.all(np.isfinite(d)):
         return d, "regularized"
     return None, "regularized"
@@ -426,6 +454,8 @@ def reference_solve_penalized(spec, cfg, initial=None):
 
     Calls ``assembly.assemble_system`` and ``scipy.sparse.linalg.spsolve``
     through their module attributes, so a test can record the call sequence.
+    Each direction solves the Jacobian of :func:`reference_assemble_system`
+    (node order) in the mesh's factor order, permuted by fancy indexing.
     """
     mesh = spec.mesh
     if initial is None:
@@ -443,6 +473,11 @@ def reference_solve_penalized(spec, cfg, initial=None):
             with_jacobian=with_jacobian, frozen=frozen,
         )
 
+    def jacobian(vals, frozen):
+        return reference_assemble_system(spec, vals, rho=cfg.rho,
+                                         frozen=frozen).jacobian
+
+    order = mesh.block_pattern.factor_layout.order
     sys0 = assemble(u, with_jacobian=False)
     eta = sys0.eta
     rnorm = residual_norm(mesh, sys0.residual)
@@ -455,7 +490,8 @@ def reference_solve_penalized(spec, cfg, initial=None):
     while not converged and iterations < cfg.max_newton:
         frozen = direction_mode == "picard"
         system = assemble(u, with_jacobian=True, frozen=frozen)
-        d, note = reference_solve_direction(system.jacobian, system.residual)
+        d, note = reference_solve_direction(jacobian(u, frozen), system.residual,
+                                            order=order)
         if d is not None:
             d[mesh.dirichlet_mask] = -u[mesh.dirichlet_mask]
         accepted = False
@@ -482,7 +518,8 @@ def reference_solve_penalized(spec, cfg, initial=None):
         if failed_newton >= 5:
             direction_mode = "picard"
         system = assemble(u, with_jacobian=True, frozen=True)
-        d, note2 = reference_solve_direction(system.jacobian, system.residual)
+        d, note2 = reference_solve_direction(jacobian(u, True), system.residual,
+                                             order=order)
         if d is None:
             trace.append(TraceEntry(iterations, rnorm, 0.0, "picard",
                                     "fixed-point system unsolvable"))

@@ -218,14 +218,14 @@ class TestElementState:
             for name, vals in _states(mesh).items():
                 vals = np.where(mesh.dirichlet_mask, 0.0, vals)
                 base = assembly.assemble_system(spec, vals, rho=1e-2, with_jacobian=False)
-                assert_same_system(base, reference_assemble_system(
+                assert_same_system(mesh, base, reference_assemble_system(
                     spec, vals, rho=1e-2, with_jacobian=False))
                 for frozen in (False, True):
                     ref = reference_assemble_system(spec, vals, rho=1e-2, frozen=frozen)
                     for system in (None, base):
                         new = assembly.assemble_system(spec, vals, rho=1e-2,
                                                        frozen=frozen, system=system)
-                        assert_same_system(new, ref)
+                        assert_same_system(mesh, new, ref)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,13 +1,18 @@
 """Mesh construction, P1 geometry, boundary partition, lumped quadrature."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import (
     PATTERN_MESHES,
     csr_bytes,
     interval,
+    lifted,
+    make_spec,
     rectangle,
     reference_coo_scatter_blocks,
     reference_element_gradient,
@@ -15,8 +20,11 @@ from conftest import (
     reference_scatter_blocks,
     reference_scatter_vector,
 )
+from dpobstacle import lab, solver
+from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import (
+    BlockPattern,
     BoundaryPartition,
     DiscreteFunction,
     build_interval_mesh,
@@ -249,6 +257,89 @@ class TestScatter:
         S.eliminate_zeros()  # compacts the matrix's own indices in place
         assert S.nnz == 0
         assert np.array_equal(pattern.indices, indices)
+
+
+def _without_dirichlet_nodes():
+    # every mesh has a Dirichlet part, so the pattern of one without
+    # Dirichlet nodes is built from a stand-in that reads as such
+    mesh = rectangle(7, 5, gamma2=("right",))
+    return BlockPattern.for_mesh(SimpleNamespace(
+        n_nodes=mesh.n_nodes, dim=mesh.dim, elements=mesh.elements,
+        dirichlet_mask=np.zeros(mesh.n_nodes, dtype=bool)))
+
+
+_LAYOUT_PATTERNS = {
+    "interval": lambda: interval(17).block_pattern,
+    "rectangle_gamma2": lambda: rectangle(9, 7, gamma2=("right", "top")).block_pattern,
+    "no_dirichlet": _without_dirichlet_nodes,
+}
+
+
+class TestFactorLayout:
+    """The pattern in SuperLU's minimum-degree order, computed once, and the
+    gather of a Jacobian's slots into it."""
+
+    @pytest.mark.parametrize("name", sorted(_LAYOUT_PATTERNS))
+    def test_order_is_superlus_on_the_whole_adjacency(self, name):
+        pattern = _LAYOUT_PATTERNS[name]()
+        assert "factor_layout" not in vars(pattern)  # not built with the pattern
+        layout = pattern.factor_layout
+        assert pattern.factor_layout is layout
+        assert np.array_equal(np.sort(layout.order), np.arange(pattern.n))
+        # the order reads the structure alone: random values give it too
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=pattern.nnz)
+        data[pattern.diagonal] += 20.0
+        lu = spla.splu(pattern.matrix(data).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert np.array_equal(layout.order, np.argsort(lu.perm_c))
+        for a in layout:
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(_LAYOUT_PATTERNS))
+    def test_gather_is_the_fancy_indexed_matrix(self, name):
+        pattern = _LAYOUT_PATTERNS[name]()
+        p = pattern.factor_layout.order
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=pattern.nnz)
+        data[rng.random(pattern.nnz) < 0.3] = 0.0
+        odd = data.copy()
+        odd[rng.random(pattern.nnz) < 0.2] = np.inf
+        odd[rng.random(pattern.nnz) < 0.2] = np.nan
+        odd[rng.random(pattern.nnz) < 0.1] = -0.0
+        for values in (data, odd, np.zeros(pattern.nnz)):
+            J = pattern.matrix(values.copy())
+            J.eliminate_zeros()
+            gathered = pattern.factor_matrix(values)
+            assert gathered.format == "csc" and gathered.nnz == J.nnz
+            with np.errstate(invalid="ignore"):
+                for new, ref in ((gathered, J), (lifted(gathered), lifted(J))):
+                    assert csr_bytes(new) == csr_bytes(ref[p][:, p].tocsc())
+        # each matrix owns its structure: eliminate_zeros compacts a copy
+        indices = pattern.factor_layout.indices.copy()
+        assert pattern.factor_matrix(np.zeros(pattern.nnz)).nnz == 0
+        assert np.array_equal(pattern.factor_layout.indices, indices)
+
+    def test_threaded_study_chains_share_the_layout(self, monkeypatch):
+        mesh = rectangle(10, 10, gamma2=("right",))
+        spec = make_spec(mesh, p=2.5, q=3.0, mu=lambda x, y: 0.5 + 0.5 * x,
+                         phi=0.05, react=reaction("interval", lo=2.0, hi=8.0),
+                         bnd=boundary_potential("abs", alpha=0.1))
+        solve, orders = solver._solve_direction, []
+
+        def recorded(J, r, order):
+            orders.append(order)
+            return solve(J, r, order)
+
+        monkeypatch.setattr(solver, "_solve_direction", recorded)
+        lab.kuratowski_study(spec, [1.0, 0.1, 0.01], solver.SolverConfig(),
+                             n_starts=1, selection_rules=["lower", "upper"],
+                             threads=2)
+        layout = mesh.block_pattern.factor_layout
+        fresh = BlockPattern.for_mesh(mesh).factor_layout
+        assert orders
+        assert all(o.tobytes() == layout.order.tobytes() for o in orders)
+        for a, b in zip(layout, fresh, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBoundaryWeights:

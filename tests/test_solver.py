@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -275,9 +276,11 @@ class TestLoopReference:
             # reference assembles every system from scratch
             assert (system is not None) == kwargs["with_jacobian"]
             new = assemble(spec, u, system=system, **kwargs)
-            assert_same_system(new, reference_assemble_system(spec, u, **kwargs))
+            assert_same_system(spec.mesh, new,
+                               reference_assemble_system(spec, u, **kwargs))
+            nan = new.jacobian is not None and np.isnan(new.jacobian.data).any()
             calls.append((kwargs["with_jacobian"], kwargs["frozen"],
-                          float(np.max(np.abs(new.residual)))))
+                          float(np.max(np.abs(new.residual))), nan))
             return new
 
         monkeypatch.setattr(solver, "assemble_system", checked)
@@ -290,18 +293,23 @@ class TestLoopReference:
             # finite residuals whose squares overflow in the norm
             assert 1e155 < max(c[2] for c in calls) < np.inf
         if case == "unsolvable":
+            # a Jacobian with NaN entries, gathered like fancy indexing
             assert not np.isfinite(calls[0][2])
+            assert any(c[3] for c in calls)
 
     @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
     def test_direction_is_the_parents_to_roundoff(self, monkeypatch, case):
         # the zeroed Dirichlet columns and the symmetric ordering leave the
-        # direction unchanged in exact arithmetic.  Against the default
-        # ordering on the matrix that kept the columns, every direction of
-        # the solve agrees to 1e-12 relative, or to eps * cond (the forward
-        # error of a backward-stable solve) on the blow-ups' states, whose
-        # condition numbers reach 1e121
+        # direction unchanged in exact arithmetic, and so does the factor
+        # order computed once per mesh.  Against the default ordering on the
+        # matrix that kept the columns, and against the minimum-degree
+        # ordering computed for each matrix (the solve before the cached
+        # factor order), every direction of the solve agrees to 1e-12
+        # relative, or to eps * cond (the forward error of a backward-stable
+        # solve) on the blow-ups' states, whose condition numbers reach 1e121
         spec, cfg, initial, _ = _loop_case(case)
         mask = spec.mesh.dirichlet_mask
+        order = spec.mesh.block_pattern.factor_layout.order
         assemble = solver.assemble_system
         gaps = []
 
@@ -309,21 +317,26 @@ class TestLoopReference:
             new = assemble(spec, u, system=system, **kwargs)
             if not kwargs["with_jacobian"]:
                 return new
-            d, note = solver._solve_direction(new.jacobian, new.residual)
+            d, note = solver._solve_direction(new.jacobian, new.residual, order)
             old = reference_assemble_system(spec, u, keep_columns=True, **kwargs)
-            d_old, note_old = reference_solve_direction(
-                old.jacobian, old.residual, permc_spec="COLAMD")
-            assert (d is None) == (d_old is None)
+            ref = reference_assemble_system(spec, u, **kwargs)
+            parents = [reference_solve_direction(old.jacobian, old.residual,
+                                                 permc_spec="COLAMD"),
+                       reference_solve_direction(ref.jacobian, ref.residual,
+                                                 permc_spec="MMD_AT_PLUS_A")]
+            assert all((d is None) == (d_old is None) for d_old, _ in parents)
             if d is not None:
-                assert note == note_old
-                d[mask] = d_old[mask] = -u[mask]
+                d[mask] = -u[mask]
                 J = new.jacobian.toarray()
                 if note:
                     J += np.diag(1e-12 * (1.0 + np.abs(np.diag(J))))
-                kappa = np.linalg.cond(J)
-                gap = np.linalg.norm(d - d_old) / np.linalg.norm(d_old)
-                assert gap <= max(1e-12, np.finfo(float).eps * kappa)
-                gaps.append(gap)
+                bound = max(1e-12, np.finfo(float).eps * np.linalg.cond(J))
+                for d_old, note_old in parents:
+                    assert note == note_old
+                    d_old[mask] = -u[mask]
+                    gap = np.linalg.norm(d - d_old) / np.linalg.norm(d_old)
+                    assert gap <= bound
+                    gaps.append(gap)
             return new
 
         monkeypatch.setattr(solver, "assemble_system", compared)
@@ -331,6 +344,22 @@ class TestLoopReference:
         assert gaps or case == "unsolvable"
         if case in ("kink", "singular"):
             assert max(gaps) <= 1e-12
+
+    def test_residual_norm_overflows_silently(self, monkeypatch):
+        # the overflow start's residual squares overflow to inf in the norm;
+        # that inf is the result, and no RuntimeWarning goes with it
+        spec, cfg, initial, _ = _loop_case("overflow")
+        norm, norms = solver.residual_norm, []
+
+        def checked(mesh, r):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                norms.append(norm(mesh, r))
+            return norms[-1]
+
+        monkeypatch.setattr(solver, "residual_norm", checked)
+        solve_penalized(spec, cfg, initial=initial)
+        assert norms[0] == np.inf and np.isfinite(norms[-1])
 
     def test_line_search_never_accepts_a_non_finite_residual(self):
         # from the overflow start every trial of the first line search has
