@@ -29,21 +29,22 @@ nodal gradient, and the smoothed boundary flux on the natural boundary part.
 The Jacobian is one ``data`` array on the mesh's cached
 :class:`~dpobstacle.meshing.BlockPattern`: the operator blocks, plus the
 penalty and boundary diagonal, plus the reaction Jacobian (whose unreached
-slots are explicit zeros), summed slot by slot in that order.  Dirichlet rows
-are then replaced by identity rows and Dirichlet columns of the free rows by
-zeros, whatever they held (``inf`` and ``NaN`` included).  The Jacobian is
-handed out in factor order: one gather of ``data`` into the pattern's cached
-:class:`~dpobstacle.meshing.FactorLayout` gives the CSC matrix
-``J[order][:, order]``, and ``eliminate_zeros`` drops the exact zeros there,
-as the sums of scipy matrices this replaces did; its entries are bit for bit
-that sum's, permuted.  The residual and the iterate vanish on Dirichlet
-nodes, so the zeroed columns do not change the Newton direction in exact
-arithmetic; they make the Jacobian block diagonal between free and Dirichlet
-nodes and structurally symmetric (numerically symmetric too when the reaction
-does not read the gradient).  The fill-reducing order is computed once per
-mesh, on the whole element adjacency, so the solver factors every Jacobian
-without ordering it again.  A residual-only call (``with_jacobian=False``)
-builds no Jacobian at all, the reaction's included.
+slots are explicit zeros), summed slot by slot in that order.  The Newton
+system is the free-node system: the Dirichlet nodes are not unknowns (the
+trial space vanishes on gamma1), so the Jacobian is the free-node block of
+that sum, whatever the Dirichlet rows and columns held (``inf`` and ``NaN``
+included).  It is handed out in factor order: one gather of ``data`` into
+the pattern's cached :class:`~dpobstacle.meshing.FactorLayout` gives the
+CSC matrix ``J[order][:, order]`` over the free nodes, and
+``eliminate_zeros`` drops the exact zeros there, as the sums of scipy
+matrices this replaces did; its entries are bit for bit that sum's,
+permuted.  The block is structurally symmetric (numerically symmetric too
+when the reaction does not read the gradient).  The residual keeps every
+node, with ``u`` itself on the Dirichlet ones, where the iterate vanishes.
+The fill-reducing order is computed once per mesh, on the whole element
+adjacency, so the solver factors every Jacobian without ordering it again.
+A residual-only call (``with_jacobian=False``) builds no Jacobian at all,
+the reaction's included.
 """
 
 from __future__ import annotations
@@ -141,11 +142,11 @@ class ProblemSpec:
 
 @dataclass
 class AssembledSystem:
-    """Masked residual/Jacobian pair; Dirichlet rows are identity rows,
-    Dirichlet columns hold nothing off the diagonal, and the Jacobian stores
-    no exact zeros.  The residual is in node order; the Jacobian is the CSC
-    matrix in the factor order of the mesh's
-    :class:`~dpobstacle.meshing.FactorLayout`, ``J[order][:, order]``.
+    """Masked residual/Jacobian pair.  The residual is in node order and
+    equals ``u`` on Dirichlet nodes; the Jacobian is the ``n_free x n_free``
+    free-node block, the CSC matrix in the factor order of the mesh's
+    :class:`~dpobstacle.meshing.FactorLayout`, ``J[order][:, order]``, and
+    stores no exact zeros.
 
     The system keeps what its Jacobian reads besides the reaction: the
     :class:`GradientState` of the iterate and ``diagonal``, the penalty and
@@ -353,7 +354,4 @@ def assemble_system(
     if not frozen:
         # the fixed-point linearization also freezes the selection
         data += reaction_term(spec, vals)[1]
-    data[pattern.dirichlet_slots] = 0.0
-    data[pattern.dirichlet_column_slots] = 0.0
-    data[pattern.diagonal[spec.mesh.dirichlet_mask]] = 1.0
     return replace(system, jacobian=pattern.factor_matrix(data))

@@ -16,9 +16,9 @@ built on (operator Jacobians, the ``check`` stiffness, the nodal-gradient
 maps, the reaction Jacobian): a matrix is a ``data`` array of its slots,
 summed in the order scipy's COO->CSR conversion adds duplicates, so each sum
 is bit for bit the scipy one without a sort per call.  Its
-:class:`FactorLayout` (a fill-reducing order of the pattern, and the CSC
-structure in that order) is computed once, when the first matrix is
-gathered into it.
+:class:`FactorLayout` (a fill-reducing order of the free nodes, the
+unknowns of the Newton system, and the CSC structure of their block in that
+order) is computed once, when the first matrix is gathered into it.
 The boundary is split into a Dirichlet part (``gamma1``, where trial functions
 vanish) and a natural part (``gamma2``, where nonsmooth boundary terms act);
 the Dirichlet part must have positive measure.  A face is natural when its
@@ -320,16 +320,14 @@ class BlockPattern:
     unstable sort (beyond 16 entries), so the order is read off scipy's own
     ``sort_indices`` run on the entry numbers, and the sums are bit for bit
     those of ``csr_matrix((blocks.ravel(), (rows, cols)))``.
-    ``diagonal[i]`` is the slot of ``(i, i)``, ``dirichlet_slots`` are the
-    slots on Dirichlet rows and ``dirichlet_column_slots`` the slots of free
-    rows in Dirichlet columns; zeroing both leaves a pattern that is block
-    diagonal between free and Dirichlet nodes and, like the element
-    adjacency, structurally symmetric.  The arrays are int32 and read-only;
-    each matrix from :meth:`matrix` or :meth:`factor_matrix` owns copies of
-    the structure, because in-place methods such as ``eliminate_zeros``
-    compact ``indices``.  The :class:`FactorLayout` that
-    :meth:`factor_matrix` gathers into is computed on first use, not with
-    the pattern.
+    ``diagonal[i]`` is the slot of ``(i, i)`` and ``free`` the boolean mask
+    of the nodes off the Dirichlet part, the unknowns of the Newton system.
+    The arrays are read-only, the slot arrays int32; each matrix from
+    :meth:`matrix` or :meth:`factor_matrix` owns copies of the structure,
+    because in-place methods such as ``eliminate_zeros`` compact
+    ``indices``.  The :class:`FactorLayout` that :meth:`factor_matrix`
+    gathers the free-node block into is computed on first use, not with the
+    pattern.
     """
 
     n: int
@@ -338,8 +336,7 @@ class BlockPattern:
     first: np.ndarray
     layers: tuple
     diagonal: np.ndarray
-    dirichlet_slots: np.ndarray
-    dirichlet_column_slots: np.ndarray
+    free: np.ndarray
 
     @classmethod
     def for_mesh(cls, mesh):
@@ -366,7 +363,6 @@ class BlockPattern:
         slot_row, indices = row[new], col[new]
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(slot_row, minlength=n), out=indptr[1:])
-        fixed = mesh.dirichlet_mask
         pattern = cls(
             n=n,
             indptr=indptr,
@@ -374,12 +370,9 @@ class BlockPattern:
             first=entry[new],
             layers=layers,
             diagonal=np.flatnonzero(slot_row == indices).astype(np.int32),
-            dirichlet_slots=np.flatnonzero(fixed[slot_row]).astype(np.int32),
-            dirichlet_column_slots=np.flatnonzero(
-                fixed[indices] & ~fixed[slot_row]).astype(np.int32),
+            free=~mesh.dirichlet_mask,
         )
-        for a in (indptr, indices, pattern.first, pattern.diagonal,
-                  pattern.dirichlet_slots, pattern.dirichlet_column_slots,
+        for a in (indptr, indices, pattern.first, pattern.diagonal, pattern.free,
                   *(a for layer in layers for a in layer)):
             a.flags.writeable = False
         return pattern
@@ -409,43 +402,53 @@ class BlockPattern:
         (``MMD_AT_PLUS_A``, etree postorder included) of the whole element
         adjacency, Dirichlet couplings included, read off one ``splu``: the
         ordering depends on the structure alone, so the matrix it factors
-        holds ones with a dominant diagonal, only to stay nonsingular."""
+        holds ones with a dominant diagonal, only to stay nonsingular.  The
+        Dirichlet nodes are then left out of it, and the layout keeps the
+        free-free entries alone."""
         data = np.ones(self.nnz)
         data[self.diagonal] = self.n
         lu = sp.linalg.splu(self.matrix(data).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        position = lu.perm_c  # factor position of each node
+        order = np.argsort(lu.perm_c)
+        order = order[self.free[order]]
+        position = np.full(self.n, -1)  # factor position of each free node
+        position[order] = np.arange(order.size)
         row = np.repeat(np.arange(self.n), np.diff(self.indptr))
         new_row, new_col = position[row], position[self.indices]
-        slots = np.lexsort((new_row, new_col)).astype(np.int32)
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(new_col, minlength=self.n), out=indptr[1:])
-        layout = FactorLayout(order=np.argsort(position), slots=slots,
-                              indptr=indptr, indices=new_row[slots].astype(np.int32))
+        kept = np.flatnonzero((new_row >= 0) & (new_col >= 0))
+        slots = kept[np.lexsort((new_row[kept], new_col[kept]))].astype(np.int32)
+        indptr = np.zeros(order.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(new_col[slots], minlength=order.size), out=indptr[1:])
+        layout = FactorLayout(order=order, slots=slots, indptr=indptr,
+                              indices=new_row[slots].astype(np.int32))
         for a in layout:
             a.flags.writeable = False
         return layout
 
     def factor_matrix(self, data):
-        """CSC matrix of slot ``data`` in factor order, with its exact zeros
-        eliminated: bit for bit ``M[order][:, order].tocsc()`` of
-        ``M = matrix(data)`` after ``M.eliminate_zeros()``, by one gather
-        into the cached :attr:`factor_layout`."""
+        """CSC matrix of the free-node block of slot ``data`` in factor
+        order, with its exact zeros eliminated: bit for bit
+        ``M[order][:, order].tocsc()`` of ``M = matrix(data)`` after
+        ``M.eliminate_zeros()``, by one gather into the cached
+        :attr:`factor_layout`.  It is ``n_free x n_free``; the slots on
+        Dirichlet rows and columns are not read."""
         layout = self.factor_layout
+        m = layout.order.size
         J = sp.csc_matrix((data[layout.slots], layout.indices.copy(),
-                           layout.indptr.copy()), shape=(self.n, self.n))
+                           layout.indptr.copy()), shape=(m, m))
         J.eliminate_zeros()
         return J
 
 
 class FactorLayout(NamedTuple):
-    """A :class:`BlockPattern` in a fill-reducing order, for factoring its
-    matrices without ordering each one.
+    """The free-node block of a :class:`BlockPattern` in a fill-reducing
+    order, for factoring its matrices without ordering each one.
 
-    ``order[k]`` is the node at factor position ``k``, so a matrix ``J`` in
-    factor order is ``J[order][:, order]`` and a vector ``r`` is
-    ``r[order]``.  ``indptr``/``indices`` are the canonical CSC structure of
-    the pattern in that order and ``slots[k]`` is the pattern slot of its
-    entry ``k``.  The arrays are read-only."""
+    ``order[k]`` is the free node at factor position ``k``, so the block of
+    a node-order matrix ``J`` in factor order is ``J[order][:, order]`` and
+    that of a vector ``r`` is ``r[order]``.  ``indptr``/``indices`` are the
+    canonical CSC structure of the free-free entries of the pattern in that
+    order and ``slots[k]`` is the pattern slot of its entry ``k``.  The
+    arrays are read-only."""
 
     order: np.ndarray
     slots: np.ndarray

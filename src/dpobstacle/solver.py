@@ -126,16 +126,17 @@ def _fp_floor(spec, cfg):
 
 
 def _solve_direction(J, r, order):
-    """Solve J d = -r for the Jacobian ``J`` in factor order ``order`` (see
-    :class:`~dpobstacle.meshing.FactorLayout`) and the residual ``r`` in node
-    order; if the solve breaks (error or non-finite entries), retry once
-    with the diagonal lifted by ``1e-12 (1 + |J_ii|)``.
+    """Solve J d = -r for the free-node Jacobian ``J`` in factor order
+    ``order`` (see :class:`~dpobstacle.meshing.FactorLayout`) and the
+    residual ``r`` in node order; if the solve breaks (error or non-finite
+    entries), retry once with the diagonal lifted by ``1e-12 (1 + |J_ii|)``.
 
     ``J`` arrives ordered by minimum degree on ``J^T + J`` of the mesh's
     element adjacency, computed once per mesh, so SuperLU factors it as it
     stands (``NATURAL``) instead of ordering every Jacobian; on the 2D meshes
     its factors hold about 40% fewer entries than under the default column
-    ordering (COLAMD).  The solution is scattered back to node order."""
+    ordering (COLAMD).  The solution is scattered back to node order, into
+    zeros: the direction is +0.0 on the Dirichlet nodes."""
     b = -r[order]
     for note in ("", "regularized"):
         if note:
@@ -148,7 +149,7 @@ def _solve_direction(J, r, order):
                 except RuntimeError:
                     continue
         if np.all(np.isfinite(x)):
-            d = np.empty_like(x)
+            d = np.zeros_like(r)
             d[order] = x
             return d, note
     return None, note
@@ -158,7 +159,8 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
     """Solve one approximating problem; non-convergence yields a report, not
     an exception.
 
-    The initial state is projected onto the Dirichlet mask.  Every iteration
+    The initial state is projected onto the Dirichlet mask, where every
+    direction is +0.0, so every iterate is +0.0 there.  Every iteration
     solves for a direction and backtracks on the squared scaled residual
     norm: the step length starts at 1 and is multiplied by
     ``DAMPING_FACTOR`` (0.5) at most ``MAX_HALVINGS`` (40) times until the
@@ -191,13 +193,8 @@ def solve_penalized(spec: ProblemSpec, cfg: SolverConfig, initial=None) -> Solve
     def direction(frozen):
         # the Jacobian at u from the residual-only system of u
         jacobian = assemble(u, with_jacobian=True, frozen=frozen, system=system).jacobian
-        d, note = _solve_direction(jacobian, system.residual,
-                                   mesh.block_pattern.factor_layout.order)
-        if d is not None:
-            # the Dirichlet block is an identity decoupled from the free
-            # nodes, so the solve gives -u there already; pin it exactly
-            d[mesh.dirichlet_mask] = -u[mesh.dirichlet_mask]
-        return d, note
+        return _solve_direction(jacobian, system.residual,
+                                mesh.block_pattern.factor_layout.order)
 
     def trial(d, alpha):
         vals = u + alpha * d

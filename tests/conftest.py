@@ -304,23 +304,38 @@ def lifted(J):
 
 
 def in_factor_order(mesh, J):
-    """``J`` (node order) in the factor order of the mesh's layout, by
-    fancy indexing: ``J[p][:, p]`` as CSC."""
+    """The free-node block of ``J`` (node order) in the factor order of the
+    mesh's layout, by fancy indexing: ``J[p][:, p]`` as CSC."""
     p = mesh.block_pattern.factor_layout.order
     return J[p][:, p].tocsc()
 
 
 def in_node_order(mesh, J):
-    """An assembled Jacobian (factor order) back in node order, as CSR."""
-    q = np.argsort(mesh.block_pattern.factor_layout.order)
-    return J[q][:, q].tocsr()
+    """An assembled Jacobian (free nodes, factor order) scattered back to
+    node order, as CSR whose Dirichlet rows and columns are empty."""
+    p = mesh.block_pattern.factor_layout.order
+    coo = J.tocoo()
+    return sp.csr_matrix((coo.data, (p[coo.row], p[coo.col])),
+                         shape=(mesh.n_nodes, mesh.n_nodes))
+
+
+def whole_adjacency_order(mesh):
+    """The factor order before the Dirichlet nodes were left out, frozen: a
+    permutation of every node, SuperLU's ``MMD_AT_PLUS_A`` order of the
+    whole element adjacency (ones with a dominant diagonal)."""
+    pattern = mesh.block_pattern
+    data = np.ones(pattern.nnz)
+    data[pattern.diagonal] = pattern.n
+    lu = spla.splu(pattern.matrix(data).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return np.argsort(lu.perm_c)
 
 
 def assert_same_system(mesh, new, ref):
     """Byte equality of residual, selection and the Jacobian handed to
-    ``spsolve``, plain and lifted: the package's, gathered in factor order,
-    against the reference's (node order) permuted by fancy indexing, which
-    is lifted before it is permuted."""
+    ``spsolve``, plain and lifted: the package's free-node block, gathered in
+    factor order, against the reference's (node order, identity Dirichlet
+    rows) restricted and permuted by fancy indexing, which is lifted before
+    it is permuted."""
     assert new.residual.tobytes() == ref.residual.tobytes()
     assert new.eta.tobytes() == ref.eta.tobytes()
     assert (new.jacobian is None) == (ref.jacobian is None)
@@ -418,9 +433,10 @@ def lumped_norm(mesh, vals):
 def reference_solve_direction(J, r, permc_spec="MMD_AT_PLUS_A", order=None):
     """Solve J d = -r for ``J`` in node order, regularizing the diagonal once
     if the solve breaks.  SuperLU orders the columns by ``permc_spec``; with
-    ``order``, the (lifted) system is permuted by fancy indexing,
-    ``J[order][:, order]`` and ``-r[order]``, solved as it stands
-    (``NATURAL``) and the solution scattered back."""
+    ``order``, the (lifted) system is restricted to the nodes of ``order``
+    and permuted by fancy indexing, ``J[order][:, order]`` and
+    ``-r[order]``, solved as it stands (``NATURAL``) and the solution
+    scattered back into zeros."""
 
     def attempt(M):
         b, spec = -r, permc_spec
@@ -435,7 +451,7 @@ def reference_solve_direction(J, r, permc_spec="MMD_AT_PLUS_A", order=None):
                     return np.full_like(r, np.nan)
         if order is None:
             return x
-        d = np.empty_like(x)
+        d = np.zeros_like(r)
         d[order] = x
         return d
 
@@ -454,8 +470,9 @@ def reference_solve_penalized(spec, cfg, initial=None):
 
     Calls ``assembly.assemble_system`` and ``scipy.sparse.linalg.spsolve``
     through their module attributes, so a test can record the call sequence.
-    Each direction solves the Jacobian of :func:`reference_assemble_system`
-    (node order) in the mesh's factor order, permuted by fancy indexing.
+    Each direction solves the free-node block of the Jacobian of
+    :func:`reference_assemble_system` (node order) in the mesh's factor
+    order, permuted by fancy indexing, and is +0.0 on the Dirichlet nodes.
     """
     mesh = spec.mesh
     if initial is None:
@@ -492,8 +509,6 @@ def reference_solve_penalized(spec, cfg, initial=None):
         system = assemble(u, with_jacobian=True, frozen=frozen)
         d, note = reference_solve_direction(jacobian(u, frozen), system.residual,
                                             order=order)
-        if d is not None:
-            d[mesh.dirichlet_mask] = -u[mesh.dirichlet_mask]
         accepted = False
         if d is not None:
             alpha = 1.0
@@ -524,7 +539,6 @@ def reference_solve_penalized(spec, cfg, initial=None):
             trace.append(TraceEntry(iterations, rnorm, 0.0, "picard",
                                     "fixed-point system unsolvable"))
             break
-        d[mesh.dirichlet_mask] = -u[mesh.dirichlet_mask]
         u = u + d
         sys_new = assemble(u, with_jacobian=False)
         eta = sys_new.eta

@@ -35,7 +35,7 @@ from dpobstacle.catalog import (REACTION_NAMES, SELECTION_RULES,
                                 boundary_potential, reaction)
 from dpobstacle.errors import ConfigurationError
 from dpobstacle.meshing import DiscreteFunction, build_interval_mesh
-from dpobstacle.solver import SolverConfig, solve_penalized
+from dpobstacle.solver import SolverConfig, _solve_direction, solve_penalized
 
 
 class TestOperator:
@@ -360,18 +360,26 @@ class TestAssembleSystem:
         with pytest.raises(TypeError):
             assemble_system(spec, np.zeros(mesh.n_nodes), mode="penalty")
 
-    def test_dirichlet_rows_become_identity(self, rng):
-        mesh = interval(6)
+    def test_dirichlet_nodes_are_not_unknowns(self, rng):
+        # the Newton system is the free-node system: the residual keeps u on
+        # the Dirichlet nodes, the Jacobian is the free-node block, and the
+        # direction solves it and is +0.0 on the Dirichlet nodes
+        mesh = rectangle(6, 5, gamma2=("right",))
         spec = make_spec(mesh, phi=0.5)
         u = rng.normal(size=mesh.n_nodes)
         out = assemble_system(spec, u, rho=0.1)
-        mask = mesh.dirichlet_mask
+        mask, free = mesh.dirichlet_mask, ~mesh.dirichlet_mask
         assert np.array_equal(out.residual[mask], u[mask])
+        n_free = int(np.sum(free))
+        assert out.jacobian.shape == (n_free, n_free)
+        order = mesh.block_pattern.factor_layout.order
+        assert np.array_equal(np.sort(order), np.flatnonzero(free))
+        d, note = _solve_direction(out.jacobian, out.residual, order)
+        assert note == ""
+        assert d[mask].tobytes() == np.zeros(int(np.sum(mask))).tobytes()
         J = in_node_order(mesh, out.jacobian).toarray()
-        for i in np.flatnonzero(mask):
-            row = np.zeros(mesh.n_nodes)
-            row[i] = 1.0
-            assert np.array_equal(J[i], row)
+        assert np.allclose(J[np.ix_(free, free)] @ d[free], -out.residual[free],
+                           rtol=0.0, atol=1e-12 * np.max(np.abs(out.residual)))
 
     def test_obstacle_term_matches_frozen_bit_for_bit(self, rng):
         # on free nodes the set's envelope gradient, its diagonal and its
@@ -572,10 +580,9 @@ class TestFixedPatternAssembly:
 
 
 class TestSymmetricSystem:
-    """The Dirichlet columns of the free rows are zeroed with the Dirichlet
-    rows: the Jacobian is block diagonal between free and Dirichlet nodes,
-    structurally symmetric, and symmetric unless the reaction reads the
-    gradient."""
+    """The Jacobian is the free-node block, whatever the Dirichlet rows and
+    columns of the slot sum hold: structurally symmetric, and symmetric
+    unless the reaction reads the gradient."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mesh_fn", PATTERN_MESHES)
@@ -584,24 +591,32 @@ class TestSymmetricSystem:
         reaction("sign_band", slope=3.0, offset=0.5),
         reaction("convective_linear", c0=1.0, c1=-3.0, c2=0.7),
     ], ids=["constant", "sign_band", "convective"])
-    def test_free_and_dirichlet_nodes_decouple(self, mesh_fn, react):
+    def test_jacobian_is_the_free_node_block(self, mesh_fn, react):
         mesh = mesh_fn()
         spec = _gate_spec(mesh, 2.5, react, phi_inf=True)
-        mask = mesh.dirichlet_mask
+        free = ~mesh.dirichlet_mask
+        n_free = int(np.sum(free))
+        assert np.array_equal(np.sort(mesh.block_pattern.factor_layout.order),
+                              np.flatnonzero(free))
         rng = np.random.default_rng(5)
         states = [np.zeros(mesh.n_nodes), 0.3 * np.sin(3.0 * mesh.nodes[:, 0]),
                   rng.uniform(-0.2, 0.2, mesh.n_nodes)]
         symmetric = []
         for u in states:
             for frozen in (False, True):
-                J = in_node_order(
-                    mesh, assemble_system(spec, u, rho=1e-2, frozen=frozen).jacobian)
-                A = J.toarray()
-                assert not np.any(A[np.ix_(~mask, mask)])
-                assert np.array_equal(A[mask], np.eye(mesh.n_nodes)[mask])
+                J = assemble_system(spec, u, rho=1e-2, frozen=frozen).jacobian
+                assert J.shape == (n_free, n_free)
+                # the free block of the Jacobian that kept its Dirichlet
+                # columns, entry for entry
+                full = reference_assemble_system(spec, u, rho=1e-2, frozen=frozen,
+                                                 keep_columns=True).jacobian
+                A = in_node_order(mesh, J).toarray()
+                assert np.array_equal(A[np.ix_(free, free)],
+                                      full.toarray()[np.ix_(free, free)])
                 stored = J != 0.0
                 assert (stored != stored.T).nnz == 0
-                symmetric.append(np.array_equal(A, A.T))
+                B = J.toarray()
+                symmetric.append(np.array_equal(B, B.T))
         # the exact Jacobian of convective_linear holds its D_k rows, which
         # are not symmetric where the state has a gradient (not at zero)
         gradient = react.name == "convective_linear"
@@ -610,15 +625,21 @@ class TestSymmetricSystem:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_dirichlet_columns_are_dropped(self):
         # at this scale the operator blocks overflow to inf and their sums
-        # to NaN, in the Dirichlet columns of the free rows too
+        # to NaN, in the Dirichlet columns of the free rows too; none of
+        # those slots is gathered, and the gathered matrix holds exactly the
+        # non-finite entries of the free-free slots
         mesh = rectangle(9, 7, gamma2=("right",))
         spec = _gate_spec(mesh, 2.5, reaction("constant", value=4.0), False)
         u = np.random.default_rng(7).uniform(-1e300, 1e300, mesh.n_nodes)
-        slots = mesh.block_pattern.dirichlet_column_slots
-        assert not np.all(np.isfinite(operator_jacobian(spec, u).data[slots]))
+        pattern = mesh.block_pattern
+        row = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+        columns = np.flatnonzero(pattern.free[row] & ~pattern.free[pattern.indices])
+        data = operator_jacobian(spec, u).data
+        dropped = columns[~np.isfinite(data[columns])]
+        assert dropped.size
+        layout = pattern.factor_layout
+        assert not np.any(np.isin(dropped, layout.slots))
         new = assemble_system(spec, u)
-        mask = mesh.dirichlet_mask
-        J = in_node_order(mesh, new.jacobian).toarray()
-        assert not np.any(J[np.ix_(~mask, mask)])
+        assert np.sum(~np.isfinite(new.jacobian.data)) == np.sum(
+            ~np.isfinite(data[layout.slots]))
         assert_same_system(mesh, new, reference_assemble_system(spec, u))
-

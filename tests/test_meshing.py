@@ -276,8 +276,9 @@ _LAYOUT_PATTERNS = {
 
 
 class TestFactorLayout:
-    """The pattern in SuperLU's minimum-degree order, computed once, and the
-    gather of a Jacobian's slots into it."""
+    """The free nodes in SuperLU's minimum-degree order of the whole
+    pattern, computed once, and the gather of a Jacobian's free-node block
+    into it."""
 
     @pytest.mark.parametrize("name", sorted(_LAYOUT_PATTERNS))
     def test_order_is_superlus_on_the_whole_adjacency(self, name):
@@ -285,14 +286,16 @@ class TestFactorLayout:
         assert "factor_layout" not in vars(pattern)  # not built with the pattern
         layout = pattern.factor_layout
         assert pattern.factor_layout is layout
-        assert np.array_equal(np.sort(layout.order), np.arange(pattern.n))
-        # the order reads the structure alone: random values give it too
+        assert np.array_equal(np.sort(layout.order), np.flatnonzero(pattern.free))
+        # the order reads the structure alone: random values give it too,
+        # restricted to the free nodes
         rng = np.random.default_rng(3)
         data = rng.normal(size=pattern.nnz)
         data[pattern.diagonal] += 20.0
         lu = spla.splu(pattern.matrix(data).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        assert np.array_equal(layout.order, np.argsort(lu.perm_c))
-        for a in layout:
+        full = np.argsort(lu.perm_c)
+        assert np.array_equal(layout.order, full[pattern.free[full]])
+        for a in (pattern.free, *layout):
             assert not a.flags.writeable
 
     @pytest.mark.parametrize("name", sorted(_LAYOUT_PATTERNS))
@@ -310,7 +313,7 @@ class TestFactorLayout:
             J = pattern.matrix(values.copy())
             J.eliminate_zeros()
             gathered = pattern.factor_matrix(values)
-            assert gathered.format == "csc" and gathered.nnz == J.nnz
+            assert gathered.format == "csc" and gathered.shape == (p.size, p.size)
             with np.errstate(invalid="ignore"):
                 for new, ref in ((gathered, J), (lifted(gathered), lifted(J))):
                     assert csr_bytes(new) == csr_bytes(ref[p][:, p].tocsc())

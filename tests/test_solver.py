@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from conftest import (assert_same_system, csr_bytes, interval, make_spec, rectangle,
                       reference_assemble_system, reference_probe_set,
                       reference_solve_direction, reference_solve_penalized,
-                      reference_vi_residual)
+                      reference_vi_residual, whole_adjacency_order)
 from dpobstacle import assembly, lab, solver
 from dpobstacle.catalog import boundary_potential, reaction
 from dpobstacle.errors import ConfigurationError
@@ -298,20 +298,67 @@ class TestLoopReference:
             assert any(c[3] for c in calls)
 
     @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
-    def test_direction_is_the_parents_to_roundoff(self, monkeypatch, case):
-        # the zeroed Dirichlet columns and the symmetric ordering leave the
-        # direction unchanged in exact arithmetic, and so does the factor
-        # order computed once per mesh.  Against the default ordering on the
-        # matrix that kept the columns, and against the minimum-degree
-        # ordering computed for each matrix (the solve before the cached
-        # factor order), every direction of the solve agrees to 1e-12
-        # relative, or to eps * cond (the forward error of a backward-stable
-        # solve) on the blow-ups' states, whose condition numbers reach 1e121
+    def test_direction_is_the_full_systems_bit_for_bit(self, monkeypatch, case):
+        # the free-node system is the elimination that the full system with
+        # identity Dirichlet rows and zeroed Dirichlet columns factored in
+        # the whole-adjacency order: there each Dirichlet node is a
+        # singleton row and column, the free columns keep their relative
+        # order, and pivoting never picks a Dirichlet row for a free column.
+        # Every direction of the solve, regularized and unsolvable ones
+        # included, is that frozen solve's on the free nodes, byte for byte,
+        # and +0.0 on the Dirichlet nodes
         spec, cfg, initial, _ = _loop_case(case)
-        mask = spec.mesh.dirichlet_mask
+        mesh = spec.mesh
+        free = ~mesh.dirichlet_mask
+        order, whole = mesh.block_pattern.factor_layout.order, whole_adjacency_order(mesh)
+        assert whole.size == mesh.n_nodes > order.size
+        assemble = solver.assemble_system
+        notes = []
+
+        def compared(spec, u, system=None, **kwargs):
+            new = assemble(spec, u, system=system, **kwargs)
+            if not kwargs["with_jacobian"]:
+                return new
+            d, note = solver._solve_direction(new.jacobian, new.residual, order)
+            ref = reference_assemble_system(spec, u, **kwargs)
+            d_full, note_full = reference_solve_direction(ref.jacobian, ref.residual,
+                                                          order=whole)
+            assert (note, d is None) == (note_full, d_full is None)
+            if d is not None:
+                assert d[free].tobytes() == d_full[free].tobytes()
+                assert d[~free].tobytes() == np.zeros(int(np.sum(~free))).tobytes()
+            notes.append((d is None, note))
+            return new
+
+        monkeypatch.setattr(solver, "assemble_system", compared)
+        solve_penalized(spec, cfg, initial=initial)
+        assert (False, "") in notes or case == "unsolvable"
+        if case in ("singular", "unsolvable"):
+            assert (case == "unsolvable", "regularized") in notes
+
+    @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+    def test_direction_is_the_parents_to_roundoff(self, monkeypatch, case):
+        # leaving out the Dirichlet nodes, the zeroed Dirichlet columns and
+        # the symmetric ordering leave the direction unchanged in exact
+        # arithmetic, and so does the factor order computed once per mesh.
+        # Against the minimum-degree ordering computed for each matrix (the
+        # solve before the cached factor order), every direction of the
+        # solve agrees to 1e-12 relative, or to eps * cond of the free-node
+        # block on the blow-ups' states.  The default ordering on the full
+        # matrix that kept its Dirichlet columns solves a system whose unit
+        # Dirichlet rows sit beside free entries of up to 1e121; its bound
+        # is eps * cond of that full matrix
+        spec, cfg, initial, _ = _loop_case(case)
+        free = ~spec.mesh.dirichlet_mask
         order = spec.mesh.block_pattern.factor_layout.order
         assemble = solver.assemble_system
         gaps = []
+
+        def bound(J, note):
+            A = J.toarray()
+            if note:
+                A += np.diag(1e-12 * (1.0 + np.abs(np.diag(A))))
+            return max(1e-12, np.finfo(float).eps * np.linalg.cond(A))
 
         def compared(spec, u, system=None, **kwargs):
             new = assemble(spec, u, system=system, **kwargs)
@@ -320,22 +367,18 @@ class TestLoopReference:
             d, note = solver._solve_direction(new.jacobian, new.residual, order)
             old = reference_assemble_system(spec, u, keep_columns=True, **kwargs)
             ref = reference_assemble_system(spec, u, **kwargs)
-            parents = [reference_solve_direction(old.jacobian, old.residual,
-                                                 permc_spec="COLAMD"),
-                       reference_solve_direction(ref.jacobian, ref.residual,
-                                                 permc_spec="MMD_AT_PLUS_A")]
-            assert all((d is None) == (d_old is None) for d_old, _ in parents)
+            parents = [(reference_solve_direction(old.jacobian, old.residual,
+                                                  permc_spec="COLAMD"), ref.jacobian),
+                       (reference_solve_direction(ref.jacobian, ref.residual,
+                                                  permc_spec="MMD_AT_PLUS_A"),
+                        new.jacobian)]
+            assert all((d is None) == (d_old is None) for (d_old, _), _ in parents)
             if d is not None:
-                d[mask] = -u[mask]
-                J = new.jacobian.toarray()
-                if note:
-                    J += np.diag(1e-12 * (1.0 + np.abs(np.diag(J))))
-                bound = max(1e-12, np.finfo(float).eps * np.linalg.cond(J))
-                for d_old, note_old in parents:
+                for (d_old, note_old), J in parents:
                     assert note == note_old
-                    d_old[mask] = -u[mask]
-                    gap = np.linalg.norm(d - d_old) / np.linalg.norm(d_old)
-                    assert gap <= bound
+                    gap = (np.linalg.norm(d[free] - d_old[free])
+                           / np.linalg.norm(d_old[free]))
+                    assert gap <= bound(J, note)
                     gaps.append(gap)
             return new
 
@@ -433,6 +476,31 @@ class TestStateReuse:
         if case == "kink":
             # exact, frozen and forced fixed-point iterates
             assert {("newton", ""), ("picard", ""), ("picard", "forced")} <= steps
+
+
+class TestNoFreeNode:
+    """A mesh whose every node lies on the Dirichlet part has no unknown:
+    the Newton system is empty, and the solve is done at its start."""
+
+    def test_empty_system_converges_at_iteration_zero(self, monkeypatch):
+        mesh = interval(1)
+        assert np.all(mesh.dirichlet_mask)
+        spec = make_spec(mesh, phi=0.5, react=reaction("constant", value=1.0))
+        layout = mesh.block_pattern.factor_layout
+        assert layout.order.size == layout.slots.size == layout.indices.size == 0
+        assert layout.indptr.tolist() == [0]
+        system = assembly.assemble_system(spec, np.ones(mesh.n_nodes))
+        assert system.jacobian.shape == (0, 0)
+        assert system.residual.tolist() == [1.0, 1.0]
+        d, note = solver._solve_direction(system.jacobian, system.residual,
+                                          layout.order)
+        assert note == "" and d.tobytes() == np.zeros(mesh.n_nodes).tobytes()
+        calls = []
+        monkeypatch.setattr(spla, "spsolve", lambda *a, **k: calls.append(a))
+        report = solve_penalized(spec, SolverConfig(), initial=np.ones(mesh.n_nodes))
+        assert report.converged and report.iterations == 0
+        assert report.residual_norm == 0.0 and not calls
+        assert report.solution.values.tobytes() == np.zeros(mesh.n_nodes).tobytes()
 
 
 @pytest.fixture(scope="module")
